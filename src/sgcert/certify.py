@@ -19,8 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import StochasticGame, StrategyProfile, opponent_marginals, value_function
-from .nash_map import gain_table, lipschitz_constant, residual
+from .game import StochasticGame, StrategyProfile
+from .nash_map import (
+    GainTable,
+    PlayerMDP,
+    apply_gains,
+    evaluate_players,
+    lipschitz_constant,
+    player_mdp,
+)
 
 _PI_TIE_TOL = 1e-12
 
@@ -78,24 +85,27 @@ def _round_floats(obj):
 def best_response_values(
     game: StochasticGame, pi: StrategyProfile, player: int
 ) -> np.ndarray:
-    """Optimal values of the MDP induced by freezing the other players.
+    """Optimal values of the MDP induced by freezing the other players."""
+    return _policy_iteration(player_mdp(game, pi, player))
 
-    Policy iteration with exact evaluation: evaluate the current
-    deterministic policy by a dense solve, switch a state's action only on
-    strict improvement (ties broken toward the lowest action index), stop
-    when no state switches.  Terminates because each switch strictly
-    improves the evaluated value and the policy set is finite.
+
+def _policy_iteration(mdp: PlayerMDP) -> np.ndarray:
+    """Policy iteration with exact evaluation, started from the greedy policy
+    of the on-profile lookahead: evaluate the current deterministic policy by
+    a dense solve, switch a state's action only on strict improvement (ties
+    broken toward the lowest action index), stop when no state switches.
+    Terminates because each switch strictly improves the evaluated value and
+    the policy set is finite.
     """
-    r_ia, p_ia = opponent_marginals(game, pi, player)
-    s_count = game.num_states
+    s_count, a_count = mdp.q.shape
     eye = np.eye(s_count)
     rows = np.arange(s_count)
-    policy = np.zeros(s_count, dtype=int)
-    for _ in range(game.num_actions[player] ** s_count + 1):
-        p = p_ia[rows, policy]
-        r = r_ia[rows, policy]
-        v = np.linalg.solve(eye - game.gamma * p, r)
-        q = r_ia + game.gamma * (p_ia @ v)
+    policy = np.argmax(mdp.q, axis=1)
+    for _ in range(a_count**s_count + 1):
+        p = mdp.p_ia[rows, policy]
+        r = mdp.r_ia[rows, policy]
+        v = np.linalg.solve(eye - mdp.gamma * p, r)
+        q = mdp.r_ia + mdp.gamma * (mdp.p_ia @ v)
         best = np.argmax(q, axis=1)
         improved = q[rows, best] > q[rows, policy] + _PI_TIE_TOL
         if not improved.any():
@@ -129,11 +139,12 @@ def certify_profile(
     """Measure per-(player, state) best-response regrets and bundle them with
     the residual-implied theoretical bound.  When ``target_inv_l`` (the
     precision 1/L) is given, the certificate carries a verdict and the grid
-    size the full construction would require for that L."""
-    eps = residual(game, pi)
-    regrets = []
-    for i in range(game.num_players):
-        regrets.append(best_response_values(game, pi, i) - value_function(game, pi, i))
+    size the full construction would require for that L.  Each player's
+    frozen-opponent MDP is evaluated once and serves the residual and the
+    regrets alike."""
+    mdps = evaluate_players(game, pi)
+    eps = apply_gains(game, pi, GainTable.of(mdps)).max_norm_distance(pi)
+    regrets = [_policy_iteration(m) - m.v for m in mdps]
     achieved = max(0.0, max(float(r.max()) for r in regrets))
     d_used = None
     if target_inv_l is not None:
@@ -162,11 +173,9 @@ class GainRegretReport:
 def gain_to_regret_check(game: StochasticGame, pi: StrategyProfile) -> GainRegretReport:
     """Report-only check that regrets obey the one-shot gain bound:
     every best-response regret <= (max gain) / (1 - gamma) + 1e-8."""
-    g = gain_table(game, pi).max_gain
-    max_regret = -math.inf
-    for i in range(game.num_players):
-        diff = best_response_values(game, pi, i) - value_function(game, pi, i)
-        max_regret = max(max_regret, float(diff.max()))
+    mdps = evaluate_players(game, pi)
+    g = GainTable.of(mdps).max_gain
+    max_regret = max(float((_policy_iteration(m) - m.v).max()) for m in mdps)
     bound = g / (1.0 - game.gamma)
     return GainRegretReport(g, max_regret, bound, max_regret <= bound + 1e-8)
 

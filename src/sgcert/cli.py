@@ -175,7 +175,11 @@ def cmd_label(args) -> int:
     if args.point is not None:
         with open(args.point) as fh:
             data = json.load(fh)
-        points = [grid_profile_from_lists(game, data["numerators"], args.d)]
+        try:
+            rows = data["numerators"]
+        except (KeyError, TypeError) as exc:
+            raise InvalidSimplexError("point file must contain a 'numerators' field") from exc
+        points = [grid_profile_from_lists(game, rows, args.d)]
     else:
         if grid_point_count(game, args.d) > GRID_ENUM_GUARD:
             print("grid too large to label exhaustively", file=sys.stderr)

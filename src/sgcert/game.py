@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache, cached_property
 from itertools import product
 from math import prod
 
@@ -58,7 +59,7 @@ class StochasticGame:
     def num_states(self) -> int:
         return len(self.states)
 
-    @property
+    @cached_property
     def num_actions(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self.actions)
 
@@ -137,17 +138,18 @@ def validate_game(
     s_count = len(states)
     j_count = prod(len(a) for a in actions)
 
-    transition = np.asarray(transition, dtype=float)
+    transition = _float_array(transition, "transition")
     if transition.shape != (s_count, j_count, s_count):
         raise GameValidationError(
             f"transition shape {transition.shape} does not match "
             f"(S={s_count}, joint={j_count}, S={s_count})"
         )
-    if np.any(transition < 0):
-        s, j, t = np.argwhere(transition < 0)[0]
+    bad = ~(np.isfinite(transition) & (transition >= 0))
+    if np.any(bad):
+        s, j, t = np.argwhere(bad)[0]
         raise GameValidationError(
-            f"negative transition probability at state {s}, joint action {j}, "
-            f"successor {t}"
+            f"{_sign_fault(transition[s, j, t])} transition probability at state {s}, "
+            f"joint action {j}, successor {t}"
         )
     row_sums = transition.sum(axis=2)
     bad = np.abs(row_sums - 1.0) > PROB_TOL_INPUT
@@ -158,24 +160,26 @@ def validate_game(
             f"{row_sums[s, j]!r}, expected 1"
         )
 
-    rewards = np.asarray(rewards, dtype=float)
+    rewards = _float_array(rewards, "rewards")
     if rewards.shape != (n, s_count, j_count):
         raise GameValidationError(
             f"rewards shape {rewards.shape} does not match "
             f"(n={n}, S={s_count}, joint={j_count})"
         )
-    if np.any(rewards < 0):
-        i, s, j = np.argwhere(rewards < 0)[0]
+    bad = ~(np.isfinite(rewards) & (rewards >= 0))
+    if np.any(bad):
+        i, s, j = np.argwhere(bad)[0]
         raise GameValidationError(
-            f"negative reward for player {i} at state {s}, joint action {j}"
+            f"{_sign_fault(rewards[i, s, j])} reward for player {i} at state {s}, "
+            f"joint action {j}"
         )
     observed_max = float(rewards.max()) if rewards.size else 0.0
     if r_max is None:
         r_max = observed_max
     else:
         r_max = float(r_max)
-        if r_max < 0:
-            raise GameValidationError("r_max must be nonnegative")
+        if not 0.0 <= r_max < np.inf:
+            raise GameValidationError(f"r_max must be finite and nonnegative, got {r_max}")
         if observed_max > r_max + PROB_TOL_INPUT:
             raise GameValidationError(
                 f"reward {observed_max} exceeds declared r_max {r_max}"
@@ -195,17 +199,21 @@ def validate_profile(game: StochasticGame, probs) -> StrategyProfile:
             f"profile has {len(probs)} players, game has {game.num_players}"
         )
     out = []
+    s_count, a_counts = game.num_states, game.num_actions
     for i, rows in enumerate(probs):
-        arr = np.asarray(rows, dtype=float)
-        if arr.shape != (game.num_states, game.num_actions[i]):
+        arr = _float_array(rows, f"player {i} strategy")
+        if arr.shape != (s_count, a_counts[i]):
             raise GameValidationError(
                 f"player {i} strategy shape {arr.shape} does not match "
-                f"(S={game.num_states}, A={game.num_actions[i]})"
+                f"(S={s_count}, A={a_counts[i]})"
             )
-        if np.any(arr < 0):
-            s, a = np.argwhere(arr < 0)[0]
+        # One reduction on the hot path: the minimum is NaN if any entry is
+        # NaN, which fails the comparison; +inf fails the row-sum test below.
+        if not arr.min() >= 0.0:
+            s, a = np.argwhere(~(np.isfinite(arr) & (arr >= 0)))[0]
             raise GameValidationError(
-                f"negative probability for player {i} at state {s}, action {a}"
+                f"{_sign_fault(arr[s, a])} probability for player {i} at state {s}, "
+                f"action {a}"
             )
         sums = arr.sum(axis=1)
         bad = np.abs(sums - 1.0) > PROB_TOL_INPUT
@@ -218,6 +226,19 @@ def validate_profile(game: StochasticGame, probs) -> StrategyProfile:
         arr.flags.writeable = False
         out.append(arr)
     return StrategyProfile(tuple(out))
+
+
+def _float_array(data, what: str) -> np.ndarray:
+    """``data`` as a float array, or a validation error naming ``what``."""
+    try:
+        return np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise GameValidationError(f"{what} is not a numeric array: {exc}") from exc
+
+
+def _sign_fault(x: float) -> str:
+    """How an entry that must be finite and nonnegative fails."""
+    return "negative" if x < 0 else "non-finite"
 
 
 def uniform_profile(game: StochasticGame) -> StrategyProfile:
@@ -242,12 +263,39 @@ def pure_profile(game: StochasticGame, choices) -> StrategyProfile:
     return validate_profile(game, probs)
 
 
-def _joint_weights(game: StochasticGame, pi: StrategyProfile, state: int) -> np.ndarray:
-    """Probability of each joint action at a state, in joint-index order."""
-    w = pi.probs[0][state]
-    for j in range(1, game.num_players):
-        w = np.multiply.outer(w, pi.probs[j][state])
-    return w.ravel()
+# One einsum letter per player's action axis ("s" and "t" name states).
+_ACTION_AXES = "abcdefghijklmnopqruvwxyz"
+
+
+def _expect(
+    game: StochasticGame, pi: StrategyProfile, table: np.ndarray, keep: int | None = None
+) -> np.ndarray:
+    """Expectation of ``table``, shaped (S, J) or (S, J, S), over the joint action.
+
+    Every player except ``keep`` draws its action from the profile; the action
+    axis of ``keep`` stays in the result, after the state axis.  One plain
+    ``einsum`` over all states (path planning costs more than it saves at
+    these sizes).
+    """
+    n = game.num_players
+    shape = (game.num_states,) + game.num_actions + table.shape[2:]
+    operands = [pi.probs[j] for j in range(n) if j != keep]
+    return np.einsum(_einsum_spec(n, keep, table.ndim == 3), table.reshape(shape), *operands)
+
+
+@cache
+def _einsum_spec(n: int, keep: int | None, next_state: bool) -> str:
+    """Subscripts of :func:`_expect`'s contraction for ``n`` players."""
+    axes = _ACTION_AXES[:n]
+    rest = "t" if next_state else ""
+    inputs = ["s" + axes + rest] + ["s" + axes[j] for j in range(n) if j != keep]
+    return ",".join(inputs) + "->s" + ("" if keep is None else axes[keep]) + rest
+
+
+def check_row_drift(p: np.ndarray) -> None:
+    """Reject a derived transition matrix whose rows left the simplex."""
+    if np.abs(p.sum(axis=-1) - 1.0).max() > PROB_TOL_DERIVED:
+        raise GameValidationError("marginal transition row drifted off the simplex")
 
 
 def marginal_reward(
@@ -255,20 +303,13 @@ def marginal_reward(
 ) -> np.ndarray:
     """Expected one-step reward of a player at each state under the profile."""
     _check_player(game, player)
-    out = np.empty(game.num_states)
-    for s in range(game.num_states):
-        out[s] = game.rewards[player, s] @ _joint_weights(game, pi, s)
-    return out
+    return _expect(game, pi, game.rewards[player])
 
 
 def marginal_transition(game: StochasticGame, pi: StrategyProfile) -> np.ndarray:
     """S x S state transition matrix induced by the profile."""
-    p = np.empty((game.num_states, game.num_states))
-    for s in range(game.num_states):
-        p[s] = _joint_weights(game, pi, s) @ game.transition[s]
-    sums = p.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > PROB_TOL_DERIVED):
-        raise GameValidationError("marginal transition row drifted off the simplex")
+    p = _expect(game, pi, game.transition)
+    check_row_drift(p)
     return p
 
 
@@ -316,24 +357,10 @@ def opponent_marginals(
     induced by freezing the opponents.
     """
     _check_player(game, player)
-    n = game.num_players
-    shape = game.num_actions
-    s_count = game.num_states
-    a_count = shape[player]
-    r_out = np.empty((s_count, a_count))
-    p_out = np.empty((s_count, a_count, s_count))
-    for s in range(s_count):
-        r_t = np.moveaxis(game.rewards[player, s].reshape(shape), player, 0)
-        p_t = np.moveaxis(game.transition[s].reshape(shape + (s_count,)), player, 0)
-        for j in range(n):
-            if j == player:
-                continue
-            # axis 1 is always the next opponent axis after the moveaxis above
-            r_t = np.tensordot(r_t, pi.probs[j][s], axes=([1], [0]))
-            p_t = np.tensordot(p_t, pi.probs[j][s], axes=([1], [0]))
-        r_out[s] = r_t
-        p_out[s] = p_t
-    return r_out, p_out
+    return (
+        _expect(game, pi, game.rewards[player], keep=player),
+        _expect(game, pi, game.transition, keep=player),
+    )
 
 
 def _check_player(game: StochasticGame, player: int) -> None:
@@ -364,7 +391,12 @@ def game_from_dict(data: dict) -> StochasticGame:
         gamma = data["gamma"]
     except (KeyError, TypeError) as exc:
         raise GameValidationError(f"missing game field: {exc}") from exc
-    actions = [p["actions"] for p in players]
+    try:
+        actions = [p["actions"] for p in players]
+    except (KeyError, TypeError) as exc:
+        raise GameValidationError(
+            "'players' must be a list of objects with an 'actions' field"
+        ) from exc
     return validate_game(
         states, actions, transitions, rewards, gamma, data.get("r_max")
     )

@@ -19,11 +19,70 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import StochasticGame, StrategyProfile, opponent_marginals, validate_profile
+from .game import (
+    StochasticGame,
+    StrategyProfile,
+    check_row_drift,
+    opponent_marginals,
+    validate_profile,
+)
 
 # Raw gains within this distance of zero are clamped to avoid spurious tiny
 # denominators in the map.
 GAIN_CLAMP = 1e-12
+
+
+@dataclass(frozen=True)
+class PlayerMDP:
+    """The single-agent MDP one player faces when the opponents are frozen at
+    a profile, evaluated at the player's own strategy in that profile.
+
+    Attributes:
+        gamma: discount factor.
+        r_ia: ``r_ia[s, a]``, expected reward of action a at state s.
+        p_ia: ``p_ia[s, a]``, next-state distribution of action a at s.
+        w: ``(I - gamma * P_pi)^-1`` for the on-profile transitions P_pi.
+        v: on-profile value, the solution of ``(I - gamma * P_pi) v = r_pi``.
+        q: one-step lookahead, ``q[s, a] = r_ia[s, a] + gamma * p_ia[s, a] @ v``.
+    """
+
+    gamma: float
+    r_ia: np.ndarray
+    p_ia: np.ndarray
+    w: np.ndarray
+    v: np.ndarray
+    q: np.ndarray
+
+    def gains(self) -> np.ndarray:
+        """Clamped one-shot deviation gains ``D[s, a]``; see :func:`gain_table`."""
+        w_ss = self.w.diagonal()[:, None]
+        denom = w_ss - self.gamma * np.einsum("sat,ts->sa", self.p_ia, self.w)
+        assert denom.min() > 0, "rank-one update denominator must be positive"
+        g = w_ss * (self.q - self.v[:, None]) / denom
+        g[g < GAIN_CLAMP] = 0.0
+        g.flags.writeable = False
+        return g
+
+
+def player_mdp(game: StochasticGame, pi: StrategyProfile, player: int) -> PlayerMDP:
+    """Evaluate the profile once for one player: frozen-opponent tables, the
+    Bellman inverse, the value and the one-step lookahead."""
+    r_ia, p_ia = opponent_marginals(game, pi, player)
+    own = pi.probs[player]
+    r_pi = np.einsum("sa,sa->s", own, r_ia)
+    p_pi = np.einsum("sa,sat->st", own, p_ia)
+    check_row_drift(p_pi)
+    m = np.eye(game.num_states) - game.gamma * p_pi
+    # v by a backward-stable solve, as in value_function, not as w @ r_pi
+    v = np.linalg.solve(m, r_pi)
+    w = np.linalg.inv(m)
+    q = r_ia + game.gamma * (p_ia @ v)
+    return PlayerMDP(game.gamma, r_ia, p_ia, w, v, q)
+
+
+def evaluate_players(game: StochasticGame, pi: StrategyProfile) -> tuple[PlayerMDP, ...]:
+    """One :class:`PlayerMDP` per player."""
+    return tuple(player_mdp(game, pi, i) for i in range(game.num_players))
 
 
 @dataclass(frozen=True)
@@ -39,54 +98,43 @@ class GainTable:
     def entry(self, player: int, state: int, action: int) -> float:
         return float(self.gains[player][state, action])
 
+    @classmethod
+    def of(cls, mdps) -> "GainTable":
+        """The gain table of already evaluated players."""
+        return cls(tuple(m.gains() for m in mdps))
+
 
 def gain_table(game: StochasticGame, pi: StrategyProfile) -> GainTable:
     """Deviation gains for every (player, state, action).
 
-    Each player's deviation values are obtained from the single-agent MDP
-    with opponents frozen: the Bellman matrix for the deviation at (s, a)
-    differs from the on-profile one only in row s, so all deviations solve
-    as one batched dense system per player.
+    Each player's deviation values come from the single-agent MDP with
+    opponents frozen.  Committing to action a at state s changes only row s
+    of the Bellman matrix M = I - gamma * P_pi, by a rank-one update, so with
+    W = M^-1 the Sherman-Morrison formula gives every gain from one inverse:
+
+        V_dev(s, a) - V(s) = W[s, s] (q[s, a] - v[s]) / (W[s, s] - gamma p_ia[s, a] . W[:, s]).
+
+    The denominator equals det(M') / det(M) for the deviating matrix M'; both
+    are nonsingular M-matrices, so it is positive (in fact it is at least
+    (1 - gamma) W[s, s] >= 1 - gamma).  The table costs O(S^3 + S^2 A) per
+    player.
     """
-    s_count = game.num_states
-    eye = np.eye(s_count)
-    out = []
-    for i in range(game.num_players):
-        r_ia, p_ia = opponent_marginals(game, pi, i)
-        own = pi.probs[i]
-        r_pi = np.einsum("sa,sa->s", own, r_ia)
-        p_pi = np.einsum("sa,sat->st", own, p_ia)
-        m = eye - game.gamma * p_pi
-        v = np.linalg.solve(m, r_pi)
-
-        a_count = game.num_actions[i]
-        ms = np.tile(m, (s_count * a_count, 1, 1))
-        bs = np.tile(r_pi, (s_count * a_count, 1))
-        k = 0
-        for s in range(s_count):
-            for a in range(a_count):
-                ms[k, s, :] = -game.gamma * p_ia[s, a]
-                ms[k, s, s] += 1.0
-                bs[k, s] = r_ia[s, a]
-                k += 1
-        v_dev = np.linalg.solve(ms, bs[..., None])[..., 0]
-        dev_at_s = v_dev[np.arange(s_count * a_count), np.repeat(np.arange(s_count), a_count)]
-        g = dev_at_s.reshape(s_count, a_count) - v[:, None]
-        g[g < GAIN_CLAMP] = 0.0
-        g.flags.writeable = False
-        out.append(g)
-    return GainTable(tuple(out))
+    return GainTable.of(evaluate_players(game, pi))
 
 
-def apply_f(game: StochasticGame, pi: StrategyProfile) -> StrategyProfile:
-    """One application of the improvement map; returns a valid profile."""
-    gains = gain_table(game, pi)
+def apply_gains(game: StochasticGame, pi: StrategyProfile, gains: GainTable) -> StrategyProfile:
+    """The improvement map at ``pi`` given its gain table; a valid profile."""
     probs = []
     for i in range(game.num_players):
         g = gains.gains[i]
         denom = 1.0 + g.sum(axis=1)
         probs.append((pi.probs[i] + g) / denom[:, None])
     return validate_profile(game, probs)
+
+
+def apply_f(game: StochasticGame, pi: StrategyProfile) -> StrategyProfile:
+    """One application of the improvement map; returns a valid profile."""
+    return apply_gains(game, pi, gain_table(game, pi))
 
 
 def residual(game: StochasticGame, pi: StrategyProfile) -> float:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .game import (
     StochasticGame,
@@ -220,6 +219,8 @@ def random_profile(game: StochasticGame, rng: np.random.Generator) -> StrategyPr
 def matrix_game_value(payoff: np.ndarray) -> tuple[float, np.ndarray]:
     """Minimax value and maximizer strategy of a zero-sum matrix game where
     the row player maximizes ``payoff``.  Solved as a linear program."""
+    from scipy.optimize import linprog  # costly import, needed only here
+
     payoff = np.asarray(payoff, dtype=float)
     rows, cols = payoff.shape
     # Variables: (x_1..x_rows, v); maximize v subject to x^T payoff >= v.

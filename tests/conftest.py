@@ -28,3 +28,17 @@ def random_instances(seed, count, shapes=((2, 2, 2), (3, 1, 2), (2, 1, 3)),
         n, s, a = shapes[k % len(shapes)]
         game = oracles.random_game(rng, n, s, a, gammas[k % len(gammas)])
         yield game, oracles.random_profile(game, rng)
+
+
+# Shapes past the S <= 2 of ``random_instances``, so that asymptotic kernels
+# (rank-one gain updates, one einsum over all states) meet several states.
+SCALE_SHAPES = ((2, 6, 3), (4, 3, 2), (2, 8, 2))
+
+
+def scale_instances(seed, shapes=SCALE_SHAPES, gammas=(0.0, 0.5, 0.9)):
+    """One (game, profile) pair for every shape and discount."""
+    rng = np.random.default_rng(seed)
+    for n, s, a in shapes:
+        for gamma in gammas:
+            game = oracles.random_game(rng, n, s, a, gamma)
+            yield game, oracles.random_profile(game, rng)

@@ -22,7 +22,7 @@ from sgcert import corpus
 from sgcert.game import opponent_marginals
 from sgcert.oracles import enumerate_deterministic_policies, random_game
 
-from conftest import random_instances
+from conftest import random_instances, scale_instances
 
 
 class TestBestResponseValues:
@@ -93,6 +93,17 @@ class TestCertifyProfile:
         }
         assert data["verdict"] is True
         assert data["d"] == choose_d(pennies, 2)
+
+    def test_single_evaluation_matches_separate_routes(self):
+        """The certificate's residual and regrets, computed from one
+        evaluation per player, equal the stand-alone functions'."""
+        for game, pi in scale_instances(67):
+            cert = certify_profile(game, pi)
+            assert abs(cert.residual - residual(game, pi)) <= 1e-12
+            for i in range(game.num_players):
+                expected = best_response_values(game, pi, i) - value_function(game, pi, i)
+                np.testing.assert_allclose(cert.per_state_regret[i], expected,
+                                           rtol=0, atol=1e-12)
 
 
 class TestBoundFormulas:

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,25 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def run_input_error(capsys, *argv):
+    """Run a command that must fail on its input: exit 2, nothing on stdout
+    and a single-line message on stderr."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def write_doc(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def pennies_doc():
+    return json.loads(Path(PENNIES).read_text())
 
 
 class TestInfo:
@@ -60,6 +80,27 @@ class TestInfo:
         assert code == 2
 
 
+    def test_nan_reward_rejected(self, capsys, tmp_path):
+        doc = pennies_doc()
+        doc["rewards"][0][0][1] = math.nan
+        run_input_error(capsys, "info", write_doc(tmp_path / "g.json", doc))
+
+    def test_nan_transition_row_rejected(self, capsys, tmp_path):
+        doc = pennies_doc()
+        doc["transitions"][0][2] = [math.nan]
+        run_input_error(capsys, "info", write_doc(tmp_path / "g.json", doc))
+
+    def test_player_without_actions_rejected(self, capsys, tmp_path):
+        doc = pennies_doc()
+        doc["players"][1] = {"moves": ["h", "t"]}
+        run_input_error(capsys, "info", write_doc(tmp_path / "g.json", doc))
+
+    def test_players_as_string_rejected(self, capsys, tmp_path):
+        doc = pennies_doc()
+        doc["players"] = "ab"
+        run_input_error(capsys, "info", write_doc(tmp_path / "g.json", doc))
+
+
 class TestCertify:
     def test_equilibrium_certifies_true(self, capsys):
         code, out = run(
@@ -81,6 +122,11 @@ class TestCertify:
         prof.write_text(json.dumps({"probs": [[[0.49, 0.49]], [[0.5, 0.5]]]}))
         code, _ = run(capsys, "certify", PENNIES, str(prof))
         assert code == 2
+
+    def test_nan_profile_rejected(self, capsys, tmp_path):
+        prof = write_doc(tmp_path / "p.json",
+                         {"probs": [[[math.nan, 1.0]], [[0.5, 0.5]]]})
+        run_input_error(capsys, "certify", DOMINANT, prof, "--target-L", "1")
 
     def test_byte_identical_reruns(self, capsys):
         _, first = run(capsys, "certify", PENNIES, PENNIES_EQ, "--target-L", "2")
@@ -173,6 +219,10 @@ class TestLabel:
         data = json.loads(out)
         assert code == 0
         assert data["classification"] == "stopping"
+
+    def test_point_without_numerators_rejected(self, capsys, tmp_path):
+        point = write_doc(tmp_path / "point.json", {"nums": [[[1, 1]], [[1, 1]]]})
+        run_input_error(capsys, "label", PENNIES, "--d", "2", "--point", point)
 
     def test_requires_d_without_simplex(self, capsys):
         code, _ = run(capsys, "label", PENNIES)

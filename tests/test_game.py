@@ -19,7 +19,7 @@ from sgcert.oracles import (
     truncated_value,
 )
 
-from conftest import random_instances
+from conftest import SCALE_SHAPES, random_instances
 
 
 def single_state_game(rewards_by_player, gamma=0.0, r_max=None):
@@ -65,6 +65,25 @@ class TestValidation:
             validate_profile(g, [[[0.5, 0.5]]])
         with pytest.raises(GameValidationError, match="sums to"):
             validate_profile(g, [[[0.6, 0.3]], [[0.5, 0.5]]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_numbers(self, bad):
+        with pytest.raises(GameValidationError):
+            validate_game(["s0"], [["a0"]], [[[bad]]], [[[1.0]]], 0.5)
+        with pytest.raises(GameValidationError):
+            validate_game(["s0"], [["a0"]], [[[1.0]]], [[[bad]]], 0.5)
+        with pytest.raises(GameValidationError, match="r_max"):
+            validate_game(["s0"], [["a0"]], [[[1.0]]], [[[1.0]]], 0.5, r_max=bad)
+        g = single_state_game([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]])
+        with pytest.raises(GameValidationError):
+            validate_profile(g, [[[bad, 1.0]], [[0.5, 0.5]]])
+
+    def test_rejects_non_numeric_entries(self):
+        with pytest.raises(GameValidationError, match="numeric"):
+            validate_game(["s0"], [["a0"]], [[["one"]]], [[[1.0]]], 0.5)
+        g = single_state_game([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]])
+        with pytest.raises(GameValidationError, match="numeric"):
+            validate_profile(g, [[[0.5, 0.5]], [[0.5], [0.5, 0.0]]])
 
     def test_roundtrip_through_dict(self):
         g = single_state_game([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]], 0.5)
@@ -243,7 +262,8 @@ class TestBellmanInverseFacts:
 
 def test_opponent_marginals_consistency():
     """Frozen-opponent tables recombine to the full-profile marginals."""
-    for game, pi in random_instances(37, 10):
+    shapes = ((2, 2, 2), (3, 1, 2), (2, 1, 3)) + SCALE_SHAPES
+    for game, pi in random_instances(37, 12, shapes=shapes):
         for i in range(game.num_players):
             r_ia, p_ia = opponent_marginals(game, pi, i)
             r_back = np.einsum("sa,sa->s", pi.probs[i], r_ia)

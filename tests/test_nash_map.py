@@ -11,10 +11,11 @@ from sgcert import (
     uniform_profile,
     validate_profile,
 )
-from sgcert import corpus
+from sgcert import corpus, deviation_value, value_function
+from sgcert.nash_map import GAIN_CLAMP
 from sgcert.oracles import random_game, random_profile
 
-from conftest import random_instances
+from conftest import random_instances, scale_instances
 
 
 class TestGainTable:
@@ -38,6 +39,20 @@ class TestGainTable:
             for g in table.gains:
                 assert np.all(g >= 0.0)
                 assert np.all(g <= game.value_upper_bound + 1e-9)
+
+
+    def test_matches_definition_beyond_two_states(self):
+        """Each rank-one gain equals the clamped gain of an explicit deviation
+        solve, on games with up to 8 states and 4 players."""
+        for game, pi in scale_instances(43):
+            table = gain_table(game, pi)
+            for i in range(game.num_players):
+                v = value_function(game, pi, i)
+                for s in range(game.num_states):
+                    for a in range(game.num_actions[i]):
+                        raw = deviation_value(game, pi, i, s, a) - v[s]
+                        expected = raw if raw >= GAIN_CLAMP else 0.0
+                        assert abs(table.entry(i, s, a) - expected) <= 1e-10
 
 
 class TestApplyF:
