@@ -29,6 +29,11 @@ from .nash_map import (
     player_mdp,
 )
 
+# Policy iteration switches a state's action only when its lookahead value
+# beats the current one by more than this.  Lookahead values are of size up to
+# r_max / (1 - gamma) and carry a few ulps of rounding from the dense solve,
+# so numerically tied actions never alternate: the iteration stays finite and
+# ties break toward the lowest action index.
 _PI_TIE_TOL = 1e-12
 
 

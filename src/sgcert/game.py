@@ -21,8 +21,14 @@ from math import prod
 
 import numpy as np
 
-# Tolerance on probability sums for user-supplied data vs. derived quantities.
+# Slack on the sum of a user-supplied probability row (and on rewards
+# against a declared r_max).  Decimal data parsed into binary floats sums to 1
+# within a few ulps per entry, about 1e-14 for rows of a hundred entries, so
+# this admits any correctly written row and rejects every real typo.
 PROB_TOL_INPUT = 1e-12
+# Slack on the rows of a derived transition matrix (an expectation of input
+# rows under profile probabilities): it inherits PROB_TOL_INPUT from the input
+# rows plus the rounding of sums over joint actions, hence the wider margin.
 PROB_TOL_DERIVED = 1e-10
 
 
@@ -120,8 +126,11 @@ def validate_game(
     Raises :class:`GameValidationError` naming the first violated constraint.
     If ``r_max`` is omitted it is set to the maximum observed reward.
     """
-    states = tuple(str(s) for s in states)
-    actions = tuple(tuple(str(a) for a in acts) for acts in actions)
+    states = tuple(map(str, _entries(states, "states")))
+    actions = tuple(
+        tuple(map(str, _entries(acts, f"player {i} actions")))
+        for i, acts in enumerate(_entries(actions, "players"))
+    )
     if len(states) == 0:
         raise GameValidationError("game must have at least one state")
     if len(actions) == 0:
@@ -130,7 +139,7 @@ def validate_game(
         if len(acts) == 0:
             raise GameValidationError(f"player {i} has an empty action set")
 
-    gamma = float(gamma)
+    gamma = _number(gamma, "discount")
     if not 0.0 <= gamma < 1.0:
         raise GameValidationError(f"discount must satisfy 0 <= gamma < 1, got {gamma}")
 
@@ -177,7 +186,7 @@ def validate_game(
     if r_max is None:
         r_max = observed_max
     else:
-        r_max = float(r_max)
+        r_max = _number(r_max, "r_max")
         if not 0.0 <= r_max < np.inf:
             raise GameValidationError(f"r_max must be finite and nonnegative, got {r_max}")
         if observed_max > r_max + PROB_TOL_INPUT:
@@ -226,6 +235,24 @@ def validate_profile(game: StochasticGame, probs) -> StrategyProfile:
         arr.flags.writeable = False
         out.append(arr)
     return StrategyProfile(tuple(out))
+
+
+def _entries(seq, what: str) -> tuple:
+    """The entries of a list, or a validation error naming ``what``."""
+    if not isinstance(seq, (list, tuple)):
+        raise GameValidationError(f"{what} must be a list, got {type(seq).__name__}")
+    return tuple(seq)
+
+
+def _number(value, what: str) -> float:
+    """``value`` as a float, or a validation error naming ``what``; strings
+    and null are not numbers."""
+    if not isinstance(value, str):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise GameValidationError(f"{what} must be a number, got {value!r}")
 
 
 def _float_array(data, what: str) -> np.ndarray:

@@ -27,8 +27,10 @@ from .game import (
     validate_profile,
 )
 
-# Raw gains within this distance of zero are clamped to avoid spurious tiny
-# denominators in the map.
+# Raw gains below this are clamped to zero.  A gain is a difference of values
+# of size up to r_max / (1 - gamma), so where the exact gain is zero,
+# cancellation leaves a few ulps of that size (about 1e-15 for values near 1).
+# Clamping keeps that noise out of the map: an equilibrium maps to itself.
 GAIN_CLAMP = 1e-12
 
 

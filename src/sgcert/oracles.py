@@ -165,6 +165,13 @@ def finite_difference_lipschitz(
     return worst
 
 
+# Residuals are at most 1; two grid points with equal residuals in exact
+# arithmetic (symmetric games) can differ by a few ulps after rounding.  A
+# residual must be lower by more than this to replace the incumbent, so such
+# ties keep the lexicographically first point.
+_RESIDUAL_TIE_TOL = 1e-15
+
+
 def grid_residual_argmin(game: StochasticGame, d: int):
     """Grid profile minimizing the fixed-point residual, first in
     lexicographic order on ties, together with that residual."""
@@ -177,7 +184,7 @@ def grid_residual_argmin(game: StochasticGame, d: int):
     best_res = np.inf
     for point in grid_points(game, d):
         res = residual(game, point.to_profile(game))
-        if res < best_res - 1e-15:
+        if res < best_res - _RESIDUAL_TIE_TOL:
             best, best_res = point, res
     return best, best_res
 

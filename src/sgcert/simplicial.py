@@ -18,15 +18,33 @@ distinct vertex labels cover all actions of some (player, state) is a
 stopping simplex; every profile in it has residual at most
 A_max^2 * (lambda + 1) / d.
 
-Path-following over the triangulation is an extension point; the search
-here is deterministic exhaustive enumeration, intended for desk-scale
+The search is deterministic exhaustive enumeration in exact integer
+arithmetic on the flattened numerators (the order of
+:meth:`GridProfile.flat_key`):
+
+* Cone regions.  A base point belongs to the region of T when it lies in
+  the cone of T's Q columns rooted at the apex :func:`starting_point`.
+  Within one block the coefficients of ``point - apex`` have a closed form
+  (see :func:`in_cone`), so each base point yields, once, the set of
+  coordinates every admissible T must contain; a region test is then a
+  set inclusion.
+* Vertex walk.  The orderings of T are walked as a prefix tree in the
+  order of ``itertools.permutations``, stepping the numerators one Q
+  column at a time.  A column lowers one numerator by one, so a prefix
+  whose next column would make a numerator negative is dropped together
+  with every ordering that extends it.
+
+Labels are evaluated lazily, once per grid point, through a cache keyed by
+the flattened numerators.  Path following over the triangulation is an
+extension point; exhaustive enumeration is intended for desk-scale
 instances only.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, product
 from math import comb
 from typing import Iterator, NamedTuple
 
@@ -36,7 +54,20 @@ from .game import StochasticGame, StrategyProfile, validate_profile
 from .nash_map import apply_f, lipschitz_constant, residual
 
 GRID_ENUM_GUARD = 10**7
+# Displacements f(pi) - pi are differences of probabilities in [0, 1] and
+# carry a few ulps of rounding (about 1e-16 each).  A coordinate within this
+# distance of the global minimum counts as attaining it, so a tie that holds
+# in exact arithmetic resolves to the lexicographically least coordinate, not
+# to whichever side rounding favoured.
 _LABEL_TIE_TOL = 1e-12
+# Apex distances max|y/d - 1/A| are floats of rationals; distinct true
+# distances differ by at least 1/(d*A), far above this tolerance, so a
+# difference below it is a rounding-level tie and the lexicographically
+# first composition keeps the apex.
+_APEX_TIE_TOL = 1e-15
+# Slack on the stopping-simplex residual bound for the rounding of the
+# vertex residuals, which are at most 1 and carry errors of a few ulps.
+_BOUND_SLACK = 1e-8
 
 
 class Label(NamedTuple):
@@ -138,22 +169,65 @@ def grid_point_count(game: StochasticGame, d: int) -> int:
     return count
 
 
-def grid_points(game: StochasticGame, d: int) -> Iterator[GridProfile]:
-    """All grid profiles, lexicographic in the flattened numerators."""
+def _blocks(game: StochasticGame) -> list[tuple[int, int, int, int]]:
+    """``(player, state, offset, A)`` of every (player, state) block of the
+    flattened numerators, in flat order."""
+    blocks = []
+    offset = 0
+    for i, a_count in enumerate(game.num_actions):
+        for s in range(game.num_states):
+            blocks.append((i, s, offset, a_count))
+            offset += a_count
+    return blocks
+
+
+def _grid_keys(game: StochasticGame, d: int) -> Iterator[tuple[int, ...]]:
+    """Flattened numerators of every grid point, in lexicographic order."""
     if d < 1:
         raise ValueError("grid size d must be >= 1")
-    per_cell = []
-    for i in range(game.num_players):
-        for _ in range(game.num_states):
-            per_cell.append(list(_compositions(d, game.num_actions[i])))
-    for combo in product(*per_cell):
-        nums = []
-        k = 0
-        for i in range(game.num_players):
-            rows = np.array(combo[k : k + game.num_states], dtype=int)
-            nums.append(rows)
-            k += game.num_states
-        yield GridProfile(tuple(nums), d)
+    cells = [list(_compositions(d, a)) for _, _, _, a in _blocks(game)]
+    for combo in product(*cells):
+        yield tuple(chain.from_iterable(combo))
+
+
+def _unflatten(game: StochasticGame, flat) -> tuple[np.ndarray, ...]:
+    """Per-player (S, A_i) integer arrays from flattened numerators."""
+    arrays = []
+    k = 0
+    for a_count in game.num_actions:
+        size = game.num_states * a_count
+        arrays.append(np.array(flat[k : k + size], dtype=int).reshape(-1, a_count))
+        k += size
+    return tuple(arrays)
+
+
+def _grid_point(game: StochasticGame, key: tuple[int, ...], d: int) -> GridProfile:
+    return GridProfile(_unflatten(game, key), d)
+
+
+def grid_points(game: StochasticGame, d: int) -> Iterator[GridProfile]:
+    """All grid profiles, lexicographic in the flattened numerators."""
+    for key in _grid_keys(game, d):
+        yield _grid_point(game, key, d)
+
+
+def _column(game: StochasticGame, coord) -> tuple[int, int]:
+    """Flat positions that one Q column lowers and raises by one."""
+    i, s, a = coord
+    _, _, offset, a_count = _blocks(game)[i * game.num_states + s]
+    return offset + a, offset + (a + 1) % a_count
+
+
+def _step(key: tuple[int, ...], column: tuple[int, int]) -> tuple[int, ...] | None:
+    """The vertex one Q column after ``key``, or None if it leaves the grid.
+    The only numerator a column lowers is ``key[column[0]]``."""
+    low, high = column
+    if key[low] == 0:
+        return None
+    nxt = list(key)
+    nxt[low] -= 1
+    nxt[high] += 1
+    return tuple(nxt)
 
 
 def q_column(game: StochasticGame, coord: Label) -> tuple[np.ndarray, ...]:
@@ -162,16 +236,13 @@ def q_column(game: StochasticGame, coord: Label) -> tuple[np.ndarray, ...]:
     i, s, a = coord
     if not (0 <= i < game.num_players and 0 <= s < game.num_states):
         raise IndexError(f"invalid coordinate {coord}")
-    a_count = game.num_actions[i]
-    if not 0 <= a < a_count:
+    if not 0 <= a < game.num_actions[i]:
         raise IndexError(f"invalid coordinate {coord}")
-    delta = tuple(
-        np.zeros((game.num_states, game.num_actions[j]), dtype=int)
-        for j in range(game.num_players)
-    )
-    delta[i][s, a] -= 1
-    delta[i][s, (a + 1) % a_count] += 1
-    return delta
+    delta = [0] * (game.num_states * sum(game.num_actions))
+    low, high = _column(game, coord)
+    delta[low] -= 1
+    delta[high] += 1
+    return _unflatten(game, delta)
 
 
 def label_point(game: StochasticGame, point: GridProfile) -> Label:
@@ -195,60 +266,74 @@ def label_point(game: StochasticGame, point: GridProfile) -> Label:
     raise AssertionError("labelling rule found no eligible coordinate")  # pragma: no cover
 
 
-def simplex_vertices(game: StochasticGame, sigma: GridSimplex) -> list[GridProfile]:
-    """Vertices w^0 .. w^|T| obtained by applying the ordered Q columns."""
-    if sorted(sigma.order) != sorted(sigma.index_set):
-        raise InvalidSimplexError("ordering is not a permutation of the index set")
-    if not _admissible_index_set(game, sigma.index_set):
+def _check_index_set(game: StochasticGame, index_set) -> None:
+    """Reject an index set with a coordinate outside the game, a repeated
+    coordinate, or a (player, state) block that leaves no action out."""
+    per_block: Counter = Counter()
+    for coord in index_set:
+        i, s, a = coord
+        if not (0 <= i < game.num_players and 0 <= s < game.num_states
+                and 0 <= a < game.num_actions[i]):
+            raise InvalidSimplexError(f"coordinate {tuple(coord)} is not in the game")
+        per_block[i, s] += 1
+    if len(set(map(tuple, index_set))) != len(index_set):
+        raise InvalidSimplexError("index set repeats a coordinate")
+    if any(count >= game.num_actions[i] for (i, _), count in per_block.items()):
         raise InvalidSimplexError(
             "index set must omit at least one action per (player, state)"
         )
-    vertices = [sigma.base]
-    current = sigma.base
+
+
+def _vertex_keys(game: StochasticGame, sigma: GridSimplex) -> list[tuple[int, ...]]:
+    """Validated flattened numerators of the vertices w^0 .. w^|T|."""
+    if sorted(sigma.order) != sorted(sigma.index_set):
+        raise InvalidSimplexError("ordering is not a permutation of the index set")
+    _check_index_set(game, sigma.index_set)
+    keys = [sigma.base.flat_key()]
     for coord in sigma.order:
-        current = current.shifted(q_column(game, coord))
-        if not current.is_valid():
+        nxt = _step(keys[-1], _column(game, coord))
+        if nxt is None:
             raise InvalidSimplexError(
                 f"vertex after column {tuple(coord)} leaves the grid"
             )
-        vertices.append(current)
-    return vertices
+        keys.append(nxt)
+    return keys
 
 
-def _admissible_index_set(game: StochasticGame, index_set) -> bool:
-    for i in range(game.num_players):
-        for s in range(game.num_states):
-            block = sum(1 for c in index_set if c[0] == i and c[1] == s)
-            if block >= game.num_actions[i]:
-                return False
-    return True
+def simplex_vertices(game: StochasticGame, sigma: GridSimplex) -> list[GridProfile]:
+    """Vertices w^0 .. w^|T| obtained by applying the ordered Q columns."""
+    keys = _vertex_keys(game, sigma)
+    return [sigma.base] + [_grid_point(game, key, sigma.d) for key in keys[1:]]
 
 
-def classify_simplex(
-    game: StochasticGame, sigma: GridSimplex, _label_cache: dict | None = None
-) -> SimplexClass:
-    """Classify by vertex labels: duplicated labels mean incomplete; distinct
-    labels covering every action of some (player, state) mean stopping."""
-    labels = tuple(
-        _cached_label(game, v, _label_cache) for v in simplex_vertices(game, sigma)
-    )
+def _classify_labels(game: StochasticGame, labels: tuple[Label, ...]) -> SimplexClass:
+    """Duplicated labels mean incomplete; distinct labels covering every
+    action of some (player, state) mean stopping, at the least such block."""
     if len(set(labels)) != len(labels):
         return SimplexClass("incomplete", labels)
-    for i in range(game.num_players):
-        for s in range(game.num_states):
-            covered = {lab.action for lab in labels if lab.player == i and lab.state == s}
-            if len(covered) == game.num_actions[i]:
-                return SimplexClass("stopping", labels, i, s)
+    # distinct labels in one block are distinct actions of it
+    per_block = Counter((lab.player, lab.state) for lab in labels)
+    full = [b for b, count in per_block.items() if count == game.num_actions[b[0]]]
+    if full:
+        return SimplexClass("stopping", labels, *min(full))
     return SimplexClass("completely-labelled", labels)
 
 
-def _cached_label(game, point: GridProfile, cache: dict | None) -> Label:
-    if cache is None:
-        return label_point(game, point)
-    key = point.flat_key()
-    if key not in cache:
-        cache[key] = label_point(game, point)
-    return cache[key]
+def _label(game: StochasticGame, key: tuple[int, ...], d: int, cache: dict) -> Label:
+    """Label of the grid point with flattened numerators ``key``; the point
+    is built only when the cache misses."""
+    lab = cache.get(key)
+    if lab is None:
+        lab = cache[key] = label_point(game, _grid_point(game, key, d))
+    return lab
+
+
+def classify_simplex(game: StochasticGame, sigma: GridSimplex) -> SimplexClass:
+    """Classify by vertex labels: duplicated labels mean incomplete; distinct
+    labels covering every action of some (player, state) mean stopping."""
+    cache: dict = {}
+    labels = tuple(_label(game, key, sigma.d, cache) for key in _vertex_keys(game, sigma))
+    return _classify_labels(game, labels)
 
 
 def index_sets(game: StochasticGame) -> list[tuple[Label, ...]]:
@@ -272,6 +357,8 @@ def index_sets(game: StochasticGame) -> list[tuple[Label, ...]]:
 def starting_point(game: StochasticGame, d: int) -> GridProfile:
     """Grid point nearest the uniform profile in max norm, lexicographic
     tie-break.  Serves as the cone apex v^0 of the triangulated regions."""
+    if d < 1:
+        raise ValueError("grid size d must be >= 1")
     nums = []
     for i in range(game.num_players):
         a_count = game.num_actions[i]
@@ -281,62 +368,92 @@ def starting_point(game: StochasticGame, d: int) -> GridProfile:
             best_dist = None
             for comp in _compositions(d, a_count):
                 dist = max(abs(y / d - 1.0 / a_count) for y in comp)
-                if best_dist is None or dist < best_dist - 1e-15:
+                if best_dist is None or dist < best_dist - _APEX_TIE_TOL:
                     best, best_dist = comp, dist
             rows.append(best)
         nums.append(np.array(rows, dtype=int))
     return GridProfile(tuple(nums), d)
 
 
-def _flat(game: StochasticGame, point: GridProfile) -> np.ndarray:
-    return np.concatenate([arr.ravel() for arr in point.numerators]).astype(float)
+def _cone_floor(blocks, point: tuple[int, ...], apex: tuple[int, ...]) -> frozenset[Label]:
+    """Coordinates that every admissible index set whose cone holds
+    ``point`` must contain: those whose block coefficient ``lam0`` exceeds
+    the block minimum (see :func:`in_cone`)."""
+    floor = []
+    for i, s, offset, a_count in blocks:
+        lam = [0]
+        for j in range(offset + 1, offset + a_count):
+            lam.append(lam[-1] - (point[j] - apex[j]))
+        low = min(lam)
+        floor.extend(Label(i, s, a) for a, x in enumerate(lam) if x > low)
+    return frozenset(floor)
 
 
 def in_cone(
     game: StochasticGame, point: GridProfile, apex: GridProfile, index_set
 ) -> bool:
     """Whether ``point`` lies in the cone of Q columns of the index set rooted
-    at ``apex`` with nonnegative coefficients.  The selected columns are
-    linearly independent (each block omits a column), so least squares
-    decides membership."""
-    diff = _flat(game, point) - _flat(game, apex)
-    if not index_set:
-        return bool(np.all(diff == 0))
-    cols = np.column_stack(
-        [_flat_delta(game, q_column(game, c)) for c in index_set]
-    )
-    lam, _, _, _ = np.linalg.lstsq(cols, diff, rcond=None)
-    if np.any(lam < -1e-9):
-        return False
-    return bool(np.allclose(cols @ lam, diff, atol=1e-9))
+    at ``apex`` with nonnegative coefficients.
+
+    The test is exact and in integers.  In block (i, s), column k is
+    ``-e_k + e_(k+1 mod A)``, so with ``delta`` the block of
+    ``point - apex`` the coefficients satisfy ``lam[j-1] - lam[j] =
+    delta[j]`` cyclically.  Their solutions are ``lam0 + c`` for the prefix
+    sums ``lam0[0] = 0, lam0[j] = lam0[j-1] - delta[j]`` and any constant c
+    (the block's columns sum to zero).  An admissible T leaves some action
+    out, whose coefficient must be zero; so the point lies in the cone
+    exactly when, in every block, ``lam0 - min(lam0)`` vanishes at every
+    action outside T, and the coefficients ``lam0 - min(lam0)`` are then
+    nonnegative.  Raises :class:`InvalidSimplexError` on an index set that
+    is not admissible, because the argument needs an omitted action.
+    """
+    _check_index_set(game, index_set)
+    floor = _cone_floor(_blocks(game), point.flat_key(), apex.flat_key())
+    return floor <= set(index_set)
 
 
-def _flat_delta(game: StochasticGame, delta) -> np.ndarray:
-    return np.concatenate([arr.ravel() for arr in delta]).astype(float)
+def _orderings(base, t_set, columns) -> Iterator[tuple[tuple[Label, ...], tuple]]:
+    """``(order, vertex keys)`` for every ordering of ``t_set`` whose
+    vertices stay on the grid, in ``itertools.permutations`` order.  A
+    prefix whose next vertex leaves the grid is dropped with all its
+    extensions."""
+
+    def walk(keys, order, rest):
+        if not rest:
+            yield order, keys
+            return
+        for k, pos in enumerate(rest):
+            nxt = _step(keys[-1], columns[pos])
+            if nxt is not None:
+                yield from walk(keys + (nxt,), order + (t_set[pos],),
+                                rest[:k] + rest[k + 1:])
+
+    return walk((base,), (), tuple(range(len(t_set))))
 
 
-def enumerate_simplices(
-    game: StochasticGame, d: int, restrict_to_cones: bool = True
-) -> Iterator[GridSimplex]:
-    """All candidate simplices in deterministic order: base point
+def _simplices(game: StochasticGame, d: int) -> Iterator[tuple]:
+    """``(base key, T, order, vertex keys)`` of every simplex of the cone
+    regions: base point lexicographic, then index-set size ascending, then
+    index set and vertex ordering lexicographic."""
+    blocks = _blocks(game)
+    apex = starting_point(game, d).flat_key()
+    sets = [(t, frozenset(t), [_column(game, c) for c in t]) for t in index_sets(game)]
+    for base in _grid_keys(game, d):
+        floor = _cone_floor(blocks, base, apex)
+        for t_set, members, columns in sets:
+            if floor <= members:
+                for order, keys in _orderings(base, t_set, columns):
+                    yield base, t_set, order, keys
+
+
+def enumerate_simplices(game: StochasticGame, d: int) -> Iterator[GridSimplex]:
+    """All simplices of the triangulation in deterministic order: base point
     lexicographic, then index-set size ascending, then index set and vertex
-    ordering lexicographic.  Invalid candidates (a vertex off the grid) are
-    skipped.  With ``restrict_to_cones`` only simplices inside the cone
-    region of their index set (rooted at the starting point) are yielded,
-    matching the triangulation's region structure."""
-    apex = starting_point(game, d)
-    sets = index_sets(game)
-    for base in grid_points(game, d):
-        for t_set in sets:
-            if restrict_to_cones and not in_cone(game, base, apex, t_set):
-                continue
-            for order in permutations(t_set):
-                sigma = GridSimplex(base, t_set, order)
-                try:
-                    simplex_vertices(game, sigma)
-                except InvalidSimplexError:
-                    continue
-                yield sigma
+    ordering lexicographic.  Only simplices inside the cone region of their
+    index set (rooted at the starting point) whose vertices stay on the grid
+    are yielded."""
+    for base, t_set, order, _ in _simplices(game, d):
+        yield GridSimplex(_grid_point(game, base, d), t_set, order)
 
 
 def find_stopping_simplex(
@@ -354,10 +471,10 @@ def find_stopping_simplex(
             f"{GRID_ENUM_GUARD}"
         )
     cache: dict = {}
-    for sigma in enumerate_simplices(game, d):
-        cls = classify_simplex(game, sigma, cache)
+    for base, t_set, order, keys in _simplices(game, d):
+        cls = _classify_labels(game, tuple(_label(game, key, d, cache) for key in keys))
         if cls.kind == "stopping":
-            return sigma, cls
+            return GridSimplex(_grid_point(game, base, d), t_set, order), cls
     return None
 
 
@@ -375,7 +492,9 @@ def stopping_residual_check(
     residuals = tuple(
         residual(game, v.to_profile(game)) for v in simplex_vertices(game, sigma)
     )
-    return StoppingReport(bound, residuals, all(r <= bound + 1e-8 for r in residuals))
+    return StoppingReport(
+        bound, residuals, all(r <= bound + _BOUND_SLACK for r in residuals)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +508,7 @@ def simplex_to_dict(game: StochasticGame, sigma: GridSimplex) -> dict:
         "index_set": [list(c) for c in sigma.index_set],
         "permutation": perm,
         "vertex_labels": [
-            list(_cached_label(game, v, None))
-            for v in simplex_vertices(game, sigma)
+            list(label_point(game, v)) for v in simplex_vertices(game, sigma)
         ],
     }
 

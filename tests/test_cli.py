@@ -187,6 +187,14 @@ class TestSolve:
                       "--d", "100000")
         assert code == 3
 
+    @pytest.mark.parametrize("method", ["grid", "simplicial"])
+    @pytest.mark.parametrize("d", ["0", "-1"])
+    def test_nonpositive_grid_size_is_one_line_error(self, capsys, method, d):
+        code = main(["solve", PENNIES, "--method", method, "--d", d])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == "error: grid size d must be >= 1\n"
+
 
 class TestLabel:
     def test_labels_whole_grid(self, capsys):
@@ -227,3 +235,44 @@ class TestLabel:
     def test_requires_d_without_simplex(self, capsys):
         code, _ = run(capsys, "label", PENNIES)
         assert code == 2
+
+
+WRONGLY_TYPED_FIELDS = [
+    ("states", 3),
+    ("states", None),
+    ("players", [{"actions": 2}, {"actions": ["h", "t"]}]),
+    ("gamma", None),
+    ("gamma", "abc"),
+    ("r_max", "x"),
+]
+
+
+@pytest.mark.parametrize("field,value", WRONGLY_TYPED_FIELDS)
+def test_wrongly_typed_game_field_rejected(capsys, tmp_path, field, value):
+    doc = pennies_doc()
+    doc[field] = value
+    run_input_error(capsys, "info", write_doc(tmp_path / "g.json", doc))
+
+
+THREE_ARMS = {
+    "gamma": 0.0,
+    "states": ["s0"],
+    "players": [{"actions": ["a", "b", "c"]}],
+    "transitions": [[[1.0], [1.0], [1.0]]],
+    "rewards": [[[1.0, 0.5, 0.0]]],
+}
+
+
+@pytest.mark.parametrize("index_set,permutation", [
+    ([[0, 0, 7]], [0]),
+    ([[5, 0, 0]], [0]),
+    ([[0, 0, -1]], [0]),
+    ([[0, 0, 0], [0, 0, 0]], [0, 1]),
+])
+def test_malformed_simplex_index_set_rejected(capsys, tmp_path, index_set, permutation):
+    game = write_doc(tmp_path / "g.json", THREE_ARMS)
+    simplex = write_doc(tmp_path / "s.json", {
+        "d": 3, "base": [[[2, 1, 0]]], "index_set": index_set,
+        "permutation": permutation,
+    })
+    run_input_error(capsys, "label", game, "--simplex", simplex)

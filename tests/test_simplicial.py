@@ -4,13 +4,14 @@ from math import comb
 import numpy as np
 import pytest
 
-from sgcert import corpus
+from sgcert import corpus, oracles
 from sgcert.game import validate_game
 from sgcert.nash_map import residual
 from sgcert.simplicial import (
     GridSimplex,
     InvalidSimplexError,
     Label,
+    SimplexClass,
     classify_simplex,
     enumerate_simplices,
     find_stopping_simplex,
@@ -153,6 +154,21 @@ class TestClassification:
                     found = True
         assert found
 
+    def test_stopping_block_is_the_least_covered(self, monkeypatch):
+        # labels covering two (player, state) blocks: the least block stops
+        import sgcert.simplicial as mod
+
+        game = corpus.zero_sum_chain()
+        t = (Label(0, 0, 0), Label(0, 1, 0), Label(1, 0, 0))
+        sigma = GridSimplex(point(game, [[[1, 1], [1, 1]], [[1, 1], [1, 1]]], 2), t, t)
+        wanted = [Label(1, 0, 0), Label(1, 0, 1), Label(0, 0, 0), Label(0, 0, 1)]
+        by_key = {v.flat_key(): lab
+                  for v, lab in zip(simplex_vertices(game, sigma), wanted)}
+        monkeypatch.setattr(mod, "label_point", lambda g, p: by_key[p.flat_key()])
+        cls = classify_simplex(game, sigma)
+        assert cls.kind == "stopping"
+        assert (cls.stopping_player, cls.stopping_state) == (0, 0)
+
 
 class TestFindStoppingSimplex:
     def test_toy_satisfies_residual_bound(self, toy):
@@ -255,3 +271,129 @@ def test_enumeration_order_is_stable(toy):
     sigmas = list(enumerate_simplices(toy, 2))
     keys = [(s.base.flat_key(), s.index_set, s.order) for s in sigmas]
     assert keys == sorted(keys, key=lambda k: (k[0], len(k[1]), k[1], k[2]))
+
+
+# ---------------------------------------------------------------------------
+# Reference search: the floating-point cone test (least squares on the Q
+# columns) and the vertex rule on numerator arrays, enumerated with
+# itertools.permutations.  The library's exact integer search must agree
+# with it simplex by simplex.
+
+def reference_column(game, coord):
+    i, s, a = coord
+    delta = [np.zeros((game.num_states, n_a), dtype=int) for n_a in game.num_actions]
+    delta[i][s, a] -= 1
+    delta[i][s, (a + 1) % game.num_actions[i]] += 1
+    return tuple(delta)
+
+
+def _flat(arrays):
+    return np.concatenate([arr.ravel() for arr in arrays]).astype(float)
+
+
+def reference_in_cone(game, pt, apex, index_set):
+    diff = _flat(pt.numerators) - _flat(apex.numerators)
+    if not index_set:
+        return bool(np.all(diff == 0))
+    cols = np.column_stack([_flat(reference_column(game, c)) for c in index_set])
+    lam = np.linalg.lstsq(cols, diff, rcond=None)[0]
+    if np.any(lam < -1e-9):
+        return False
+    return bool(np.allclose(cols @ lam, diff, atol=1e-9))
+
+
+def reference_vertices(game, sigma):
+    """Vertices of the simplex, or None if one leaves the grid."""
+    vertices = [sigma.base]
+    for coord in sigma.order:
+        nxt = vertices[-1].shifted(reference_column(game, coord))
+        if not nxt.is_valid():
+            return None
+        vertices.append(nxt)
+    return vertices
+
+
+def reference_simplices(game, d):
+    apex = starting_point(game, d)
+    for base in grid_points(game, d):
+        for t_set in index_sets(game):
+            if reference_in_cone(game, base, apex, t_set):
+                for order in permutations(t_set):
+                    sigma = GridSimplex(base, t_set, order)
+                    if reference_vertices(game, sigma) is not None:
+                        yield sigma
+
+
+def reference_stopping_simplex(game, d):
+    cache = {}
+    for sigma in reference_simplices(game, d):
+        labels = []
+        for v in reference_vertices(game, sigma):
+            if v.flat_key() not in cache:
+                cache[v.flat_key()] = label_point(game, v)
+            labels.append(cache[v.flat_key()])
+        labels = tuple(labels)
+        if len(set(labels)) != len(labels):
+            continue
+        for i in range(game.num_players):
+            for s in range(game.num_states):
+                covered = {lab.action for lab in labels if lab[:2] == (i, s)}
+                if len(covered) == game.num_actions[i]:
+                    return sigma, SimplexClass("stopping", labels, i, s)
+    return None
+
+
+def _seeded(seed, n, s, a):
+    return oracles.random_game(np.random.default_rng(seed), n, s, a, 0.5)
+
+
+SEARCH_CASES = (
+    [(f"toy-d{d}", corpus.two_arm_bandit, d) for d in (2, 3, 4)]
+    + [(f"pennies-d{d}", corpus.matching_pennies, d) for d in (2, 3, 4)]
+    + [("zero_sum_chain-d2", corpus.zero_sum_chain, 2)]
+    + [(f"seeded{shape}-d{d}", lambda shape=shape: _seeded(7, *shape), d)
+       for shape, d in (((2, 1, 3), 2), ((3, 1, 2), 2), ((1, 2, 4), 1))]
+)
+# (1, 2, 4) runs at d = 1: at d = 2 the reference alone walks 2,229 simplices
+# with orderings of up to six columns, about 10 s.
+
+
+@pytest.mark.parametrize("make_game,d", [c[1:] for c in SEARCH_CASES],
+                         ids=[c[0] for c in SEARCH_CASES])
+class TestIntegerSearchMatchesReference:
+    def test_enumeration_sequence(self, make_game, d):
+        game = make_game()
+        key = lambda s: (s.base.flat_key(), s.index_set, s.order)  # noqa: E731
+        assert [key(s) for s in enumerate_simplices(game, d)] == [
+            key(s) for s in reference_simplices(game, d)
+        ]
+
+    def test_stopping_simplex(self, make_game, d):
+        game = make_game()
+        assert find_stopping_simplex(game, d) == reference_stopping_simplex(game, d)
+
+    def test_cone_membership(self, make_game, d):
+        game = make_game()
+        apex = starting_point(game, d)
+        sets = index_sets(game)
+        for pt in grid_points(game, d):
+            for t_set in sets:
+                assert in_cone(game, pt, apex, t_set) == reference_in_cone(
+                    game, pt, apex, t_set
+                )
+
+    def test_columns_and_invalid_index_sets(self, make_game, d):
+        game = make_game()
+        apex = starting_point(game, d)
+        for i, a_count in enumerate(game.num_actions):
+            for s in range(game.num_states):
+                block = [Label(i, s, a) for a in range(a_count)]
+                for coord in block:
+                    for got, want in zip(q_column(game, coord),
+                                         reference_column(game, coord)):
+                        assert got.tolist() == want.tolist()
+                bad_sets = [tuple(block), (block[0], block[0]),
+                            (Label(i, s, a_count),)]
+                for bad in bad_sets:
+                    with pytest.raises(InvalidSimplexError):
+                        in_cone(game, apex, apex, bad)
