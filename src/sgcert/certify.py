@@ -91,7 +91,7 @@ def best_response_values(
     game: StochasticGame, pi: StrategyProfile, player: int
 ) -> np.ndarray:
     """Optimal values of the MDP induced by freezing the other players."""
-    return _policy_iteration(player_mdp(game, pi, player))
+    return _policy_iteration(player_mdp(game, pi.probs, player))
 
 
 def _policy_iteration(mdp: PlayerMDP) -> np.ndarray:
@@ -147,8 +147,8 @@ def certify_profile(
     size the full construction would require for that L.  Each player's
     frozen-opponent MDP is evaluated once and serves the residual and the
     regrets alike."""
-    mdps = evaluate_players(game, pi)
-    eps = apply_gains(game, pi, GainTable.of(mdps)).max_norm_distance(pi)
+    mdps = evaluate_players(game, pi.probs)
+    eps = float(apply_gains(pi.probs, [m.gains() for m in mdps])[1])
     regrets = [_policy_iteration(m) - m.v for m in mdps]
     achieved = max(0.0, max(float(r.max()) for r in regrets))
     d_used = None
@@ -178,7 +178,7 @@ class GainRegretReport:
 def gain_to_regret_check(game: StochasticGame, pi: StrategyProfile) -> GainRegretReport:
     """Report-only check that regrets obey the one-shot gain bound:
     every best-response regret <= (max gain) / (1 - gamma) + 1e-8."""
-    mdps = evaluate_players(game, pi)
+    mdps = evaluate_players(game, pi.probs)
     g = GainTable.of(mdps).max_gain
     max_regret = max(float((_policy_iteration(m) - m.v).max()) for m in mdps)
     bound = g / (1.0 - game.gamma)

@@ -19,6 +19,7 @@ import numpy as np
 from .certify import Certificate, certify_profile, choose_d, _round_floats
 from .game import (
     GameValidationError,
+    StrategyProfile,
     load_game,
     load_profile,
     profile_to_dict,
@@ -29,7 +30,6 @@ from .nash_map import apply_f, lipschitz_constant, residual
 from .oracles import grid_residual_argmin, random_profile
 from .simplicial import (
     InvalidSimplexError,
-    classify_simplex,
     find_stopping_simplex,
     grid_point_count,
     grid_points,
@@ -69,7 +69,7 @@ def cmd_info(args) -> int:
         "r_max": game.r_max,
         "lambda": lipschitz_constant(game),
     }
-    if args.target_L is not None:
+    if _target_inv_l(args) is not None:
         payload["L"] = args.target_L
         payload["d"] = choose_d(game, args.target_L)
     _emit(payload)
@@ -91,10 +91,9 @@ def _solve_damped_f(game, args):
             (1.0 - args.damping) * a + args.damping * b
             for a, b in zip(pi.probs, nxt.probs)
         ]
-        # renormalize away float drift before revalidating
-        blended = [p / p.sum(axis=1, keepdims=True) for p in blended]
-        pi = validate_profile(game, blended)
-    return pi, status
+        # renormalize away float drift; the loop revalidates only on exit
+        pi = StrategyProfile(tuple(p / p.sum(axis=1, keepdims=True) for p in blended))
+    return validate_profile(game, pi.probs), status
 
 
 def _solve_grid(game, args):
@@ -163,12 +162,7 @@ def cmd_label(args) -> int:
     if args.simplex is not None:
         with open(args.simplex) as fh:
             sigma = simplex_from_dict(game, json.load(fh))
-        cls = classify_simplex(game, sigma)
-        payload = simplex_to_dict(game, sigma)
-        payload["classification"] = cls.kind
-        if cls.kind == "stopping":
-            payload["stopping"] = [cls.stopping_player, cls.stopping_state]
-        _emit(payload)
+        _emit(simplex_to_dict(game, sigma))
         return EXIT_OK
     if args.d is None:
         raise GameValidationError("--d is required when labelling grid points")

@@ -295,18 +295,18 @@ _ACTION_AXES = "abcdefghijklmnopqruvwxyz"
 
 
 def _expect(
-    game: StochasticGame, pi: StrategyProfile, table: np.ndarray, keep: int | None = None
+    game: StochasticGame, probs, table: np.ndarray, keep: int | None = None
 ) -> np.ndarray:
     """Expectation of ``table``, shaped (S, J) or (S, J, S), over the joint action.
 
-    Every player except ``keep`` draws its action from the profile; the action
-    axis of ``keep`` stays in the result, after the state axis.  One plain
-    ``einsum`` over all states (path planning costs more than it saves at
-    these sizes).
+    Every player except ``keep`` draws its action from ``probs[j]``, shaped
+    ``(..., S, A_j)``; the result carries those leading batch axes, then the
+    state axis, then the action axis of ``keep``.  One plain ``einsum`` over
+    all states (path planning costs more than it saves at these sizes).
     """
     n = game.num_players
     shape = (game.num_states,) + game.num_actions + table.shape[2:]
-    operands = [pi.probs[j] for j in range(n) if j != keep]
+    operands = [probs[j] for j in range(n) if j != keep]
     return np.einsum(_einsum_spec(n, keep, table.ndim == 3), table.reshape(shape), *operands)
 
 
@@ -315,8 +315,9 @@ def _einsum_spec(n: int, keep: int | None, next_state: bool) -> str:
     """Subscripts of :func:`_expect`'s contraction for ``n`` players."""
     axes = _ACTION_AXES[:n]
     rest = "t" if next_state else ""
-    inputs = ["s" + axes + rest] + ["s" + axes[j] for j in range(n) if j != keep]
-    return ",".join(inputs) + "->s" + ("" if keep is None else axes[keep]) + rest
+    batch = "..." if n > (keep is not None) else ""
+    inputs = ["s" + axes + rest] + [batch + "s" + axes[j] for j in range(n) if j != keep]
+    return ",".join(inputs) + "->" + batch + "s" + ("" if keep is None else axes[keep]) + rest
 
 
 def check_row_drift(p: np.ndarray) -> None:
@@ -330,12 +331,12 @@ def marginal_reward(
 ) -> np.ndarray:
     """Expected one-step reward of a player at each state under the profile."""
     _check_player(game, player)
-    return _expect(game, pi, game.rewards[player])
+    return _expect(game, pi.probs, game.rewards[player])
 
 
 def marginal_transition(game: StochasticGame, pi: StrategyProfile) -> np.ndarray:
     """S x S state transition matrix induced by the profile."""
-    p = _expect(game, pi, game.transition)
+    p = _expect(game, pi.probs, game.transition)
     check_row_drift(p)
     return p
 
@@ -374,19 +375,22 @@ def deviation_value(
 
 
 def opponent_marginals(
-    game: StochasticGame, pi: StrategyProfile, player: int
+    game: StochasticGame, pi, player: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reward and transition tables with all other players marginalized out.
 
     Returns ``(r, p)`` with ``r[s, a]`` the expected reward and ``p[s, a]``
     the next-state distribution when the player takes action ``a`` at ``s``
     and everyone else follows the profile.  This is the single-agent MDP
-    induced by freezing the opponents.
+    induced by freezing the opponents.  ``pi`` is a profile or its
+    per-player arrays ``(..., S, A_j)``; leading batch axes carry over to
+    the tables.
     """
     _check_player(game, player)
+    probs = pi.probs if isinstance(pi, StrategyProfile) else pi
     return (
-        _expect(game, pi, game.rewards[player], keep=player),
-        _expect(game, pi, game.transition, keep=player),
+        _expect(game, probs, game.rewards[player], keep=player),
+        _expect(game, probs, game.transition, keep=player),
     )
 
 

@@ -11,6 +11,22 @@ only.  The map shifts probability toward profitably deviating actions:
 
 A profile is a Markov perfect equilibrium exactly when it is a fixed point
 of this map, so ||f(pi) - pi||_inf serves as the equilibrium residual.
+
+One kernel computes everything.  :func:`player_mdp` evaluates the MDP one
+player faces with the opponents frozen, and :func:`improve` applies the map,
+on profile arrays ``probs[i]`` shaped ``(..., S, A_i)``: any leading batch
+axes, the same for every player, stack many profiles into one evaluation,
+and every result carries them (``(..., S, A_i)`` for the next profile,
+``(...)`` for the residual).  A batch gives the same bits, profile by
+profile, as evaluating one profile at a time.  :func:`apply_f`,
+:func:`residual` and :func:`gain_table` are that kernel on a single
+profile.
+
+Every evaluation keeps two checks: the on-profile transition rows must stay
+on the simplex (:func:`~sgcert.game.check_row_drift`), and every rank-one
+denominator must be positive.  The input arrays are trusted to be valid
+profiles; the map's output is a distribution by construction, so it is not
+validated again.
 """
 
 from __future__ import annotations
@@ -24,7 +40,6 @@ from .game import (
     StrategyProfile,
     check_row_drift,
     opponent_marginals,
-    validate_profile,
 )
 
 # Raw gains below this are clamped to zero.  A gain is a difference of values
@@ -39,13 +54,16 @@ class PlayerMDP:
     """The single-agent MDP one player faces when the opponents are frozen at
     a profile, evaluated at the player's own strategy in that profile.
 
+    Every array carries the leading batch axes ``...`` of the profile arrays
+    it was evaluated at (none for a single profile).
+
     Attributes:
         gamma: discount factor.
-        r_ia: ``r_ia[s, a]``, expected reward of action a at state s.
-        p_ia: ``p_ia[s, a]``, next-state distribution of action a at s.
+        r_ia: ``r_ia[..., s, a]``, expected reward of action a at state s.
+        p_ia: ``p_ia[..., s, a]``, next-state distribution of action a at s.
         w: ``(I - gamma * P_pi)^-1`` for the on-profile transitions P_pi.
         v: on-profile value, the solution of ``(I - gamma * P_pi) v = r_pi``.
-        q: one-step lookahead, ``q[s, a] = r_ia[s, a] + gamma * p_ia[s, a] @ v``.
+        q: one-step lookahead, ``q[..., s, a] = r_ia[..., s, a] + gamma * p_ia[..., s, a] @ v``.
     """
 
     gamma: float
@@ -56,35 +74,37 @@ class PlayerMDP:
     q: np.ndarray
 
     def gains(self) -> np.ndarray:
-        """Clamped one-shot deviation gains ``D[s, a]``; see :func:`gain_table`."""
-        w_ss = self.w.diagonal()[:, None]
-        denom = w_ss - self.gamma * np.einsum("sat,ts->sa", self.p_ia, self.w)
+        """Clamped one-shot deviation gains ``D[..., s, a]``; see :func:`gain_table`."""
+        w_ss = np.diagonal(self.w, axis1=-2, axis2=-1)[..., None]
+        denom = w_ss - self.gamma * np.einsum("...sat,...ts->...sa", self.p_ia, self.w)
         assert denom.min() > 0, "rank-one update denominator must be positive"
-        g = w_ss * (self.q - self.v[:, None]) / denom
+        g = w_ss * (self.q - self.v[..., None]) / denom
         g[g < GAIN_CLAMP] = 0.0
         g.flags.writeable = False
         return g
 
 
-def player_mdp(game: StochasticGame, pi: StrategyProfile, player: int) -> PlayerMDP:
-    """Evaluate the profile once for one player: frozen-opponent tables, the
-    Bellman inverse, the value and the one-step lookahead."""
-    r_ia, p_ia = opponent_marginals(game, pi, player)
-    own = pi.probs[player]
-    r_pi = np.einsum("sa,sa->s", own, r_ia)
-    p_pi = np.einsum("sa,sat->st", own, p_ia)
+def player_mdp(game: StochasticGame, probs, player: int) -> PlayerMDP:
+    """Evaluate profile arrays ``probs[j]``, shaped ``(..., S, A_j)`` with the
+    same leading batch axes for every player, once for one player:
+    frozen-opponent tables, the Bellman inverse, the value and the one-step
+    lookahead."""
+    r_ia, p_ia = opponent_marginals(game, probs, player)
+    own = probs[player]
+    r_pi = np.einsum("...sa,...sa->...s", own, r_ia)
+    p_pi = np.einsum("...sa,...sat->...st", own, p_ia)
     check_row_drift(p_pi)
     m = np.eye(game.num_states) - game.gamma * p_pi
     # v by a backward-stable solve, as in value_function, not as w @ r_pi
-    v = np.linalg.solve(m, r_pi)
+    v = np.linalg.solve(m, r_pi[..., None])[..., 0]
     w = np.linalg.inv(m)
-    q = r_ia + game.gamma * (p_ia @ v)
+    q = r_ia + game.gamma * (p_ia @ v[..., None, :, None])[..., 0]
     return PlayerMDP(game.gamma, r_ia, p_ia, w, v, q)
 
 
-def evaluate_players(game: StochasticGame, pi: StrategyProfile) -> tuple[PlayerMDP, ...]:
-    """One :class:`PlayerMDP` per player."""
-    return tuple(player_mdp(game, pi, i) for i in range(game.num_players))
+def evaluate_players(game: StochasticGame, probs) -> tuple[PlayerMDP, ...]:
+    """One :class:`PlayerMDP` per player at profile arrays ``probs``."""
+    return tuple(player_mdp(game, probs, i) for i in range(game.num_players))
 
 
 @dataclass(frozen=True)
@@ -121,27 +141,37 @@ def gain_table(game: StochasticGame, pi: StrategyProfile) -> GainTable:
     (1 - gamma) W[s, s] >= 1 - gamma).  The table costs O(S^3 + S^2 A) per
     player.
     """
-    return GainTable.of(evaluate_players(game, pi))
+    return GainTable.of(evaluate_players(game, pi.probs))
 
 
-def apply_gains(game: StochasticGame, pi: StrategyProfile, gains: GainTable) -> StrategyProfile:
-    """The improvement map at ``pi`` given its gain table; a valid profile."""
-    probs = []
-    for i in range(game.num_players):
-        g = gains.gains[i]
-        denom = 1.0 + g.sum(axis=1)
-        probs.append((pi.probs[i] + g) / denom[:, None])
-    return validate_profile(game, probs)
+def apply_gains(probs, gains) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The improvement map at profile arrays ``probs`` given their gains,
+    both shaped ``(..., S, A_i)`` per player, and the residual of each
+    profile, shaped ``(...)``."""
+    nxt = tuple((p + g) / (1.0 + g.sum(axis=-1))[..., None] for p, g in zip(probs, gains))
+    moved = [np.abs(q - p).max(axis=(-2, -1)) for q, p in zip(nxt, probs)]
+    return nxt, np.max(moved, axis=0)
+
+
+def improve(game: StochasticGame, probs) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """One step of the improvement map on profile arrays ``probs[i]`` shaped
+    ``(..., S, A_i)``: the next arrays, of the same shapes, and the residual
+    ``||f(pi) - pi||_inf`` of each profile, shaped ``(...)``.  The input is
+    trusted to be valid; the output is a distribution by construction."""
+    return apply_gains(probs, [m.gains() for m in evaluate_players(game, probs)])
 
 
 def apply_f(game: StochasticGame, pi: StrategyProfile) -> StrategyProfile:
     """One application of the improvement map; returns a valid profile."""
-    return apply_gains(game, pi, gain_table(game, pi))
+    nxt, _ = improve(game, pi.probs)
+    for p in nxt:
+        p.flags.writeable = False
+    return StrategyProfile(nxt)
 
 
 def residual(game: StochasticGame, pi: StrategyProfile) -> float:
     """Fixed-point residual ||f(pi) - pi||_inf."""
-    return apply_f(game, pi).max_norm_distance(pi)
+    return float(improve(game, pi.probs)[1])
 
 
 def lipschitz_constant(game: StochasticGame) -> float:

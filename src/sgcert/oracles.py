@@ -11,7 +11,7 @@ for zero-sum cross-checks.  Desk scale only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
@@ -24,7 +24,8 @@ from .game import (
     validate_game,
     validate_profile,
 )
-from .nash_map import apply_f
+from .nash_map import apply_f, improve
+from .simplicial import GRID_ENUM_GUARD, _grid_keys, _grid_point, _unflatten, grid_point_count
 
 DET_POLICY_GUARD = 10**5
 
@@ -170,23 +171,28 @@ def finite_difference_lipschitz(
 # residual must be lower by more than this to replace the incumbent, so such
 # ties keep the lexicographically first point.
 _RESIDUAL_TIE_TOL = 1e-15
+# Grid profiles are evaluated in batches whose largest array, the
+# frozen-opponent transitions (points, S, A_i, S) of one player, stays within
+# this many bytes: large enough that per-call overhead vanishes, small enough
+# that memory does not grow with the grid.
+_GRID_CHUNK_BYTES = 1 << 22
 
 
 def grid_residual_argmin(game: StochasticGame, d: int):
     """Grid profile minimizing the fixed-point residual, first in
     lexicographic order on ties, together with that residual."""
-    from .nash_map import residual
-    from .simplicial import GRID_ENUM_GUARD, grid_point_count, grid_points
-
     if grid_point_count(game, d) > GRID_ENUM_GUARD:
         raise ValueError("grid too large to enumerate")
+    chunk = max(1, _GRID_CHUNK_BYTES // (8 * game.num_states**2 * game.a_max))
+    keys = _grid_keys(game, d)
     best = None
     best_res = np.inf
-    for point in grid_points(game, d):
-        res = residual(game, point.to_profile(game))
-        if res < best_res - _RESIDUAL_TIE_TOL:
-            best, best_res = point, res
-    return best, best_res
+    while nums := list(islice(keys, chunk)):
+        _, res = improve(game, _unflatten(game, np.array(nums) / d))
+        for key, r in zip(nums, res.tolist()):
+            if r < best_res - _RESIDUAL_TIE_TOL:
+                best, best_res = key, r
+    return _grid_point(game, best, d), best_res
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,8 @@ class Label(NamedTuple):
 
 
 class InvalidSimplexError(ValueError):
-    """A simplex description leaves the grid or is otherwise malformed."""
+    """A grid size, grid point or simplex description is malformed or leaves
+    the grid."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,21 +185,22 @@ def _blocks(game: StochasticGame) -> list[tuple[int, int, int, int]]:
 def _grid_keys(game: StochasticGame, d: int) -> Iterator[tuple[int, ...]]:
     """Flattened numerators of every grid point, in lexicographic order."""
     if d < 1:
-        raise ValueError("grid size d must be >= 1")
+        raise InvalidSimplexError("grid size d must be >= 1")
     cells = [list(_compositions(d, a)) for _, _, _, a in _blocks(game)]
     for combo in product(*cells):
         yield tuple(chain.from_iterable(combo))
 
 
 def _unflatten(game: StochasticGame, flat) -> tuple[np.ndarray, ...]:
-    """Per-player (S, A_i) integer arrays from flattened numerators."""
-    arrays = []
-    k = 0
-    for a_count in game.num_actions:
-        size = game.num_states * a_count
-        arrays.append(np.array(flat[k : k + size], dtype=int).reshape(-1, a_count))
-        k += size
-    return tuple(arrays)
+    """Per-player ``(..., S, A_i)`` arrays from flattened numerators, or from
+    a ``(..., F)`` array of them."""
+    flat = np.asarray(flat)
+    s_count = game.num_states
+    ends = np.cumsum([s_count * a for a in game.num_actions])
+    return tuple(
+        flat[..., end - s_count * a : end].reshape(flat.shape[:-1] + (s_count, a))
+        for end, a in zip(ends, game.num_actions)
+    )
 
 
 def _grid_point(game: StochasticGame, key: tuple[int, ...], d: int) -> GridProfile:
@@ -254,15 +256,15 @@ def label_point(game: StochasticGame, point: GridProfile) -> Label:
     qualifies: zero-probability coordinates have nonnegative displacement
     and each (player, state) block of displacements sums to zero.
     """
-    pi = point.to_profile(game)
+    # a grid point is a valid profile by construction
+    pi = StrategyProfile(tuple(arr / point.d for arr in point.numerators))
     fp = apply_f(game, pi)
-    disp = [fp.probs[i] - pi.probs[i] for i in range(game.num_players)]
-    global_min = min(float(dm.min()) for dm in disp)
-    for i in range(game.num_players):
-        for s in range(game.num_states):
-            for a in range(game.num_actions[i]):
-                if pi.probs[i][s, a] > 0 and disp[i][s, a] <= global_min + _LABEL_TIE_TOL:
-                    return Label(i, s, a)
+    disp = [f - p for f, p in zip(fp.probs, pi.probs)]
+    tied = min(float(dm.min()) for dm in disp) + _LABEL_TIE_TOL
+    for i, (p, dm) in enumerate(zip(pi.probs, disp)):
+        hits = np.flatnonzero((p > 0) & (dm <= tied))
+        if hits.size:
+            return Label(i, *divmod(int(hits[0]), p.shape[1]))
     raise AssertionError("labelling rule found no eligible coordinate")  # pragma: no cover
 
 
@@ -358,7 +360,7 @@ def starting_point(game: StochasticGame, d: int) -> GridProfile:
     """Grid point nearest the uniform profile in max norm, lexicographic
     tie-break.  Serves as the cone apex v^0 of the triangulated regions."""
     if d < 1:
-        raise ValueError("grid size d must be >= 1")
+        raise InvalidSimplexError("grid size d must be >= 1")
     nums = []
     for i in range(game.num_players):
         a_count = game.num_actions[i]
@@ -501,19 +503,25 @@ def stopping_residual_check(
 # Round-trippable serialization used by the command-line tools.
 
 def simplex_to_dict(game: StochasticGame, sigma: GridSimplex) -> dict:
-    perm = [sigma.index_set.index(c) for c in sigma.order]
-    return {
+    """The simplex document, with the vertex labels and the classification
+    they give; each vertex is labelled once."""
+    cls = classify_simplex(game, sigma)
+    doc = {
         "d": sigma.d,
         "base": [arr.tolist() for arr in sigma.base.numerators],
         "index_set": [list(c) for c in sigma.index_set],
-        "permutation": perm,
-        "vertex_labels": [
-            list(label_point(game, v)) for v in simplex_vertices(game, sigma)
-        ],
+        "permutation": [sigma.index_set.index(c) for c in sigma.order],
+        "vertex_labels": [list(lab) for lab in cls.labels],
+        "classification": cls.kind,
     }
+    if cls.kind == "stopping":
+        doc["stopping"] = [cls.stopping_player, cls.stopping_state]
+    return doc
 
 
 def simplex_from_dict(game: StochasticGame, data: dict) -> GridSimplex:
+    """The simplex of a document; its labels and classification, if any,
+    are not read."""
     try:
         d = int(data["d"])
         base = grid_profile_from_lists(game, data["base"], d)
@@ -525,7 +533,7 @@ def simplex_from_dict(game: StochasticGame, data: dict) -> GridSimplex:
         raise InvalidSimplexError("permutation must reorder the index set")
     order = tuple(index_set[k] for k in perm)
     sigma = GridSimplex(base, tuple(sorted(index_set)), order)
-    simplex_vertices(game, sigma)  # validates
+    _vertex_keys(game, sigma)  # validates
     return sigma
 
 

@@ -1,7 +1,18 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from sgcert import corpus, oracles
+from sgcert.game import load_game
+
+CORPUS_DIR = Path(__file__).resolve().parents[1] / "corpus"
+CORPUS_GAMES = sorted(p.name[: -len(".game.json")] for p in CORPUS_DIR.glob("*.game.json"))
+
+
+def corpus_game(name):
+    """A game of the corpus directory, by file stem."""
+    return load_game(CORPUS_DIR / f"{name}.game.json")
 
 
 @pytest.fixture

@@ -12,6 +12,7 @@ PENNIES_EQ = str(CORPUS / "matching_pennies.equilibrium.json")
 DOMINANT = str(CORPUS / "dominant.game.json")
 PENNIES_DISC = str(CORPUS / "matching_pennies_discounted.game.json")
 BANDIT = str(CORPUS / "two_arm_bandit.game.json")
+CHAIN = str(CORPUS / "zero_sum_chain.game.json")
 
 
 def run(capsys, *argv):
@@ -192,8 +193,18 @@ class TestSolve:
     def test_nonpositive_grid_size_is_one_line_error(self, capsys, method, d):
         code = main(["solve", PENNIES, "--method", method, "--d", d])
         captured = capsys.readouterr()
-        assert code == 3
+        assert code == 2
         assert captured.err == "error: grid size d must be >= 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", PENNIES, "--d", "0"),
+    ("label", PENNIES, "--d", "0"),
+    ("label", PENNIES, "--d", "-1"),
+    ("info", PENNIES, "--target-L", "0"),
+])
+def test_nonpositive_size_is_input_error(capsys, argv):
+    run_input_error(capsys, *argv)
 
 
 class TestLabel:
@@ -227,6 +238,28 @@ class TestLabel:
         data = json.loads(out)
         assert code == 0
         assert data["classification"] == "stopping"
+
+    def test_simplex_vertices_are_labelled_once(self, capsys, tmp_path, monkeypatch):
+        from sgcert import simplicial
+        from sgcert.game import load_game
+
+        game = load_game(CHAIN)
+        sigma = next(s for s in simplicial.enumerate_simplices(game, 2)
+                     if s.dimension == 4)
+        doc = simplicial.simplex_to_dict(game, sigma)
+        labelled = []
+        label_point = simplicial.label_point
+
+        def counted(game, point):
+            labelled.append(point.flat_key())
+            return label_point(game, point)
+
+        monkeypatch.setattr(simplicial, "label_point", counted)
+        code, out = run(capsys, "label", CHAIN, "--simplex",
+                        write_doc(tmp_path / "s.json", doc))
+        assert code == 0
+        assert json.loads(out) == doc
+        assert len(labelled) == len(set(labelled)) == 5
 
     def test_point_without_numerators_rejected(self, capsys, tmp_path):
         point = write_doc(tmp_path / "point.json", {"nums": [[[1, 1]], [[1, 1]]]})

@@ -12,10 +12,10 @@ from sgcert import (
     validate_profile,
 )
 from sgcert import corpus, deviation_value, value_function
-from sgcert.nash_map import GAIN_CLAMP
+from sgcert.nash_map import GAIN_CLAMP, improve, player_mdp
 from sgcert.oracles import random_game, random_profile
 
-from conftest import random_instances, scale_instances
+from conftest import SCALE_SHAPES, random_instances, scale_instances
 
 
 class TestGainTable:
@@ -88,6 +88,39 @@ class TestApplyF:
                 zero = p == 0.0
                 assert np.all(pi.probs[i][zero] == 0.0)
                 assert np.all(table.gains[i][zero] == 0.0)
+
+
+class TestImprove:
+    """The batched kernel must agree bit for bit with one profile at a time."""
+
+    # the scale shapes, plus one player alone and four players at two states
+    SHAPES = SCALE_SHAPES + ((1, 3, 4), (1, 1, 2), (4, 2, 2))
+
+    def test_stack_matches_single_profiles(self):
+        rng = np.random.default_rng(59)
+        for game, _ in scale_instances(59, self.SHAPES):
+            pis = [random_profile(game, rng) for _ in range(6)]
+            n = game.num_players
+            probs = tuple(np.stack([pi.probs[i] for pi in pis]) for i in range(n))
+            nxt, res = improve(game, probs)
+            assert res.shape == (6,)
+            for p in nxt:  # a distribution by construction, never revalidated
+                assert p.min() >= 0.0
+                np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
+            gains = [player_mdp(game, probs, i).gains() for i in range(n)]
+            for k, pi in enumerate(pis):
+                single = apply_f(game, pi)
+                table = gain_table(game, pi)
+                for i in range(n):
+                    assert np.array_equal(nxt[i][k], single.probs[i])
+                    assert np.array_equal(gains[i][k], table.gains[i])
+                assert res[k] == residual(game, pi)
+            # several leading batch axes give the same bits as one
+            grid = tuple(p.reshape((2, 3) + p.shape[1:]) for p in probs)
+            nxt2, res2 = improve(game, grid)
+            assert np.array_equal(res2.ravel(), res)
+            for i in range(n):
+                assert np.array_equal(nxt2[i].reshape(nxt[i].shape), nxt[i])
 
 
 class TestResidual:

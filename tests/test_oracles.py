@@ -10,8 +10,9 @@ from sgcert import (
     validate_profile,
     value_function,
 )
-from sgcert import corpus
+from sgcert import corpus, oracles
 from sgcert.game import StrategyProfile
+from sgcert.simplicial import grid_points
 from sgcert.oracles import (
     enumerate_deterministic_policies,
     enumerate_joint_expectation,
@@ -25,7 +26,7 @@ from sgcert.oracles import (
     truncated_value,
 )
 
-from conftest import random_instances
+from conftest import CORPUS_GAMES, corpus_game, random_instances
 
 
 class TestTruncatedValue:
@@ -133,6 +134,55 @@ class TestGridResidualArgmin:
         point, value = grid_residual_argmin(pennies, 1)
         assert value > 0.0
         assert residual(pennies, point.to_profile(pennies)) == pytest.approx(value)
+
+
+def scan_grid_argmin(game, d):
+    """Reference for ``grid_residual_argmin``: one residual per grid point,
+    in lexicographic order; a later point wins only by more than the tie
+    tolerance."""
+    best, best_res = None, np.inf
+    for point in grid_points(game, d):
+        res = residual(game, point.to_profile(game))
+        if res < best_res - oracles._RESIDUAL_TIE_TOL:
+            best, best_res = point, res
+    return best, best_res
+
+
+class TestGridArgminMatchesScan:
+    """The batched grid search returns the per-point scan's point and
+    residual, bit for bit."""
+
+    @pytest.mark.parametrize("name", CORPUS_GAMES)
+    def test_corpus_small_grids(self, name):
+        assert len(CORPUS_GAMES) == 12
+        game = corpus_game(name)
+        for d in (1, 2, 3, 4):
+            assert grid_residual_argmin(game, d) == scan_grid_argmin(game, d), d
+
+    def test_fine_grid(self):
+        game = corpus_game("asymmetric_mixed")
+        assert grid_residual_argmin(game, 32) == scan_grid_argmin(game, 32)
+
+    @pytest.mark.parametrize("name,d", [("matching_pennies", 3),
+                                        ("coordination_pure", 4),
+                                        ("zero_sum_chain", 3)])
+    def test_grids_larger_than_a_chunk(self, monkeypatch, name, d):
+        """Chunks smaller than the grid, with the winner last in a chunk,
+        first in the next one, and at no boundary.  The first two grids have
+        several points, in different chunks, tied at the least residual; the
+        first of them wins."""
+        game = corpus_game(name)
+        expected = scan_grid_argmin(game, d)
+        points = list(grid_points(game, d))
+        first = points.index(expected[0])
+        per_point = 8 * game.num_states * game.a_max * game.num_states
+        for chunk in sorted({first, first + 1, 7} - {0}):
+            monkeypatch.setattr(oracles, "_GRID_CHUNK_BYTES", chunk * per_point)
+            assert grid_residual_argmin(game, d) == expected, chunk
+        ties = [p for p in points
+                if residual(game, p.to_profile(game)) <= expected[1] + 1e-15]
+        assert ties[0] == expected[0]
+        assert len(ties) > 1 or name == "zero_sum_chain"
 
 
 class TestZeroSumOracles:
