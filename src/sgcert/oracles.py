@@ -11,7 +11,7 @@ for zero-sum cross-checks.  Desk scale only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import chain, islice, product
 
 import numpy as np
 
@@ -171,11 +171,19 @@ def finite_difference_lipschitz(
 # residual must be lower by more than this to replace the incumbent, so such
 # ties keep the lexicographically first point.
 _RESIDUAL_TIE_TOL = 1e-15
-# Grid profiles are evaluated in batches whose largest array, the
-# frozen-opponent transitions (points, S, A_i, S) of one player, stays within
-# this many bytes: large enough that per-call overhead vanishes, small enough
-# that memory does not grow with the grid.
+# Grid profiles are evaluated in chunks whose largest array stays within this
+# many bytes: large enough that per-call overhead vanishes, small enough that
+# memory does not grow with the grid.
 _GRID_CHUNK_BYTES = 1 << 22
+
+
+def _chunk_points(game: StochasticGame) -> int:
+    """Grid points per chunk.  A chunk's largest arrays are its flattened
+    numerators, (points, S * sum A_i), and one player's frozen-opponent
+    transitions, (points, S, A_i, S), all 8-byte numbers."""
+    s_count = game.num_states
+    per_point = 8 * s_count * max(sum(game.num_actions), s_count * game.a_max)
+    return max(1, _GRID_CHUNK_BYTES // per_point)
 
 
 def grid_residual_argmin(game: StochasticGame, d: int):
@@ -183,16 +191,18 @@ def grid_residual_argmin(game: StochasticGame, d: int):
     lexicographic order on ties, together with that residual."""
     if grid_point_count(game, d) > GRID_ENUM_GUARD:
         raise ValueError("grid too large to enumerate")
-    chunk = max(1, _GRID_CHUNK_BYTES // (8 * game.num_states**2 * game.a_max))
-    keys = _grid_keys(game, d)
+    width = game.num_states * sum(game.num_actions)
+    step = _chunk_points(game) * width
+    numerators = chain.from_iterable(_grid_keys(game, d))
     best = None
     best_res = np.inf
-    while nums := list(islice(keys, chunk)):
-        _, res = improve(game, _unflatten(game, np.array(nums) / d))
-        for key, r in zip(nums, res.tolist()):
+    while (nums := np.fromiter(islice(numerators, step), int)).size:
+        nums = nums.reshape(-1, width)
+        _, res = improve(game, _unflatten(game, nums / d))
+        for k, r in enumerate(res.tolist()):
             if r < best_res - _RESIDUAL_TIE_TOL:
-                best, best_res = key, r
-    return _grid_point(game, best, d), best_res
+                best, best_res = nums[k], r
+    return _grid_point(game, tuple(best.tolist()), d), best_res
 
 
 # ---------------------------------------------------------------------------

@@ -175,9 +175,8 @@ class TestGridArgminMatchesScan:
         expected = scan_grid_argmin(game, d)
         points = list(grid_points(game, d))
         first = points.index(expected[0])
-        per_point = 8 * game.num_states * game.a_max * game.num_states
         for chunk in sorted({first, first + 1, 7} - {0}):
-            monkeypatch.setattr(oracles, "_GRID_CHUNK_BYTES", chunk * per_point)
+            monkeypatch.setattr(oracles, "_chunk_points", lambda game: chunk)
             assert grid_residual_argmin(game, d) == expected, chunk
         ties = [p for p in points
                 if residual(game, p.to_profile(game)) <= expected[1] + 1e-15]
