@@ -18,9 +18,10 @@ on profile arrays ``probs[i]`` shaped ``(..., S, A_i)``: any leading batch
 axes, the same for every player, stack many profiles into one evaluation,
 and every result carries them (``(..., S, A_i)`` for the next profile,
 ``(...)`` for the residual).  A batch gives the same bits, profile by
-profile, as evaluating one profile at a time.  :func:`apply_f`,
-:func:`residual` and :func:`gain_table` are that kernel on a single
-profile.
+profile, as evaluating one profile at a time; the tests hold it to that,
+because the grid solver's ties and the reports depend on the last bit.
+:func:`apply_f`, :func:`residual` and :func:`gain_table` are that kernel on
+a single profile.
 
 Every evaluation keeps two checks: the on-profile transition rows must stay
 on the simplex (:func:`~sgcert.game.check_row_drift`), and every rank-one
