@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -26,19 +25,19 @@ from .game import (
     uniform_profile,
     validate_profile,
 )
-from .nash_map import apply_f, lipschitz_constant, residual
+from .nash_map import apply_f, lipschitz_constant
 from .oracles import grid_residual_argmin, random_profile
 from .simplicial import (
+    GridProfile,
     InvalidSimplexError,
     find_stopping_simplex,
-    grid_point_count,
-    grid_points,
     grid_profile_from_lists,
     label_point,
+    scan_grid,
     simplex_from_dict,
     simplex_to_dict,
     simplex_vertices,
-    GRID_ENUM_GUARD,
+    stopping_residual_check,
 )
 
 EXIT_OK = 0
@@ -106,14 +105,9 @@ def _solve_simplicial(game, args):
     if found is None:
         return None, "no-stopping-simplex"
     sigma, _ = found
-    best = None
-    best_res = math.inf
-    for vertex in simplex_vertices(game, sigma):
-        pi = vertex.to_profile(game)
-        res = residual(game, pi)
-        if res < best_res:
-            best, best_res = pi, res
-    return best, "converged"
+    residuals = stopping_residual_check(game, sigma, args.d).vertex_residuals
+    best = simplex_vertices(game, sigma)[int(np.argmin(residuals))]
+    return best.to_profile(game), "converged"
 
 
 def cmd_solve(args) -> int:
@@ -173,18 +167,17 @@ def cmd_label(args) -> int:
             rows = data["numerators"]
         except (KeyError, TypeError) as exc:
             raise InvalidSimplexError("point file must contain a 'numerators' field") from exc
-        points = [grid_profile_from_lists(game, rows, args.d)]
+        point = grid_profile_from_lists(game, rows, args.d)
+        labelled = [(point, label_point(game, point))]
     else:
-        if grid_point_count(game, args.d) > GRID_ENUM_GUARD:
-            print("grid too large to label exhaustively", file=sys.stderr)
-            return EXIT_METHOD_FAILURE
-        points = list(grid_points(game, args.d))
+        labelled = [(GridProfile.from_key(game, key, args.d), label)
+                    for nums, labels, _ in scan_grid(game, args.d)
+                    for key, label in zip(nums, labels)]
     payload = {
         "d": args.d,
         "labels": [
-            {"numerators": [arr.tolist() for arr in p.numerators],
-             "label": list(label_point(game, p))}
-            for p in points
+            {"numerators": [arr.tolist() for arr in p.numerators], "label": list(label)}
+            for p, label in labelled
         ],
     }
     _emit(payload)

@@ -457,7 +457,7 @@ def profile_from_dict(game: StochasticGame, data: dict) -> StrategyProfile:
         probs = data["probs"]
     except (KeyError, TypeError) as exc:
         raise GameValidationError("profile file must contain a 'probs' field") from exc
-    return validate_profile(game, probs)
+    return validate_profile(game, _entries(probs, "'probs'"))
 
 
 def load_profile(game: StochasticGame, path) -> StrategyProfile:

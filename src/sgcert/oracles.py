@@ -11,7 +11,7 @@ for zero-sum cross-checks.  Desk scale only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice, product
+from itertools import product
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from .game import (
     validate_game,
     validate_profile,
 )
-from .nash_map import apply_f, improve
-from .simplicial import GRID_ENUM_GUARD, _grid_keys, _grid_point, _unflatten, grid_point_count
+from .nash_map import apply_f
+from .simplicial import GridProfile, scan_grid
 
 DET_POLICY_GUARD = 10**5
 
@@ -171,38 +171,18 @@ def finite_difference_lipschitz(
 # residual must be lower by more than this to replace the incumbent, so such
 # ties keep the lexicographically first point.
 _RESIDUAL_TIE_TOL = 1e-15
-# Grid profiles are evaluated in chunks whose largest array stays within this
-# many bytes: large enough that per-call overhead vanishes, small enough that
-# memory does not grow with the grid.
-_GRID_CHUNK_BYTES = 1 << 22
-
-
-def _chunk_points(game: StochasticGame) -> int:
-    """Grid points per chunk.  A chunk's largest arrays are its flattened
-    numerators, (points, S * sum A_i), and one player's frozen-opponent
-    transitions, (points, S, A_i, S), all 8-byte numbers."""
-    s_count = game.num_states
-    per_point = 8 * s_count * max(sum(game.num_actions), s_count * game.a_max)
-    return max(1, _GRID_CHUNK_BYTES // per_point)
 
 
 def grid_residual_argmin(game: StochasticGame, d: int):
     """Grid profile minimizing the fixed-point residual, first in
     lexicographic order on ties, together with that residual."""
-    if grid_point_count(game, d) > GRID_ENUM_GUARD:
-        raise ValueError("grid too large to enumerate")
-    width = game.num_states * sum(game.num_actions)
-    step = _chunk_points(game) * width
-    numerators = chain.from_iterable(_grid_keys(game, d))
     best = None
     best_res = np.inf
-    while (nums := np.fromiter(islice(numerators, step), int)).size:
-        nums = nums.reshape(-1, width)
-        _, res = improve(game, _unflatten(game, nums / d))
+    for nums, _, res in scan_grid(game, d):
         for k, r in enumerate(res.tolist()):
             if r < best_res - _RESIDUAL_TIE_TOL:
                 best, best_res = nums[k], r
-    return _grid_point(game, tuple(best.tolist()), d), best_res
+    return GridProfile.from_key(game, best, d), best_res
 
 
 # ---------------------------------------------------------------------------

@@ -34,24 +34,29 @@ arithmetic on the flattened numerators (the order of
   whose next column would make a numerator negative is dropped together
   with every ordering that extends it.
 
-Labels are evaluated lazily, once per grid point, through a cache keyed by
-the flattened numerators.  Path following over the triangulation is an
+Grid points are evaluated by one chunked scan (:func:`scan_grid`): the
+flattened numerators of the whole grid, a chunk at a time, each chunk
+through one batched application of the improvement map, which gives every
+point's label and residual together.  The search labels the whole grid
+this way before it walks the simplices; a simplex's vertices are evaluated
+in one call of the same kind.  Path following over the triangulation is an
 extension point; exhaustive enumeration is intended for desk-scale
 instances only.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import chain, combinations, islice, product
 from math import comb
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .game import StochasticGame, StrategyProfile, validate_profile
-from .nash_map import apply_f, lipschitz_constant, residual
+from .nash_map import improve, lipschitz_constant
 
 GRID_ENUM_GUARD = 10**7
 # Displacements f(pi) - pi are differences of probabilities in [0, 1] and
@@ -68,6 +73,10 @@ _APEX_TIE_TOL = 1e-15
 # Slack on the stopping-simplex residual bound for the rounding of the
 # vertex residuals, which are at most 1 and carry errors of a few ulps.
 _BOUND_SLACK = 1e-8
+# Grid points are evaluated in chunks whose largest array stays within this
+# many bytes: large enough that per-call overhead vanishes, small enough that
+# memory does not grow with the grid.
+_GRID_CHUNK_BYTES = 1 << 22
 
 
 class Label(NamedTuple):
@@ -103,6 +112,11 @@ class GridProfile:
         """Flattened numerators in (player, state, action) order; the grid's
         lexicographic ordering key."""
         return tuple(int(x) for arr in self.numerators for x in arr.ravel())
+
+    @classmethod
+    def from_key(cls, game: StochasticGame, key, d: int) -> "GridProfile":
+        """The grid point whose flattened numerators are ``key``."""
+        return cls(_unflatten(game, key), d)
 
     def to_profile(self, game: StochasticGame) -> StrategyProfile:
         return validate_profile(
@@ -183,9 +197,15 @@ def _blocks(game: StochasticGame) -> list[tuple[int, int, int, int]]:
 
 
 def _grid_keys(game: StochasticGame, d: int) -> Iterator[tuple[int, ...]]:
-    """Flattened numerators of every grid point, in lexicographic order."""
+    """Flattened numerators of every grid point, in lexicographic order.
+    Every enumeration of the grid starts here, behind the one size guard."""
     if d < 1:
         raise InvalidSimplexError("grid size d must be >= 1")
+    count = grid_point_count(game, d)
+    if count > GRID_ENUM_GUARD:
+        raise ValueError(
+            f"grid has {count} points, above the enumeration guard {GRID_ENUM_GUARD}"
+        )
     cells = [list(_compositions(d, a)) for _, _, _, a in _blocks(game)]
     for combo in product(*cells):
         yield tuple(chain.from_iterable(combo))
@@ -203,14 +223,58 @@ def _unflatten(game: StochasticGame, flat) -> tuple[np.ndarray, ...]:
     )
 
 
-def _grid_point(game: StochasticGame, key: tuple[int, ...], d: int) -> GridProfile:
-    return GridProfile(_unflatten(game, key), d)
-
-
 def grid_points(game: StochasticGame, d: int) -> Iterator[GridProfile]:
     """All grid profiles, lexicographic in the flattened numerators."""
     for key in _grid_keys(game, d):
-        yield _grid_point(game, key, d)
+        yield GridProfile.from_key(game, key, d)
+
+
+def _chunk_points(game: StochasticGame) -> int:
+    """Grid points per chunk.  A chunk's largest arrays are its flattened
+    numerators, (points, S * sum A_i), and one player's frozen-opponent
+    transitions, (points, S, A_i, S), all 8-byte numbers."""
+    s_count = game.num_states
+    per_point = 8 * s_count * max(sum(game.num_actions), s_count * game.a_max)
+    return max(1, _GRID_CHUNK_BYTES // per_point)
+
+
+def scan_grid(
+    game: StochasticGame, d: int
+) -> Iterator[tuple[np.ndarray, list[Label], np.ndarray]]:
+    """Every grid point in lexicographic order, in chunks of at most
+    ``_chunk_points(game)`` points: ``(numerators, labels, residuals)`` of
+    each chunk, with the flattened numerators shaped ``(points, F)``."""
+    width = game.num_states * sum(game.num_actions)
+    step = _chunk_points(game) * width
+    flat = chain.from_iterable(_grid_keys(game, d))
+    while (nums := np.fromiter(islice(flat, step), int)).size:
+        nums = nums.reshape(-1, width)
+        yield nums, *_evaluate(game, nums, d)
+
+
+def _evaluate(game: StochasticGame, nums, d: int) -> tuple[list[Label], np.ndarray]:
+    """Labels and residuals of the grid points with flattened numerators
+    ``nums``, shaped ``(points, F)``, from one application of the map."""
+    probs = _unflatten(game, nums / d)
+    nxt, res = improve(game, probs)
+    disp = np.concatenate(
+        [(f - p).reshape(len(nums), -1) for f, p in zip(nxt, probs)], axis=1
+    )
+    return _label_rule(game, nums, disp), res
+
+
+def _label_rule(game: StochasticGame, nums, disp) -> list[Label]:
+    """The label of each row of flattened numerators ``nums`` with
+    displacements ``disp`` = f(pi) - pi: the first coordinate in flat
+    (player, state, action) order with a positive numerator whose
+    displacement attains the row's minimum over all coordinates.  A
+    positive-probability coordinate always qualifies: zero-probability
+    coordinates have nonnegative displacement and each (player, state) block
+    of displacements sums to zero."""
+    eligible = (nums > 0) & (disp <= disp.min(axis=1, keepdims=True) + _LABEL_TIE_TOL)
+    assert eligible.any(axis=1).all(), "labelling rule found no eligible coordinate"
+    coords = [Label(i, s, a) for i, s, _, a_count in _blocks(game) for a in range(a_count)]
+    return [coords[k] for k in eligible.argmax(axis=1).tolist()]
 
 
 def _column(game: StochasticGame, coord) -> tuple[int, int]:
@@ -248,24 +312,10 @@ def q_column(game: StochasticGame, coord: Label) -> tuple[np.ndarray, ...]:
 
 
 def label_point(game: StochasticGame, point: GridProfile) -> Label:
-    """Label of a grid point.
-
-    The label is the lexicographically least coordinate with positive
-    probability whose displacement f(pi) - pi attains the global minimum
-    over all coordinates.  A positive-probability coordinate always
-    qualifies: zero-probability coordinates have nonnegative displacement
-    and each (player, state) block of displacements sums to zero.
-    """
-    # a grid point is a valid profile by construction
-    pi = StrategyProfile(tuple(arr / point.d for arr in point.numerators))
-    fp = apply_f(game, pi)
-    disp = [f - p for f, p in zip(fp.probs, pi.probs)]
-    tied = min(float(dm.min()) for dm in disp) + _LABEL_TIE_TOL
-    for i, (p, dm) in enumerate(zip(pi.probs, disp)):
-        hits = np.flatnonzero((p > 0) & (dm <= tied))
-        if hits.size:
-            return Label(i, *divmod(int(hits[0]), p.shape[1]))
-    raise AssertionError("labelling rule found no eligible coordinate")  # pragma: no cover
+    """Label of a grid point: the lexicographically least coordinate with
+    positive probability whose displacement f(pi) - pi attains the global
+    minimum over all coordinates (the rule of the grid scan, on one point)."""
+    return _evaluate(game, np.array([point.flat_key()]), point.d)[0][0]
 
 
 def _check_index_set(game: StochasticGame, index_set) -> None:
@@ -305,7 +355,7 @@ def _vertex_keys(game: StochasticGame, sigma: GridSimplex) -> list[tuple[int, ..
 def simplex_vertices(game: StochasticGame, sigma: GridSimplex) -> list[GridProfile]:
     """Vertices w^0 .. w^|T| obtained by applying the ordered Q columns."""
     keys = _vertex_keys(game, sigma)
-    return [sigma.base] + [_grid_point(game, key, sigma.d) for key in keys[1:]]
+    return [sigma.base] + [GridProfile.from_key(game, key, sigma.d) for key in keys[1:]]
 
 
 def _classify_labels(game: StochasticGame, labels: tuple[Label, ...]) -> SimplexClass:
@@ -321,21 +371,19 @@ def _classify_labels(game: StochasticGame, labels: tuple[Label, ...]) -> Simplex
     return SimplexClass("completely-labelled", labels)
 
 
-def _label(game: StochasticGame, key: tuple[int, ...], d: int, cache: dict) -> Label:
-    """Label of the grid point with flattened numerators ``key``; the point
-    is built only when the cache misses."""
-    lab = cache.get(key)
-    if lab is None:
-        lab = cache[key] = label_point(game, _grid_point(game, key, d))
-    return lab
+def _evaluate_simplex(
+    game: StochasticGame, sigma: GridSimplex
+) -> tuple[SimplexClass, list[float]]:
+    """Classification and vertex residuals of a simplex, its vertices
+    evaluated in one application of the map."""
+    labels, res = _evaluate(game, np.array(_vertex_keys(game, sigma)), sigma.d)
+    return _classify_labels(game, tuple(labels)), res.tolist()
 
 
 def classify_simplex(game: StochasticGame, sigma: GridSimplex) -> SimplexClass:
     """Classify by vertex labels: duplicated labels mean incomplete; distinct
     labels covering every action of some (player, state) mean stopping."""
-    cache: dict = {}
-    labels = tuple(_label(game, key, sigma.d, cache) for key in _vertex_keys(game, sigma))
-    return _classify_labels(game, labels)
+    return _evaluate_simplex(game, sigma)[0]
 
 
 def index_sets(game: StochasticGame) -> list[tuple[Label, ...]]:
@@ -455,7 +503,7 @@ def enumerate_simplices(game: StochasticGame, d: int) -> Iterator[GridSimplex]:
     index set (rooted at the starting point) whose vertices stay on the grid
     are yielded."""
     for base, t_set, order, _ in _simplices(game, d):
-        yield GridSimplex(_grid_point(game, base, d), t_set, order)
+        yield GridSimplex(GridProfile.from_key(game, base, d), t_set, order)
 
 
 def find_stopping_simplex(
@@ -464,19 +512,16 @@ def find_stopping_simplex(
     """Deterministic exhaustive search for a stopping simplex.
 
     Returns the first stopping simplex in enumeration order together with
-    its classification, or None if the triangulation contains none.
+    its classification, or None if the triangulation contains none.  The
+    whole grid is labelled first, by :func:`scan_grid`.
     """
-    count = grid_point_count(game, d)
-    if count > GRID_ENUM_GUARD:
-        raise ValueError(
-            f"grid has {count} points, above the exhaustive-search guard "
-            f"{GRID_ENUM_GUARD}"
-        )
-    cache: dict = {}
+    labels = {}
+    for nums, chunk_labels, _ in scan_grid(game, d):
+        labels.update(zip(map(tuple, nums.tolist()), chunk_labels))
     for base, t_set, order, keys in _simplices(game, d):
-        cls = _classify_labels(game, tuple(_label(game, key, d, cache) for key in keys))
+        cls = _classify_labels(game, tuple(labels[key] for key in keys))
         if cls.kind == "stopping":
-            return GridSimplex(_grid_point(game, base, d), t_set, order), cls
+            return GridSimplex(GridProfile.from_key(game, base, d), t_set, order), cls
     return None
 
 
@@ -485,17 +530,14 @@ def stopping_residual_check(
 ) -> StoppingReport:
     """Check every vertex of a stopping simplex against the residual bound
     A_max^2 * (lambda + 1) / d."""
-    cls = classify_simplex(game, sigma)
+    cls, residuals = _evaluate_simplex(game, sigma)
     if cls.kind != "stopping":
         raise InvalidSimplexError(f"simplex is {cls.kind}, not stopping")
     if sigma.d != d:
         raise InvalidSimplexError("simplex grid size does not match d")
     bound = game.a_max**2 * (lipschitz_constant(game) + 1.0) / d
-    residuals = tuple(
-        residual(game, v.to_profile(game)) for v in simplex_vertices(game, sigma)
-    )
     return StoppingReport(
-        bound, residuals, all(r <= bound + _BOUND_SLACK for r in residuals)
+        bound, tuple(residuals), all(r <= bound + _BOUND_SLACK for r in residuals)
     )
 
 
@@ -523,10 +565,10 @@ def simplex_from_dict(game: StochasticGame, data: dict) -> GridSimplex:
     """The simplex of a document; its labels and classification, if any,
     are not read."""
     try:
-        d = int(data["d"])
+        d = _integer(data["d"])
         base = grid_profile_from_lists(game, data["base"], d)
-        index_set = tuple(Label(*map(int, c)) for c in data["index_set"])
-        perm = [int(k) for k in data["permutation"]]
+        index_set = tuple(Label(*map(_integer, c)) for c in data["index_set"])
+        perm = [_integer(k) for k in data["permutation"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidSimplexError(f"malformed simplex document: {exc}") from exc
     if sorted(perm) != list(range(len(index_set))):
@@ -537,19 +579,33 @@ def simplex_from_dict(game: StochasticGame, data: dict) -> GridSimplex:
     return sigma
 
 
+def _integer(value) -> int:
+    """``value`` as an int; a float, a boolean or a string is not one
+    (TypeError)."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
+    return operator.index(value)
+
+
 def grid_profile_from_lists(game: StochasticGame, rows, d: int) -> GridProfile:
     if d < 1:
         raise InvalidSimplexError("grid size d must be >= 1")
-    if len(rows) != game.num_players:
+    if not isinstance(rows, (list, tuple)) or len(rows) != game.num_players:
         raise InvalidSimplexError("numerators must list every player")
     nums = []
     for i, player_rows in enumerate(rows):
-        arr = np.array(player_rows, dtype=int)
+        try:
+            arr = np.asarray(player_rows)
+        except ValueError as exc:  # ragged lists
+            raise InvalidSimplexError(f"player {i} numerators: {exc}") from exc
         if arr.shape != (game.num_states, game.num_actions[i]):
             raise InvalidSimplexError(
                 f"player {i} numerators have shape {arr.shape}"
             )
-        if np.any(arr < 0) or np.any(arr.sum(axis=1) != d):
+        if arr.dtype.kind != "i":
+            raise InvalidSimplexError(f"player {i} numerators must be integers")
+        # entries above d could wrap the int64 row sums around to d
+        if np.any((arr < 0) | (arr > d)) or np.any(arr.sum(axis=1) != d):
             raise InvalidSimplexError(
                 f"player {i} numerators are not a grid point of size {d}"
             )

@@ -201,6 +201,8 @@ class TestSolve:
     ("search", PENNIES, "--d", "0"),
     ("label", PENNIES, "--d", "0"),
     ("label", PENNIES, "--d", "-1"),
+    ("label", PENNIES, "--d", "-2"),
+    ("solve", PENNIES, "--method", "grid", "--d", "-2"),
     ("info", PENNIES, "--target-L", "0"),
 ])
 def test_nonpositive_size_is_input_error(capsys, argv):
@@ -248,13 +250,13 @@ class TestLabel:
                      if s.dimension == 4)
         doc = simplicial.simplex_to_dict(game, sigma)
         labelled = []
-        label_point = simplicial.label_point
+        label_rule = simplicial._label_rule
 
-        def counted(game, point):
-            labelled.append(point.flat_key())
-            return label_point(game, point)
+        def counted(game, nums, disp):
+            labelled.extend(map(tuple, nums.tolist()))
+            return label_rule(game, nums, disp)
 
-        monkeypatch.setattr(simplicial, "label_point", counted)
+        monkeypatch.setattr(simplicial, "_label_rule", counted)
         code, out = run(capsys, "label", CHAIN, "--simplex",
                         write_doc(tmp_path / "s.json", doc))
         assert code == 0
@@ -309,3 +311,27 @@ def test_malformed_simplex_index_set_rejected(capsys, tmp_path, index_set, permu
         "permutation": permutation,
     })
     run_input_error(capsys, "label", game, "--simplex", simplex)
+
+
+# Documents whose fields have the wrong type: a profile or point that is not
+# a list, numerators that are not integers, a fractional simplex grid size.
+MALFORMED_DOCUMENTS = [
+    ("profile", "matching_pennies", {"probs": 5}),
+    ("profile", "matching_pennies", {"probs": None}),
+    ("point", "matching_pennies", {"numerators": 5}),
+    ("point", "two_arm_bandit", {"numerators": "a"}),
+    ("point", "matching_pennies", {"numerators": [[[1.5, 1.5]], [[1, 1]]]}),
+    ("point", "matching_pennies", {"numerators": [[[True, True]], [[1, 1]]]}),
+    ("simplex", "matching_pennies", {"d": 2.7, "base": [[[1, 1]], [[1, 1]]],
+                                     "index_set": [[1, 0, 1]], "permutation": [0]}),
+]
+
+
+@pytest.mark.parametrize("kind,name,doc", MALFORMED_DOCUMENTS)
+def test_malformed_document_rejected(capsys, tmp_path, kind, name, doc):
+    game = str(CORPUS / f"{name}.game.json")
+    path = write_doc(tmp_path / f"{kind}.json", doc)
+    argv = {"profile": ("certify", game, path),
+            "point": ("label", game, "--d", "2", "--point", path),
+            "simplex": ("label", game, "--simplex", path)}[kind]
+    run_input_error(capsys, *argv)

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from sgcert import corpus
 from sgcert.cli import main
 
 from conftest import CORPUS_GAMES
@@ -40,6 +41,8 @@ def commands() -> list[list[str]]:
                  "--max-iters", "500", "--seed", "1"])
     cmds += [["solve", game(g), "--method", "grid", "--d", str(d)]
              for g in CORPUS_GAMES for d in (2, 3, 4)]
+    cmds += [["search", game(g), "--d", str(d)] for g in CORPUS_GAMES for d in (2, 3, 4)]
+    cmds += [["label", game(g), "--d", str(d)] for g in CORPUS_GAMES for d in (2, 3)]
     return cmds
 
 
@@ -57,6 +60,17 @@ def test_reports_match_recorded_bytes(monkeypatch):
     for r in recorded:
         code, out = run(r["argv"])
         assert (code, out) == (r["exit"], r["stdout"]), " ".join(r["argv"])
+
+
+def test_corpus_files_match_their_builders(tmp_path):
+    """The committed corpus files, which the commands above, the CLI and the
+    benchmark read, are what the library's corpus builders write."""
+    corpus.write_corpus(tmp_path)
+    committed = ROOT / "corpus"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        p.name for p in committed.iterdir())
+    for path in tmp_path.iterdir():
+        assert path.read_bytes() == (committed / path.name).read_bytes(), path.name
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from sgcert import (
     validate_profile,
     value_function,
 )
-from sgcert import corpus, oracles
+from sgcert import corpus, oracles, simplicial
 from sgcert.game import StrategyProfile
 from sgcert.simplicial import grid_points
 from sgcert.oracles import (
@@ -176,7 +176,7 @@ class TestGridArgminMatchesScan:
         points = list(grid_points(game, d))
         first = points.index(expected[0])
         for chunk in sorted({first, first + 1, 7} - {0}):
-            monkeypatch.setattr(oracles, "_chunk_points", lambda game: chunk)
+            monkeypatch.setattr(simplicial, "_chunk_points", lambda game: chunk)
             assert grid_residual_argmin(game, d) == expected, chunk
         ties = [p for p in points
                 if residual(game, p.to_profile(game)) <= expected[1] + 1e-15]

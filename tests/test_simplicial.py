@@ -4,9 +4,9 @@ from math import comb
 import numpy as np
 import pytest
 
-from sgcert import corpus, oracles
-from sgcert.game import validate_game
-from sgcert.nash_map import residual
+from sgcert import corpus, oracles, simplicial
+from sgcert.game import StrategyProfile, validate_game
+from sgcert.nash_map import apply_f, residual
 from sgcert.simplicial import (
     GridSimplex,
     InvalidSimplexError,
@@ -22,6 +22,7 @@ from sgcert.simplicial import (
     index_sets,
     label_point,
     q_column,
+    scan_grid,
     simplex_from_dict,
     simplex_to_dict,
     simplex_vertices,
@@ -29,9 +30,17 @@ from sgcert.simplicial import (
     stopping_residual_check,
 )
 
+from conftest import CORPUS_GAMES, corpus_game
+
 
 def point(game, rows, d):
     return grid_profile_from_lists(game, rows, d)
+
+
+def steer_labels(monkeypatch, label_of_key):
+    """Replace the label rule: each grid point gets ``label_of_key(flat key)``."""
+    monkeypatch.setattr(simplicial, "_label_rule", lambda game, nums, disp: [
+        label_of_key(tuple(key)) for key in nums.tolist()])
 
 
 class TestGridPoints:
@@ -156,15 +165,13 @@ class TestClassification:
 
     def test_stopping_block_is_the_least_covered(self, monkeypatch):
         # labels covering two (player, state) blocks: the least block stops
-        import sgcert.simplicial as mod
-
         game = corpus.zero_sum_chain()
         t = (Label(0, 0, 0), Label(0, 1, 0), Label(1, 0, 0))
         sigma = GridSimplex(point(game, [[[1, 1], [1, 1]], [[1, 1], [1, 1]]], 2), t, t)
         wanted = [Label(1, 0, 0), Label(1, 0, 1), Label(0, 0, 0), Label(0, 0, 1)]
         by_key = {v.flat_key(): lab
                   for v, lab in zip(simplex_vertices(game, sigma), wanted)}
-        monkeypatch.setattr(mod, "label_point", lambda g, p: by_key[p.flat_key()])
+        steer_labels(monkeypatch, by_key.__getitem__)
         cls = classify_simplex(game, sigma)
         assert cls.kind == "stopping"
         assert (cls.stopping_player, cls.stopping_state) == (0, 0)
@@ -192,9 +199,7 @@ class TestFindStoppingSimplex:
     def test_not_found_reported_honestly(self, toy, monkeypatch):
         # force every grid point onto one label: no simplex can then cover
         # both actions, so the exhaustive search must report not-found
-        import sgcert.simplicial as mod
-
-        monkeypatch.setattr(mod, "label_point", lambda g, p: Label(0, 0, 0))
+        steer_labels(monkeypatch, lambda key: Label(0, 0, 0))
         assert find_stopping_simplex(toy, 4) is None
 
     def test_guard_on_large_grids(self, pennies):
@@ -274,10 +279,66 @@ def test_enumeration_order_is_stable(toy):
 
 
 # ---------------------------------------------------------------------------
+# Reference labels: the labelling rule applied to one grid point at a time,
+# per player, through ``apply_f``.  The library labels chunks of points with
+# one vectorised rule and must agree with it label for label.
+
+def reference_label(game, pt):
+    pi = StrategyProfile(tuple(arr / pt.d for arr in pt.numerators))
+    fp = apply_f(game, pi)
+    disp = [f - p for f, p in zip(fp.probs, pi.probs)]
+    tied = min(float(dm.min()) for dm in disp) + simplicial._LABEL_TIE_TOL
+    for i, (p, dm) in enumerate(zip(pi.probs, disp)):
+        hits = np.flatnonzero((p > 0) & (dm <= tied))
+        if hits.size:
+            return Label(i, *divmod(int(hits[0]), p.shape[1]))
+    raise AssertionError("no eligible coordinate")
+
+
+def assert_scan_matches_points(game, d):
+    """Labels and residuals from the chunked scan equal the reference label
+    and ``residual`` of each grid point, bit for bit, in grid order."""
+    points = iter(grid_points(game, d))
+    for nums, labels, residuals in scan_grid(game, d):
+        for key, label, res in zip(nums.tolist(), labels, residuals.tolist()):
+            pt = next(points)
+            assert list(pt.flat_key()) == key
+            assert label == reference_label(game, pt) == label_point(game, pt), key
+            assert res == residual(game, pt.to_profile(game)), key
+    assert next(points, None) is None
+
+
+class TestScanMatchesReference:
+    @pytest.mark.parametrize("name", CORPUS_GAMES)
+    def test_corpus_grids_in_small_chunks(self, monkeypatch, name):
+        assert len(CORPUS_GAMES) == 12
+        monkeypatch.setattr(simplicial, "_chunk_points", lambda game: 7)
+        game = corpus_game(name)
+        for d in (1, 2, 3, 4):
+            assert_scan_matches_points(game, d)
+
+    def test_fine_grid_in_chunks(self, monkeypatch):
+        game = corpus_game("asymmetric_mixed")
+        monkeypatch.setattr(simplicial, "_chunk_points", lambda game: 100)
+        assert grid_point_count(game, 32) > 100
+        assert_scan_matches_points(game, 32)
+
+    @pytest.mark.parametrize("name", CORPUS_GAMES)
+    def test_vertex_residuals(self, name):
+        """A simplex's vertices, evaluated together, have the residuals of
+        each vertex evaluated alone, bit for bit."""
+        game = corpus_game(name)
+        sigma, _ = find_stopping_simplex(game, 2)
+        report = stopping_residual_check(game, sigma, 2)
+        assert report.vertex_residuals == tuple(
+            residual(game, v.to_profile(game)) for v in simplex_vertices(game, sigma))
+
+
+# ---------------------------------------------------------------------------
 # Reference search: the floating-point cone test (least squares on the Q
 # columns) and the vertex rule on numerator arrays, enumerated with
-# itertools.permutations.  The library's exact integer search must agree
-# with it simplex by simplex.
+# itertools.permutations, labelled point by point.  The library's exact
+# integer search must agree with it simplex by simplex.
 
 def reference_column(game, coord):
     i, s, a = coord
@@ -330,7 +391,7 @@ def reference_stopping_simplex(game, d):
         labels = []
         for v in reference_vertices(game, sigma):
             if v.flat_key() not in cache:
-                cache[v.flat_key()] = label_point(game, v)
+                cache[v.flat_key()] = reference_label(game, v)
             labels.append(cache[v.flat_key()])
         labels = tuple(labels)
         if len(set(labels)) != len(labels):
