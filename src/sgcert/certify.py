@@ -21,11 +21,11 @@ import numpy as np
 
 from .game import StochasticGame, StrategyProfile
 from .nash_map import (
-    GainTable,
     PlayerMDP,
     apply_gains,
     evaluate_players,
     lipschitz_constant,
+    per_player,
     player_mdp,
 )
 
@@ -148,8 +148,8 @@ def certify_profile(
     frozen-opponent MDP is evaluated once and serves the residual and the
     regrets alike."""
     mdps = evaluate_players(game, pi.probs)
-    eps = float(apply_gains(pi.probs, [m.gains() for m in mdps])[1])
-    regrets = [_policy_iteration(m) - m.v for m in mdps]
+    eps = float(apply_gains(game, mdps)[1])
+    regrets = [_policy_iteration(m) - m.v for m in per_player(game, mdps)]
     achieved = max(0.0, max(float(r.max()) for r in regrets))
     d_used = None
     if target_inv_l is not None:
@@ -179,8 +179,9 @@ def gain_to_regret_check(game: StochasticGame, pi: StrategyProfile) -> GainRegre
     """Report-only check that regrets obey the one-shot gain bound:
     every best-response regret <= (max gain) / (1 - gamma) + 1e-8."""
     mdps = evaluate_players(game, pi.probs)
-    g = GainTable.of(mdps).max_gain
-    max_regret = max(float((_policy_iteration(m) - m.v).max()) for m in mdps)
+    g = max(float(m.gains().max()) for m in mdps)
+    max_regret = max(float((_policy_iteration(m) - m.v).max())
+                     for m in per_player(game, mdps))
     bound = g / (1.0 - game.gamma)
     return GainRegretReport(g, max_regret, bound, max_regret <= bound + 1e-8)
 

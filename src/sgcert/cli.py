@@ -25,7 +25,7 @@ from .game import (
     uniform_profile,
     validate_profile,
 )
-from .nash_map import apply_f, lipschitz_constant
+from .nash_map import DenominatorError, apply_f, lipschitz_constant
 from .oracles import grid_residual_argmin, random_profile
 from .simplicial import (
     GridProfile,
@@ -76,6 +76,12 @@ def cmd_info(args) -> int:
 
 
 def _solve_damped_f(game, args):
+    if not 0.0 < args.damping <= 1.0:
+        raise GameValidationError(f"--damping must lie in (0, 1], got {args.damping}")
+    if not 0.0 <= args.tol < np.inf:
+        raise GameValidationError(f"--tol must be finite and nonnegative, got {args.tol}")
+    if args.max_iters < 1:
+        raise GameValidationError(f"--max-iters must be at least 1, got {args.max_iters}")
     if args.seed is not None:
         pi = random_profile(game, np.random.default_rng(args.seed))
     else:
@@ -243,7 +249,7 @@ def main(argv=None) -> int:
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except ValueError as exc:
+    except (ValueError, DenominatorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_METHOD_FAILURE
 

@@ -73,6 +73,37 @@ class StochasticGame:
     def a_max(self) -> int:
         return max(self.num_actions)
 
+    @cached_property
+    def player_groups(self) -> tuple[tuple[int, ...], ...]:
+        """The players grouped by action count, in player order within a
+        group and by first player across groups."""
+        groups: dict[int, list[int]] = {}
+        for i, a_count in enumerate(self.num_actions):
+            groups.setdefault(a_count, []).append(i)
+        return tuple(map(tuple, groups.values()))
+
+    @cached_property
+    def reward_table(self) -> np.ndarray:
+        """``rewards`` with one axis per player's action, shaped
+        ``(n, S, A_1, ..., A_n)``; for one player, the frozen-opponent
+        rewards ``(1, S, A)``."""
+        return self.rewards.reshape((self.num_players, self.num_states) + self.num_actions)
+
+    @cached_property
+    def transition_table(self) -> np.ndarray:
+        """``transition`` with one axis per player's action, shaped
+        ``(S, A_1, ..., A_n, S)``; for one player, the frozen-opponent
+        transitions."""
+        return self.transition.reshape(
+            (self.num_states,) + self.num_actions + (self.num_states,))
+
+    @cached_property
+    def eye(self) -> np.ndarray:
+        """The ``S x S`` identity, read-only."""
+        eye = np.eye(self.num_states)
+        eye.flags.writeable = False
+        return eye
+
     @property
     def num_joint_actions(self) -> int:
         return prod(self.num_actions)
@@ -297,7 +328,8 @@ _ACTION_AXES = "abcdefghijklmnopqruvwxyz"
 def _expect(
     game: StochasticGame, probs, table: np.ndarray, keep: int | None = None
 ) -> np.ndarray:
-    """Expectation of ``table``, shaped (S, J) or (S, J, S), over the joint action.
+    """Expectation over the joint action of ``table``, one player's
+    ``reward_table`` row or the ``transition_table`` of the game.
 
     Every player except ``keep`` draws its action from ``probs[j]``, shaped
     ``(..., S, A_j)``; the result carries those leading batch axes, then the
@@ -305,9 +337,8 @@ def _expect(
     all states (path planning costs more than it saves at these sizes).
     """
     n = game.num_players
-    shape = (game.num_states,) + game.num_actions + table.shape[2:]
     operands = [probs[j] for j in range(n) if j != keep]
-    return np.einsum(_einsum_spec(n, keep, table.ndim == 3), table.reshape(shape), *operands)
+    return np.einsum(_einsum_spec(n, keep, table.ndim > n + 1), table, *operands)
 
 
 @cache
@@ -330,13 +361,13 @@ def marginal_reward(
     game: StochasticGame, pi: StrategyProfile, player: int
 ) -> np.ndarray:
     """Expected one-step reward of a player at each state under the profile."""
-    _check_player(game, player)
-    return _expect(game, pi.probs, game.rewards[player])
+    check_player(game, player)
+    return _expect(game, pi.probs, game.reward_table[player])
 
 
 def marginal_transition(game: StochasticGame, pi: StrategyProfile) -> np.ndarray:
     """S x S state transition matrix induced by the profile."""
-    p = _expect(game, pi.probs, game.transition)
+    p = _expect(game, pi.probs, game.transition_table)
     check_row_drift(p)
     return p
 
@@ -348,7 +379,7 @@ def value_function(
 
     Solves the dense Bellman system; always nonsingular since gamma < 1.
     """
-    _check_player(game, player)
+    check_player(game, player)
     p = marginal_transition(game, pi)
     r = marginal_reward(game, pi, player)
     eye = np.eye(game.num_states)
@@ -363,7 +394,7 @@ def deviation_value(
     The player's distributions at all other states, and all other players'
     strategies, are unchanged; the modification is stationary.
     """
-    _check_player(game, player)
+    check_player(game, player)
     if not 0 <= state < game.num_states:
         raise IndexError(f"state {state} out of range")
     if not 0 <= action < game.num_actions[player]:
@@ -386,15 +417,16 @@ def opponent_marginals(
     per-player arrays ``(..., S, A_j)``; leading batch axes carry over to
     the tables.
     """
-    _check_player(game, player)
+    check_player(game, player)
     probs = pi.probs if isinstance(pi, StrategyProfile) else pi
     return (
-        _expect(game, probs, game.rewards[player], keep=player),
-        _expect(game, probs, game.transition, keep=player),
+        _expect(game, probs, game.reward_table[player], keep=player),
+        _expect(game, probs, game.transition_table, keep=player),
     )
 
 
-def _check_player(game: StochasticGame, player: int) -> None:
+def check_player(game: StochasticGame, player: int) -> None:
+    """Reject a player index outside the game."""
     if not 0 <= player < game.num_players:
         raise IndexError(f"player {player} out of range")
 

@@ -12,22 +12,36 @@ only.  The map shifts probability toward profitably deviating actions:
 A profile is a Markov perfect equilibrium exactly when it is a fixed point
 of this map, so ||f(pi) - pi||_inf serves as the equilibrium residual.
 
-One kernel computes everything.  :func:`player_mdp` evaluates the MDP one
-player faces with the opponents frozen, and :func:`improve` applies the map,
-on profile arrays ``probs[i]`` shaped ``(..., S, A_i)``: any leading batch
-axes, the same for every player, stack many profiles into one evaluation,
-and every result carries them (``(..., S, A_i)`` for the next profile,
-``(...)`` for the residual).  A batch gives the same bits, profile by
-profile, as evaluating one profile at a time; the tests hold it to that,
-because the grid solver's ties and the reports depend on the last bit.
-:func:`apply_f`, :func:`residual` and :func:`gain_table` are that kernel on
-a single profile.
+One kernel computes everything.  It evaluates the MDP each player faces
+with the opponents frozen and applies the map, on profile arrays
+``probs[i]`` shaped ``(..., S, A_i)``: any leading batch axes, the same for
+every player, stack many profiles into one evaluation, and every result
+carries them (``(..., S, A_i)`` for the next profile, ``(...)`` for the
+residual).  A batch gives the same bits, profile by profile, as evaluating
+one profile at a time; the tests hold it to that, because the grid
+solver's ties and the reports depend on the last bit.
+
+The players that share an action count form a group
+(:attr:`~sgcert.game.StochasticGame.player_groups`), and a group is
+evaluated as one batch along a leading player axis: the on-profile reward
+and transitions, the row-drift check, the Bellman solve and inverse, the
+lookahead, the rank-one gains, the clamp, the map step and the residual
+are one call each per group, not per player.  Only the opponent marginals
+stay per player (:func:`~sgcert.game.opponent_marginals`): each player
+contracts a different set of axes, and one ``einsum`` over transposed,
+stacked tables sums in another order, which changes the last bits for
+three or more actions or players.  Batched LAPACK factors each matrix
+alone, so every other step keeps the bits of one player at a time.
+:func:`player_mdp` is this evaluation on a group of one player;
+:func:`improve`, :func:`apply_f`, :func:`residual`, :func:`gain_table`
+and :func:`~sgcert.certify.certify_profile` all run through
+:func:`evaluate_players`.
 
 Every evaluation keeps two checks: the on-profile transition rows must stay
 on the simplex (:func:`~sgcert.game.check_row_drift`), and every rank-one
-denominator must be positive.  The input arrays are trusted to be valid
-profiles; the map's output is a distribution by construction, so it is not
-validated again.
+denominator must be positive (:class:`DenominatorError` otherwise).  The
+input arrays are trusted to be valid profiles; the map's output is a
+distribution by construction, so it is not validated again.
 """
 
 from __future__ import annotations
@@ -39,6 +53,7 @@ import numpy as np
 from .game import (
     StochasticGame,
     StrategyProfile,
+    check_player,
     check_row_drift,
     opponent_marginals,
 )
@@ -50,16 +65,25 @@ from .game import (
 GAIN_CLAMP = 1e-12
 
 
+class DenominatorError(ArithmeticError):
+    """A rank-one denominator of the gain formula is not positive, which only
+    non-finite numbers in the profile or the game can cause."""
+
+
 @dataclass(frozen=True)
 class PlayerMDP:
-    """The single-agent MDP one player faces when the opponents are frozen at
+    """The single-agent MDP a player faces when the opponents are frozen at
     a profile, evaluated at the player's own strategy in that profile.
 
-    Every array carries the leading batch axes ``...`` of the profile arrays
-    it was evaluated at (none for a single profile).
+    Every array carries the leading axes of the evaluation: the player axis
+    of a group (none for one player's MDP), then the batch axes ``...`` of
+    the profile arrays (none for a single profile).  With one player in the
+    game, ``r_ia`` and ``p_ia`` are the game's own tables and broadcast
+    over the batch axes instead of carrying them.
 
     Attributes:
         gamma: discount factor.
+        pi: ``pi[..., s, a]``, the player's own strategy.
         r_ia: ``r_ia[..., s, a]``, expected reward of action a at state s.
         p_ia: ``p_ia[..., s, a]``, next-state distribution of action a at s.
         w: ``(I - gamma * P_pi)^-1`` for the on-profile transitions P_pi.
@@ -68,44 +92,75 @@ class PlayerMDP:
     """
 
     gamma: float
+    pi: np.ndarray
     r_ia: np.ndarray
     p_ia: np.ndarray
     w: np.ndarray
     v: np.ndarray
     q: np.ndarray
 
+    def __getitem__(self, k: int) -> "PlayerMDP":
+        """The MDP of the ``k``-th player of a group."""
+        return PlayerMDP(self.gamma, self.pi[k], self.r_ia[k], self.p_ia[k],
+                         self.w[k], self.v[k], self.q[k])
+
     def gains(self) -> np.ndarray:
         """Clamped one-shot deviation gains ``D[..., s, a]``; see :func:`gain_table`."""
-        w_ss = np.diagonal(self.w, axis1=-2, axis2=-1)[..., None]
+        w_ss = self.w.diagonal(0, -2, -1)[..., None]
         denom = w_ss - self.gamma * np.einsum("...sat,...ts->...sa", self.p_ia, self.w)
-        assert denom.min() > 0, "rank-one update denominator must be positive"
+        # one reduction: the minimum is NaN if any entry is, failing the test
+        if not denom.min() > 0:
+            raise DenominatorError("rank-one update denominator is not positive")
         g = w_ss * (self.q - self.v[..., None]) / denom
         g[g < GAIN_CLAMP] = 0.0
         g.flags.writeable = False
         return g
 
 
-def player_mdp(game: StochasticGame, probs, player: int) -> PlayerMDP:
-    """Evaluate profile arrays ``probs[j]``, shaped ``(..., S, A_j)`` with the
-    same leading batch axes for every player, once for one player:
-    frozen-opponent tables, the Bellman inverse, the value and the one-step
-    lookahead."""
-    r_ia, p_ia = opponent_marginals(game, probs, player)
-    own = probs[player]
+def _evaluate(game: StochasticGame, probs, players: tuple[int, ...]) -> PlayerMDP:
+    """The MDPs of ``players``, who share one action count, at profile arrays
+    ``probs``, stacked along a leading player axis: frozen-opponent tables,
+    the Bellman inverse, the value and the one-step lookahead."""
+    # np.array stacks equal shapes like np.stack, at a fraction of its cost
+    own = np.array([probs[i] for i in players])
+    if game.num_players == 1:
+        r_ia, p_ia = game.reward_table, game.transition_table[None]
+    else:
+        tables = [opponent_marginals(game, probs, i) for i in players]
+        r_ia = np.array([r for r, _ in tables])
+        p_ia = np.array([p for _, p in tables])
     r_pi = np.einsum("...sa,...sa->...s", own, r_ia)
     p_pi = np.einsum("...sa,...sat->...st", own, p_ia)
     check_row_drift(p_pi)
-    m = np.eye(game.num_states) - game.gamma * p_pi
+    m = game.eye - game.gamma * p_pi
     # v by a backward-stable solve, as in value_function, not as w @ r_pi
     v = np.linalg.solve(m, r_pi[..., None])[..., 0]
     w = np.linalg.inv(m)
     q = r_ia + game.gamma * (p_ia @ v[..., None, :, None])[..., 0]
-    return PlayerMDP(game.gamma, r_ia, p_ia, w, v, q)
+    return PlayerMDP(game.gamma, own, r_ia, p_ia, w, v, q)
+
+
+def player_mdp(game: StochasticGame, probs, player: int) -> PlayerMDP:
+    """One player's MDP at profile arrays ``probs[j]``, shaped ``(..., S, A_j)``
+    with the same leading batch axes for every player."""
+    check_player(game, player)
+    return _evaluate(game, probs, (player,))[0]
 
 
 def evaluate_players(game: StochasticGame, probs) -> tuple[PlayerMDP, ...]:
-    """One :class:`PlayerMDP` per player at profile arrays ``probs``."""
-    return tuple(player_mdp(game, probs, i) for i in range(game.num_players))
+    """The MDP of every group of :attr:`~sgcert.game.StochasticGame.player_groups`
+    at profile arrays ``probs``, in group order."""
+    return tuple(_evaluate(game, probs, players) for players in game.player_groups)
+
+
+def per_player(game: StochasticGame, stacks) -> tuple:
+    """Per-player entries, in player order, of one stack per group, each
+    indexed by the group's leading player axis."""
+    out = [None] * game.num_players
+    for players, stack in zip(game.player_groups, stacks):
+        for k, i in enumerate(players):
+            out[i] = stack[k]
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -120,11 +175,6 @@ class GainTable:
 
     def entry(self, player: int, state: int, action: int) -> float:
         return float(self.gains[player][state, action])
-
-    @classmethod
-    def of(cls, mdps) -> "GainTable":
-        """The gain table of already evaluated players."""
-        return cls(tuple(m.gains() for m in mdps))
 
 
 def gain_table(game: StochasticGame, pi: StrategyProfile) -> GainTable:
@@ -142,16 +192,22 @@ def gain_table(game: StochasticGame, pi: StrategyProfile) -> GainTable:
     (1 - gamma) W[s, s] >= 1 - gamma).  The table costs O(S^3 + S^2 A) per
     player.
     """
-    return GainTable.of(evaluate_players(game, pi.probs))
+    mdps = evaluate_players(game, pi.probs)
+    return GainTable(per_player(game, [m.gains() for m in mdps]))
 
 
-def apply_gains(probs, gains) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """The improvement map at profile arrays ``probs`` given their gains,
-    both shaped ``(..., S, A_i)`` per player, and the residual of each
-    profile, shaped ``(...)``."""
-    nxt = tuple((p + g) / (1.0 + g.sum(axis=-1))[..., None] for p, g in zip(probs, gains))
-    moved = [np.abs(q - p).max(axis=(-2, -1)) for q, p in zip(nxt, probs)]
-    return nxt, np.max(moved, axis=0)
+def apply_gains(game: StochasticGame, mdps) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The improvement map at the profile arrays that the group MDPs ``mdps``
+    of :func:`evaluate_players` were evaluated at: the next arrays, shaped
+    ``(..., S, A_i)`` per player, and the residual of each profile, shaped
+    ``(...)``."""
+    steps, moved = [], []
+    for m in mdps:
+        g = m.gains()
+        nxt = (m.pi + g) / (1.0 + g.sum(axis=-1))[..., None]
+        steps.append(nxt)
+        moved.append(np.abs(nxt - m.pi).max(axis=(-2, -1)))
+    return per_player(game, steps), np.concatenate(moved).max(axis=0)
 
 
 def improve(game: StochasticGame, probs) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
@@ -159,7 +215,7 @@ def improve(game: StochasticGame, probs) -> tuple[tuple[np.ndarray, ...], np.nda
     ``(..., S, A_i)``: the next arrays, of the same shapes, and the residual
     ``||f(pi) - pi||_inf`` of each profile, shaped ``(...)``.  The input is
     trusted to be valid; the output is a distribution by construction."""
-    return apply_gains(probs, [m.gains() for m in evaluate_players(game, probs)])
+    return apply_gains(game, evaluate_players(game, probs))
 
 
 def apply_f(game: StochasticGame, pi: StrategyProfile) -> StrategyProfile:

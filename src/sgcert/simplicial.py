@@ -231,10 +231,12 @@ def grid_points(game: StochasticGame, d: int) -> Iterator[GridProfile]:
 
 def _chunk_points(game: StochasticGame) -> int:
     """Grid points per chunk.  A chunk's largest arrays are its flattened
-    numerators, (points, S * sum A_i), and one player's frozen-opponent
-    transitions, (points, S, A_i, S), all 8-byte numbers."""
+    numerators, (points, S * sum A_i), and the frozen-opponent transitions
+    of the largest player group, (k, points, S, A, S) for the k players
+    that share A actions, all 8-byte numbers."""
     s_count = game.num_states
-    per_point = 8 * s_count * max(sum(game.num_actions), s_count * game.a_max)
+    group = max(len(g) * game.num_actions[g[0]] for g in game.player_groups)
+    per_point = 8 * s_count * max(sum(game.num_actions), s_count * group)
     return max(1, _GRID_CHUNK_BYTES // per_point)
 
 

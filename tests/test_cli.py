@@ -209,6 +209,42 @@ def test_nonpositive_size_is_input_error(capsys, argv):
     run_input_error(capsys, *argv)
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--damping", "nan"),
+    ("--damping", "inf"),
+    ("--damping", "-1"),
+    ("--damping", "0"),
+    ("--damping", "1.5"),
+    ("--tol", "nan"),
+    ("--tol", "inf"),
+    ("--tol", "-1"),
+    ("--max-iters", "0"),
+    ("--max-iters", "-3"),
+])
+def test_bad_damped_f_flag_is_input_error(capsys, flag, value):
+    """A damped-f flag out of range is bad input, named in one line, not a
+    traceback, a profile error or a no-convergence report."""
+    run_input_error(capsys, "solve", DOMINANT, flag, value)
+    main(["solve", DOMINANT, flag, value])
+    assert capsys.readouterr().err.startswith(f"error: {flag} must ")
+
+
+def test_nonpositive_denominator_is_method_failure(capsys, monkeypatch):
+    """The kernel's denominator error exits 3 with one line."""
+    import sgcert.cli as cli
+    from sgcert.nash_map import DenominatorError
+
+    def fail(*args):
+        raise DenominatorError("rank-one update denominator is not positive")
+
+    monkeypatch.setattr(cli, "certify_profile", fail)
+    code = main(["certify", PENNIES, PENNIES_EQ])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: rank-one update denominator is not positive\n"
+
+
 class TestLabel:
     def test_labels_whole_grid(self, capsys):
         code, out = run(capsys, "label", BANDIT, "--d", "4")

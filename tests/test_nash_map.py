@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,10 +16,23 @@ from sgcert import (
     validate_profile,
 )
 from sgcert import corpus, deviation_value, value_function
-from sgcert.nash_map import GAIN_CLAMP, improve, player_mdp
+from sgcert.nash_map import (
+    GAIN_CLAMP,
+    DenominatorError,
+    evaluate_players,
+    improve,
+    per_player,
+    player_mdp,
+)
 from sgcert.oracles import random_game, random_profile
 
-from conftest import SCALE_SHAPES, random_instances, scale_instances
+from conftest import (
+    CORPUS_GAMES,
+    SCALE_SHAPES,
+    corpus_game,
+    random_instances,
+    scale_instances,
+)
 
 
 class TestGainTable:
@@ -121,6 +138,143 @@ class TestImprove:
             assert np.array_equal(res2.ravel(), res)
             for i in range(n):
                 assert np.array_equal(nxt2[i].reshape(nxt[i].shape), nxt[i])
+
+
+# ---------------------------------------------------------------------------
+# Reference kernel: the evaluation one player at a time, as it was before
+# players were batched by group, with its own opponent marginals.  The
+# library must give its bits exactly.
+
+_AXES = "abcdefghijklmnopqruvwxyz"
+
+
+def reference_marginals(game, probs, player):
+    """Frozen-opponent reward and transition tables of ``player``."""
+    n, s_count = game.num_players, game.num_states
+    axes = _AXES[:n]
+    batch = "..." if n > 1 else ""
+    others = [batch + "s" + axes[j] for j in range(n) if j != player]
+    operands = [probs[j] for j in range(n) if j != player]
+    out = batch + "s" + axes[player]
+    shape = (s_count,) + game.num_actions
+    r = np.einsum(",".join(["s" + axes] + others) + "->" + out,
+                  game.rewards[player].reshape(shape), *operands)
+    p = np.einsum(",".join(["s" + axes + "t"] + others) + "->" + out + "t",
+                  game.transition.reshape(shape + (s_count,)), *operands)
+    return r, p
+
+
+def reference_player_mdp(game, probs, player):
+    """``(p_ia, w, v, q)`` of one player's MDP."""
+    r_ia, p_ia = reference_marginals(game, probs, player)
+    own = probs[player]
+    r_pi = np.einsum("...sa,...sa->...s", own, r_ia)
+    p_pi = np.einsum("...sa,...sat->...st", own, p_ia)
+    m = np.eye(game.num_states) - game.gamma * p_pi
+    v = np.linalg.solve(m, r_pi[..., None])[..., 0]
+    w = np.linalg.inv(m)
+    q = r_ia + game.gamma * (p_ia @ v[..., None, :, None])[..., 0]
+    return p_ia, w, v, q
+
+
+def reference_gains(gamma, p_ia, w, v, q):
+    w_ss = np.diagonal(w, axis1=-2, axis2=-1)[..., None]
+    denom = w_ss - gamma * np.einsum("...sat,...ts->...sa", p_ia, w)
+    g = w_ss * (q - v[..., None]) / denom
+    g[g < GAIN_CLAMP] = 0.0
+    return g
+
+
+def reference_apply_gains(probs, gains):
+    nxt = tuple((p + g) / (1.0 + g.sum(axis=-1))[..., None] for p, g in zip(probs, gains))
+    moved = [np.abs(q - p).max(axis=(-2, -1)) for q, p in zip(nxt, probs)]
+    return nxt, np.max(moved, axis=0)
+
+
+def reference_games():
+    """Every corpus game, the scale shapes, one and four players, and mixed
+    action counts, as ``(id, game)`` pairs."""
+    rng = np.random.default_rng(61)
+    games = [(name, corpus_game(name)) for name in CORPUS_GAMES]
+    shapes = SCALE_SHAPES + ((1, 3, 4), (1, 1, 2), (4, 2, 2))
+    games += [(f"{n}x{s}x{a}-g{gamma}", random_game(rng, n, s, a, gamma))
+              for n, s, a in shapes for gamma in (0.0, 0.9)]
+    games += [(f"mixed{a}", random_game(rng, len(a), 3, list(a), 0.5))
+              for a in ((2, 3), (2, 3, 2))]
+    return games
+
+
+REFERENCE_GAMES = reference_games()
+
+
+class TestKernelMatchesReference:
+    """The group-batched kernel against the per-player reference, bit for
+    bit, for profile stacks with zero, one and two batch axes."""
+
+    @pytest.mark.parametrize("batch", [(), (4,), (2, 3)], ids=["axes0", "axes1", "axes2"])
+    @pytest.mark.parametrize("name,game", REFERENCE_GAMES, ids=[n for n, _ in REFERENCE_GAMES])
+    def test_next_gains_and_residual(self, name, game, batch):
+        rng = np.random.default_rng(67)
+        pis = [random_profile(game, rng) for _ in range(int(np.prod(batch)))]
+        n = game.num_players
+        probs = tuple(np.stack([pi.probs[i] for pi in pis]).reshape(batch + pis[0].probs[i].shape)
+                      for i in range(n))
+        mdps = [reference_player_mdp(game, probs, i) for i in range(n)]
+        gains = [reference_gains(game.gamma, *m) for m in mdps]
+        nxt, res = reference_apply_gains(probs, gains)
+
+        got_nxt, got_res = improve(game, probs)
+        got_gains = per_player(game, [m.gains() for m in evaluate_players(game, probs)])
+        assert got_res.shape == batch
+        assert np.array_equal(got_res, res)
+        for i in range(n):
+            assert np.array_equal(got_nxt[i], nxt[i])
+            assert np.array_equal(got_gains[i], gains[i])
+            single = player_mdp(game, probs, i)
+            for got, want in zip((single.p_ia, single.w, single.v, single.q), mdps[i]):
+                assert np.array_equal(got, want)
+        if not batch:
+            table = gain_table(game, validate_profile(game, probs))
+            for i in range(n):
+                assert np.array_equal(table.gains[i], gains[i])
+            assert residual(game, validate_profile(game, probs)) == res
+
+    def test_groups_of_equal_action_counts(self):
+        game = dict(REFERENCE_GAMES)["mixed(2, 3, 2)"]
+        assert game.player_groups == ((0, 2), (1,))
+        assert dict(REFERENCE_GAMES)["4x2x2-g0.0"].player_groups == ((0, 1, 2, 3),)
+
+
+_NAN_SCRIPT = """
+import numpy as np
+from sgcert.nash_map import DenominatorError, improve
+from sgcert.oracles import random_game
+
+if __debug__:
+    raise SystemExit("assertions are on")
+game = random_game(np.random.default_rng(0), 2, 2, 2, 0.5)
+try:
+    improve(game, tuple(np.full((2, 2), np.nan) for _ in range(2)))
+except DenominatorError:
+    raise SystemExit(0)
+raise SystemExit("no DenominatorError")
+"""
+
+
+class TestDenominatorCheck:
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (1, 1, 2), (3, 2, 2)])
+    def test_nan_profile_raises(self, shape):
+        game = random_game(np.random.default_rng(1), *shape, 0.5)
+        probs = tuple(np.full((game.num_states, a), np.nan) for a in game.num_actions)
+        with pytest.raises(DenominatorError):
+            improve(game, probs)
+
+    def test_check_survives_optimized_python(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run([sys.executable, "-O", "-c", _NAN_SCRIPT],
+                              env={"PYTHONPATH": src}, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 class TestResidual:

@@ -4,7 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from sgcert import corpus, oracles, simplicial
+from sgcert import corpus, nash_map, oracles, simplicial
 from sgcert.game import StrategyProfile, validate_game
 from sgcert.nash_map import apply_f, residual
 from sgcert.simplicial import (
@@ -322,6 +322,31 @@ class TestScanMatchesReference:
         monkeypatch.setattr(simplicial, "_chunk_points", lambda game: 100)
         assert grid_point_count(game, 32) > 100
         assert_scan_matches_points(game, 32)
+
+    @pytest.mark.parametrize("shape,d", [((3, 2, 2), 2), ((2, 1, [2, 3]), 4),
+                                         ((3, 1, [2, 3, 2]), 3)])
+    def test_chunk_bound_holds_for_player_groups(self, monkeypatch, shape, d):
+        """With chunks of a few points, the stacked transitions of every
+        player group stay within the chunk bytes, and the scan still gives
+        each point's reference label and residual."""
+        game = oracles.random_game(np.random.default_rng(71), *shape, 0.5)
+        s_count = game.num_states
+        group = max(len(g) * game.num_actions[g[0]] for g in game.player_groups)
+        per_point = 8 * s_count * max(sum(game.num_actions), s_count * group)
+        monkeypatch.setattr(simplicial, "_GRID_CHUNK_BYTES", 5 * per_point)
+        assert simplicial._chunk_points(game) == 5
+        sizes = []
+        evaluate = nash_map._evaluate
+
+        def recording(game, probs, players):
+            mdp = evaluate(game, probs, players)
+            sizes.append(mdp.p_ia.nbytes)
+            return mdp
+
+        monkeypatch.setattr(nash_map, "_evaluate", recording)
+        assert_scan_matches_points(game, d)
+        assert max(sizes) <= simplicial._GRID_CHUNK_BYTES
+        assert len(sizes) > len(game.player_groups)  # more than one chunk
 
     @pytest.mark.parametrize("name", CORPUS_GAMES)
     def test_vertex_residuals(self, name):
