@@ -76,12 +76,6 @@ def cmd_info(args) -> int:
 
 
 def _solve_damped_f(game, args):
-    if not 0.0 < args.damping <= 1.0:
-        raise GameValidationError(f"--damping must lie in (0, 1], got {args.damping}")
-    if not 0.0 <= args.tol < np.inf:
-        raise GameValidationError(f"--tol must be finite and nonnegative, got {args.tol}")
-    if args.max_iters < 1:
-        raise GameValidationError(f"--max-iters must be at least 1, got {args.max_iters}")
     if args.seed is not None:
         pi = random_profile(game, np.random.default_rng(args.seed))
     else:
@@ -117,6 +111,13 @@ def _solve_simplicial(game, args):
 
 
 def cmd_solve(args) -> int:
+    # damped-f's flags, checked whatever the method so that none passes unseen
+    if not 0.0 < args.damping <= 1.0:
+        raise GameValidationError(f"--damping must lie in (0, 1], got {args.damping}")
+    if not 0.0 <= args.tol < np.inf:
+        raise GameValidationError(f"--tol must be finite and nonnegative, got {args.tol}")
+    if args.max_iters < 1:
+        raise GameValidationError(f"--max-iters must be at least 1, got {args.max_iters}")
     game = load_game(args.game)
     if args.method == "damped-f":
         pi, status = _solve_damped_f(game, args)

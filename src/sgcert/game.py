@@ -382,8 +382,7 @@ def value_function(
     check_player(game, player)
     p = marginal_transition(game, pi)
     r = marginal_reward(game, pi, player)
-    eye = np.eye(game.num_states)
-    return np.linalg.solve(eye - game.gamma * p, r)
+    return np.linalg.solve(game.eye - game.gamma * p, r)
 
 
 def deviation_value(

@@ -221,11 +221,14 @@ def test_nonpositive_size_is_input_error(capsys, argv):
     ("--max-iters", "0"),
     ("--max-iters", "-3"),
 ])
-def test_bad_damped_f_flag_is_input_error(capsys, flag, value):
+@pytest.mark.parametrize("command", [("solve",), ("solve", "--method", "grid"), ("search",)],
+                         ids=["damped-f", "grid", "search"])
+def test_bad_damped_f_flag_is_input_error(capsys, command, flag, value):
     """A damped-f flag out of range is bad input, named in one line, not a
-    traceback, a profile error or a no-convergence report."""
-    run_input_error(capsys, "solve", DOMINANT, flag, value)
-    main(["solve", DOMINANT, flag, value])
+    traceback, a profile error or a no-convergence report; the methods that
+    do not use it reject it too."""
+    run_input_error(capsys, *command, DOMINANT, flag, value)
+    main([*command, DOMINANT, flag, value])
     assert capsys.readouterr().err.startswith(f"error: {flag} must ")
 
 

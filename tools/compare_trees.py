@@ -11,9 +11,10 @@ Two measurements, each added to the output file under its own key:
 
 * ``kernel``: microseconds per call of ``nash_map.improve`` and
   ``nash_map.player_mdp`` on one random profile, for every (n, S, A) of a
-  small sweep.  Each tree is timed in its own process, twice, in the order
-  before, after, after, before; a call's cost is the least over both
-  rounds of the best of five repeats.
+  small sweep.  Both trees are loaded into one process under two package
+  names, and their timings alternate call by call, so that a slow phase of
+  the host falls on both alike; a call's cost is the best of seven
+  repeats.
 
       python3 tools/compare_trees.py kernel --before ../parent --after . \\
           --out BENCH_6.json
@@ -26,44 +27,25 @@ numpy are used.
 from __future__ import annotations
 
 import argparse
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+import timeit
+from functools import partial
+from itertools import product
 from pathlib import Path
 
-ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-           MKL_NUM_THREADS="1")
+# Pin BLAS before numpy is imported, here and in the benchmark runs.
+BLAS_PIN = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+os.environ.update(BLAS_PIN)
 SWEEP = {"n": (1, 2, 3, 4), "S": (1, 2, 8, 32), "A": (2, 3, 4)}
 
-# Runs inside one tree: prints {"n,S,A": {"improve": us, "player_mdp": us}}.
-_KERNEL = """
-import json, sys, timeit
-import numpy as np
-from sgcert.nash_map import improve, player_mdp
-from sgcert.oracles import random_game, random_profile
 
-out = {}
-for n in %(n)r:
-    for s in %(S)r:
-        for a in %(A)r:
-            rng = np.random.default_rng(1000 * n + 10 * s + a)
-            game = random_game(rng, n, s, a, 0.9)
-            probs = random_profile(game, rng).probs
-            row = {}
-            for name, call in (("improve", lambda: improve(game, probs)),
-                               ("player_mdp", lambda: player_mdp(game, probs, 0))):
-                number, _ = timeit.Timer(call).autorange()
-                best = min(timeit.repeat(call, number=number, repeat=5))
-                row[name] = 1e6 * best / number
-            out[f"{n},{s},{a}"] = row
-print(json.dumps(out))
-"""
-
-
-def _last_json(cmd, cwd, env) -> dict:
-    done = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True,
-                          check=True)
+def _last_json(cmd, cwd) -> dict:
+    done = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
@@ -77,26 +59,47 @@ def pairs(args) -> dict:
         for side, tree in order:
             cmd = [sys.executable, "bench/run.py", "--workload", args.workload,
                    "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0"]
-            pair[side] = _last_json(cmd, tree, ENV)
+            pair[side] = _last_json(cmd, tree)
             print(args.workload, seed, side,
                   pair[side]["metrics"]["wall_s"]["value"], flush=True)
         runs.append(pair)
     return {args.workload: runs}
 
 
+def _load(tree: str, name: str):
+    """``nash_map`` and ``oracles`` of the package in ``tree``, imported as
+    package ``name``."""
+    pkg = Path(tree, "src", "sgcert").resolve()
+    spec = importlib.util.spec_from_file_location(
+        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sys.modules[name])
+    return (importlib.import_module(f"{name}.nash_map"),
+            importlib.import_module(f"{name}.oracles"))
+
+
 def kernel(args) -> dict:
-    script = _KERNEL % SWEEP
-    rounds = {"before": [], "after": []}
-    for side in ("before", "after", "after", "before"):
-        tree = getattr(args, side)
-        env = dict(ENV, PYTHONPATH=str(Path(tree, "src").resolve()))
-        rounds[side].append(_last_json([sys.executable, "-c", script], tree, env))
+    import numpy as np
+
+    trees = {side: _load(getattr(args, side), f"sgcert_{side}")
+             for side in ("before", "after")}
     table = {}
-    for shape in rounds["before"][0]:
-        table[shape] = {
-            f"{name}_us_{side}": round(min(r[shape][name] for r in rounds[side]), 2)
-            for side in ("before", "after") for name in ("improve", "player_mdp")
-        }
+    for n, s, a in product(*SWEEP.values()):
+        calls = {}
+        for side, (nash_map, oracles) in trees.items():
+            # the same seed gives the same game and profile in both trees
+            rng = np.random.default_rng(1000 * n + 10 * s + a)
+            game = oracles.random_game(rng, n, s, a, 0.9)
+            probs = oracles.random_profile(game, rng).probs
+            calls[f"improve_us_{side}"] = partial(nash_map.improve, game, probs)
+            calls[f"player_mdp_us_{side}"] = partial(nash_map.player_mdp, game, probs, 0)
+        number = max(1, timeit.Timer(calls["improve_us_before"]).autorange()[0] // 4)
+        best = dict.fromkeys(calls, float("inf"))
+        for _ in range(7):
+            for key, call in calls.items():
+                best[key] = min(best[key], timeit.timeit(call, number=number) / number)
+        table[f"{n},{s},{a}"] = {key: round(1e6 * t, 2) for key, t in sorted(best.items())}
+        print(n, s, a, table[f"{n},{s},{a}"], flush=True)
     return table
 
 
