@@ -23,7 +23,7 @@ from .game import StochasticGame, StrategyProfile
 from .nash_map import (
     PlayerMDP,
     apply_gains,
-    evaluate_players,
+    evaluate_groups,
     lipschitz_constant,
     per_player,
     player_mdp,
@@ -147,7 +147,7 @@ def certify_profile(
     size the full construction would require for that L.  Each player's
     frozen-opponent MDP is evaluated once and serves the residual and the
     regrets alike."""
-    mdps = evaluate_players(game, pi.probs)
+    mdps = evaluate_groups(game, pi.probs)
     eps = float(apply_gains(game, mdps)[1])
     regrets = [_policy_iteration(m) - m.v for m in per_player(game, mdps)]
     achieved = max(0.0, max(float(r.max()) for r in regrets))
@@ -178,7 +178,7 @@ class GainRegretReport:
 def gain_to_regret_check(game: StochasticGame, pi: StrategyProfile) -> GainRegretReport:
     """Report-only check that regrets obey the one-shot gain bound:
     every best-response regret <= (max gain) / (1 - gamma) + 1e-8."""
-    mdps = evaluate_players(game, pi.probs)
+    mdps = evaluate_groups(game, pi.probs)
     g = max(float(m.gains().max()) for m in mdps)
     max_regret = max(float((_policy_iteration(m) - m.v).max())
                      for m in per_player(game, mdps))

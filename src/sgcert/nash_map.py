@@ -35,7 +35,7 @@ alone, so every other step keeps the bits of one player at a time.
 :func:`player_mdp` is this evaluation on a group of one player;
 :func:`improve`, :func:`apply_f`, :func:`residual`, :func:`gain_table`
 and :func:`~sgcert.certify.certify_profile` all run through
-:func:`evaluate_players`.
+:func:`evaluate_groups`.
 
 Every evaluation keeps two checks: the on-profile transition rows must stay
 on the simplex (:func:`~sgcert.game.check_row_drift`), and every rank-one
@@ -147,7 +147,7 @@ def player_mdp(game: StochasticGame, probs, player: int) -> PlayerMDP:
     return _evaluate(game, probs, (player,))[0]
 
 
-def evaluate_players(game: StochasticGame, probs) -> tuple[PlayerMDP, ...]:
+def evaluate_groups(game: StochasticGame, probs) -> tuple[PlayerMDP, ...]:
     """The MDP of every group of :attr:`~sgcert.game.StochasticGame.player_groups`
     at profile arrays ``probs``, in group order."""
     return tuple(_evaluate(game, probs, players) for players in game.player_groups)
@@ -192,13 +192,13 @@ def gain_table(game: StochasticGame, pi: StrategyProfile) -> GainTable:
     (1 - gamma) W[s, s] >= 1 - gamma).  The table costs O(S^3 + S^2 A) per
     player.
     """
-    mdps = evaluate_players(game, pi.probs)
+    mdps = evaluate_groups(game, pi.probs)
     return GainTable(per_player(game, [m.gains() for m in mdps]))
 
 
 def apply_gains(game: StochasticGame, mdps) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """The improvement map at the profile arrays that the group MDPs ``mdps``
-    of :func:`evaluate_players` were evaluated at: the next arrays, shaped
+    of :func:`evaluate_groups` were evaluated at: the next arrays, shaped
     ``(..., S, A_i)`` per player, and the residual of each profile, shaped
     ``(...)``."""
     steps, moved = [], []
@@ -215,7 +215,7 @@ def improve(game: StochasticGame, probs) -> tuple[tuple[np.ndarray, ...], np.nda
     ``(..., S, A_i)``: the next arrays, of the same shapes, and the residual
     ``||f(pi) - pi||_inf`` of each profile, shaped ``(...)``.  The input is
     trusted to be valid; the output is a distribution by construction."""
-    return apply_gains(game, evaluate_players(game, probs))
+    return apply_gains(game, evaluate_groups(game, probs))
 
 
 def apply_f(game: StochasticGame, pi: StrategyProfile) -> StrategyProfile:

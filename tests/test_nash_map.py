@@ -19,7 +19,7 @@ from sgcert import corpus, deviation_value, value_function
 from sgcert.nash_map import (
     GAIN_CLAMP,
     DenominatorError,
-    evaluate_players,
+    evaluate_groups,
     improve,
     per_player,
     player_mdp,
@@ -224,7 +224,7 @@ class TestKernelMatchesReference:
         nxt, res = reference_apply_gains(probs, gains)
 
         got_nxt, got_res = improve(game, probs)
-        got_gains = per_player(game, [m.gains() for m in evaluate_players(game, probs)])
+        got_gains = per_player(game, [m.gains() for m in evaluate_groups(game, probs)])
         assert got_res.shape == batch
         assert np.array_equal(got_res, res)
         for i in range(n):
