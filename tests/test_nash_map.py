@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -271,9 +272,10 @@ class TestDenominatorCheck:
 
     def test_check_survives_optimized_python(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         done = subprocess.run([sys.executable, "-O", "-c", _NAN_SCRIPT],
-                              env={"PYTHONPATH": src}, capture_output=True,
-                              text=True, timeout=120)
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
 
 

@@ -3,7 +3,8 @@
 Two measurements, each added to the output file under its own key:
 
 * ``pairs``: ``bench/run.py`` on one workload, run in each tree in turn for
-  every seed given, alternating which tree runs first.  Each run's final
+  every seed given, alternating which tree runs first, for the
+  ``run_seconds`` that the tree's ``BENCHMARK.json`` sets.  Each run's final
   JSON line is kept as it was printed.
 
       python3 tools/compare_trees.py pairs --before ../parent --after . \\
@@ -57,8 +58,9 @@ def pairs(args) -> dict:
             order.reverse()
         pair = {"seed": seed, "first": order[0][0]}
         for side, tree in order:
+            seconds = json.loads(Path(tree, "BENCHMARK.json").read_text())["run_seconds"]
             cmd = [sys.executable, "bench/run.py", "--workload", args.workload,
-                   "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0"]
+                   "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
             pair[side] = _last_json(cmd, tree)
             print(args.workload, seed, side,
                   pair[side]["metrics"]["wall_s"]["value"], flush=True)
@@ -111,7 +113,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="JSON file to add the results to")
     parser.add_argument("--workload")
     parser.add_argument("--seeds", type=int, nargs="*", default=())
-    parser.add_argument("--seconds", type=float, default=30)
     args = parser.parse_args(argv)
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
