@@ -6,9 +6,7 @@ Run from the repository root:
     python3 demos/01_evaluate_a_game.py
 """
 
-import numpy as np
-
-from sgcert import (
+from sgcert.game import (
     deviation_value,
     uniform_profile,
     validate_game,

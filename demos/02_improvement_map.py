@@ -6,18 +6,20 @@ is.
     python3 demos/02_improvement_map.py
 """
 
-import numpy as np
+from pathlib import Path
 
-from sgcert import apply_f, gain_table, residual, validate_profile
-from sgcert.corpus import matching_pennies, two_arm_bandit
+from sgcert.game import load_game, validate_profile
+from sgcert.nash_map import apply_f, gain_table, residual
+
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
 # A single agent choosing between a good arm (reward 1) and a bad arm
 # (reward 0).  Start with an even split.
-bandit = two_arm_bandit()
+bandit = load_game(CORPUS / "two_arm_bandit.game.json")
 pi = validate_profile(bandit, [[[0.5, 0.5]]])
 
-table = gain_table(bandit, pi)
-print("gains at the even split:", table.gains[0][0])
+gains = gain_table(bandit, pi)
+print("gains at the even split:", gains[0][0])
 
 for step in range(12):
     res = residual(bandit, pi)
@@ -30,7 +32,7 @@ for step in range(12):
 # iterates rather than expecting a one-shot answer.
 
 # At an equilibrium nothing moves at all.
-mp = matching_pennies()
+mp = load_game(CORPUS / "matching_pennies.game.json")
 uniform = validate_profile(mp, [[[0.5, 0.5]], [[0.5, 0.5]]])
 print("\nmatching pennies, both uniform:")
 print("  residual =", residual(mp, uniform))

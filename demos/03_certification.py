@@ -5,19 +5,16 @@ fixed-point residual provably caps it.
     python3 demos/03_certification.py
 """
 
+from pathlib import Path
+
 import numpy as np
 
-from sgcert import (
-    best_response_values,
-    certify_profile,
-    residual,
-    uniform_profile,
-    validate_profile,
-    value_function,
-)
-from sgcert.corpus import matching_pennies, zero_sum_chain
+from sgcert.certify import best_response_values, certify_profile
+from sgcert.game import load_game, validate_profile, value_function
 
-mp = matching_pennies()
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
+
+mp = load_game(CORPUS / "matching_pennies.game.json")
 
 for label, rows in [
     ("both uniform", [[[0.5, 0.5]], [[0.5, 0.5]]]),
@@ -37,9 +34,9 @@ print(f"\nbound check: achieved {cert.epsilon_achieved:.4f} "
 assert cert.epsilon_achieved <= cert.epsilon_bound
 
 # A two-state example: the pure saddle point of the zero-sum chain.
-chain = zero_sum_chain()
+chain = load_game(CORPUS / "zero_sum_chain.game.json")
 saddle = validate_profile(chain, [[[1, 0], [1, 0]], [[0, 1], [0, 1]]])
-cert = certify_profile(chain, saddle, target_inv_l=1e-3)
+cert = certify_profile(chain, saddle, target_l=1000)
 print("\nzero-sum chain saddle point:")
 print("  residual        =", cert.residual)
 print("  worst regret    =", cert.epsilon_achieved)

@@ -7,8 +7,10 @@ grid resolution.
     python3 demos/04_grid_search.py
 """
 
-from sgcert import residual
-from sgcert.corpus import matching_pennies
+from pathlib import Path
+
+from sgcert.game import load_game
+from sgcert.nash_map import residual
 from sgcert.simplicial import (
     find_stopping_simplex,
     grid_points,
@@ -17,7 +19,9 @@ from sgcert.simplicial import (
     stopping_residual_check,
 )
 
-game = matching_pennies()
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
+
+game = load_game(CORPUS / "matching_pennies.game.json")
 d = 4
 
 print(f"grid with denominator d={d}:")

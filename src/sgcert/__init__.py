@@ -1,86 +1,4 @@
 """Stochastic-game equilibrium evaluation, improvement-map fixed points,
 and certified approximate-equilibrium search."""
 
-from .game import (
-    GameValidationError,
-    StochasticGame,
-    StrategyProfile,
-    deviation_value,
-    load_game,
-    load_profile,
-    marginal_reward,
-    marginal_transition,
-    pure_profile,
-    save_game,
-    save_profile,
-    uniform_profile,
-    validate_game,
-    validate_profile,
-    value_function,
-)
-from .nash_map import GainTable, apply_f, gain_table, lipschitz_constant, residual
-from .certify import (
-    Certificate,
-    best_response_values,
-    certify_profile,
-    choose_d,
-    epsilon_prime,
-    gain_to_regret_check,
-    residual_to_gain_bound,
-    residual_to_mpe_bound,
-)
-from .simplicial import (
-    GridProfile,
-    GridSimplex,
-    Label,
-    classify_simplex,
-    find_stopping_simplex,
-    grid_points,
-    label_point,
-    q_column,
-    simplex_vertices,
-    stopping_residual_check,
-)
-
-__all__ = [
-    "Certificate",
-    "GainTable",
-    "GameValidationError",
-    "GridProfile",
-    "GridSimplex",
-    "Label",
-    "StochasticGame",
-    "StrategyProfile",
-    "apply_f",
-    "best_response_values",
-    "certify_profile",
-    "choose_d",
-    "classify_simplex",
-    "deviation_value",
-    "epsilon_prime",
-    "find_stopping_simplex",
-    "gain_table",
-    "gain_to_regret_check",
-    "grid_points",
-    "label_point",
-    "lipschitz_constant",
-    "load_game",
-    "load_profile",
-    "marginal_reward",
-    "marginal_transition",
-    "pure_profile",
-    "q_column",
-    "residual",
-    "residual_to_gain_bound",
-    "residual_to_mpe_bound",
-    "save_game",
-    "save_profile",
-    "simplex_vertices",
-    "stopping_residual_check",
-    "uniform_profile",
-    "validate_game",
-    "validate_profile",
-    "value_function",
-]
-
 __version__ = "0.1.0"

@@ -13,7 +13,6 @@ value of the single-agent MDP obtained by freezing the opponents.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -72,20 +71,6 @@ class Certificate:
             "verdict": self.verdict,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(_round_floats(self.to_dict()), indent=2, sort_keys=True)
-
-
-def _round_floats(obj):
-    """12-significant-digit float formatting for reproducible reports."""
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_round_floats(v) for v in obj]
-    return obj
-
 
 def best_response_values(
     game: StochasticGame, pi: StrategyProfile, player: int
@@ -139,30 +124,28 @@ def residual_to_mpe_bound(game: StochasticGame, eps: float) -> float:
 def certify_profile(
     game: StochasticGame,
     pi: StrategyProfile,
-    target_inv_l: float | None = None,
+    target_l: int | None = None,
 ) -> Certificate:
     """Measure per-(player, state) best-response regrets and bundle them with
-    the residual-implied theoretical bound.  When ``target_inv_l`` (the
-    precision 1/L) is given, the certificate carries a verdict and the grid
-    size the full construction would require for that L.  Each player's
+    the residual-implied theoretical bound.  When ``target_l`` is given, the
+    certificate carries a verdict at precision 1/L and the grid size the full
+    construction would require for that L.  Each player's
     frozen-opponent MDP is evaluated once and serves the residual and the
     regrets alike."""
     mdps = evaluate_groups(game, pi.probs)
     eps = float(apply_gains(game, mdps)[1])
     regrets = [_policy_iteration(m) - m.v for m in per_player(game, mdps)]
     achieved = max(0.0, max(float(r.max()) for r in regrets))
-    d_used = None
-    if target_inv_l is not None:
-        if target_inv_l <= 0:
-            raise ValueError("target precision must be positive")
-        d_used = choose_d(game, max(1, math.ceil(1.0 / target_inv_l)))
+    target, d_used = None, None
+    if target_l is not None:
+        target, d_used = 1.0 / target_l, choose_d(game, target_l)
     return Certificate(
         residual=eps,
         per_state_regret=tuple(regrets),
         epsilon_bound=residual_to_mpe_bound(game, eps),
         epsilon_achieved=achieved,
         lipschitz=lipschitz_constant(game),
-        is_eps_mpe_for=target_inv_l,
+        is_eps_mpe_for=target,
         d_used=d_used,
     )
 

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .certify import Certificate, certify_profile, choose_d, _round_floats
+from .certify import Certificate, certify_profile, choose_d
 from .game import (
     GameValidationError,
     StrategyProfile,
@@ -46,16 +46,25 @@ EXIT_INPUT_ERROR = 2
 EXIT_METHOD_FAILURE = 3
 
 
+def _round_floats(obj):
+    """12-significant-digit float formatting for reproducible reports."""
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, dict):
+        return {k: _round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_round_floats(v) for v in obj]
+    return obj
+
+
 def _emit(payload: dict) -> None:
     print(json.dumps(_round_floats(payload), indent=2, sort_keys=True))
 
 
-def _target_inv_l(args) -> float | None:
-    if args.target_L is None:
-        return None
-    if args.target_L < 1:
+def _target_l(args) -> int | None:
+    if args.target_L is not None and args.target_L < 1:
         raise GameValidationError("--target-L must be a positive integer")
-    return 1.0 / args.target_L
+    return args.target_L
 
 
 def cmd_info(args) -> int:
@@ -68,7 +77,7 @@ def cmd_info(args) -> int:
         "r_max": game.r_max,
         "lambda": lipschitz_constant(game),
     }
-    if _target_inv_l(args) is not None:
+    if _target_l(args) is not None:
         payload["L"] = args.target_L
         payload["d"] = choose_d(game, args.target_L)
     _emit(payload)
@@ -128,7 +137,7 @@ def cmd_solve(args) -> int:
     if pi is None:
         _emit({"method": args.method, "status": status})
         return EXIT_METHOD_FAILURE
-    cert = certify_profile(game, pi, _target_inv_l(args))
+    cert = certify_profile(game, pi, _target_l(args))
     _emit(
         {
             "method": args.method,
@@ -151,7 +160,7 @@ def _verdict_exit(cert: Certificate, status: str) -> int:
 def cmd_certify(args) -> int:
     game = load_game(args.game)
     pi = load_profile(game, args.profile)
-    cert = certify_profile(game, pi, _target_inv_l(args))
+    cert = certify_profile(game, pi, _target_l(args))
     _emit(cert.to_dict())
     if cert.verdict is False:
         return EXIT_VERDICT_FALSE

@@ -104,10 +104,6 @@ class StochasticGame:
         eye.flags.writeable = False
         return eye
 
-    @property
-    def num_joint_actions(self) -> int:
-        return prod(self.num_actions)
-
     def joint_index(self, joint: tuple[int, ...]) -> int:
         """Row-major index of a joint action given per-player action indices."""
         idx = 0
@@ -353,7 +349,8 @@ def _einsum_spec(n: int, keep: int | None, next_state: bool) -> str:
 
 def check_row_drift(p: np.ndarray) -> None:
     """Reject a derived transition matrix whose rows left the simplex."""
-    if np.abs(p.sum(axis=-1) - 1.0).max() > PROB_TOL_DERIVED:
+    # written negated so that a NaN row, which fails every comparison, is caught
+    if not np.abs(p.sum(axis=-1) - 1.0).max() <= PROB_TOL_DERIVED:
         raise GameValidationError("marginal transition row drifted off the simplex")
 
 
@@ -433,17 +430,6 @@ def check_player(game: StochasticGame, player: int) -> None:
 # ---------------------------------------------------------------------------
 # File formats (JSON): games and profiles.
 
-def game_to_dict(game: StochasticGame) -> dict:
-    return {
-        "gamma": game.gamma,
-        "states": list(game.states),
-        "players": [{"actions": list(a)} for a in game.actions],
-        "transitions": game.transition.tolist(),
-        "rewards": game.rewards.tolist(),
-        "r_max": game.r_max,
-    }
-
-
 def game_from_dict(data: dict) -> StochasticGame:
     try:
         states = data["states"]
@@ -473,12 +459,6 @@ def load_game(path) -> StochasticGame:
     return game_from_dict(data)
 
 
-def save_game(game: StochasticGame, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(game_to_dict(game), fh, indent=2)
-        fh.write("\n")
-
-
 def profile_to_dict(pi: StrategyProfile) -> dict:
     return {"probs": [p.tolist() for p in pi.probs]}
 
@@ -498,9 +478,3 @@ def load_profile(game: StochasticGame, path) -> StrategyProfile:
         except json.JSONDecodeError as exc:
             raise GameValidationError(f"{path}: invalid JSON at line {exc.lineno}") from exc
     return profile_from_dict(game, data)
-
-
-def save_profile(pi: StrategyProfile, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(profile_to_dict(pi), fh, indent=2)
-        fh.write("\n")

@@ -163,22 +163,9 @@ def per_player(game: StochasticGame, stacks) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class GainTable:
-    """One-shot deviation gains, ``gains[i][s, a]``, all nonnegative."""
-
-    gains: tuple[np.ndarray, ...]
-
-    @property
-    def max_gain(self) -> float:
-        return max(float(g.max()) for g in self.gains)
-
-    def entry(self, player: int, state: int, action: int) -> float:
-        return float(self.gains[player][state, action])
-
-
-def gain_table(game: StochasticGame, pi: StrategyProfile) -> GainTable:
-    """Deviation gains for every (player, state, action).
+def gain_table(game: StochasticGame, pi: StrategyProfile) -> tuple[np.ndarray, ...]:
+    """Deviation gains ``gains[i][s, a]`` for every (player, state, action),
+    all nonnegative.
 
     Each player's deviation values come from the single-agent MDP with
     opponents frozen.  Committing to action a at state s changes only row s
@@ -193,7 +180,7 @@ def gain_table(game: StochasticGame, pi: StrategyProfile) -> GainTable:
     player.
     """
     mdps = evaluate_groups(game, pi.probs)
-    return GainTable(per_player(game, [m.gains() for m in mdps]))
+    return per_player(game, [m.gains() for m in mdps])
 
 
 def apply_gains(game: StochasticGame, mdps) -> tuple[tuple[np.ndarray, ...], np.ndarray]:

@@ -1,18 +1,50 @@
+import json
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sgcert import corpus, oracles
-from sgcert.game import load_game
+from sgcert import oracles
+from sgcert.game import StochasticGame, StrategyProfile, load_game, load_profile
 
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "corpus"
-CORPUS_GAMES = sorted(p.name[: -len(".game.json")] for p in CORPUS_DIR.glob("*.game.json"))
+MANIFEST = json.loads((CORPUS_DIR / "manifest.json").read_text())
+CORPUS_GAMES = sorted(e["name"] for e in MANIFEST["entries"])
+
+
+@dataclass(frozen=True)
+class CorpusEntry:
+    """A corpus game with its known equilibrium, as the manifest lists it."""
+
+    name: str
+    game: StochasticGame
+    equilibrium: StrategyProfile
+    note: str
 
 
 def corpus_game(name):
     """A game of the corpus directory, by file stem."""
     return load_game(CORPUS_DIR / f"{name}.game.json")
+
+
+def corpus_entries() -> list[CorpusEntry]:
+    """Every manifest entry, in manifest order."""
+    out = []
+    for e in MANIFEST["entries"]:
+        game = load_game(CORPUS_DIR / e["game"])
+        out.append(CorpusEntry(e["name"], game,
+                               load_profile(game, CORPUS_DIR / e["equilibrium"]), e["note"]))
+    return out
+
+
+def corpus_entry(name) -> CorpusEntry:
+    return next(e for e in corpus_entries() if e.name == name)
+
+
+def single_state_entries() -> list[CorpusEntry]:
+    """The one-state entries, small enough for exhaustive simplicial search."""
+    return [e for e in corpus_entries() if e.game.num_states == 1]
 
 
 @pytest.fixture
@@ -23,12 +55,12 @@ def rng():
 @pytest.fixture
 def toy():
     """Single player, single state, gamma=0, rewards (1, 0)."""
-    return corpus.two_arm_bandit()
+    return corpus_game("two_arm_bandit")
 
 
 @pytest.fixture
 def pennies():
-    return corpus.matching_pennies()
+    return corpus_game("matching_pennies")
 
 
 def random_instances(seed, count, shapes=((2, 2, 2), (3, 1, 2), (2, 1, 3)),

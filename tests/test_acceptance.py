@@ -3,27 +3,20 @@ summary line so the run log doubles as a scorecard."""
 
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sgcert import (
-    apply_f,
+from sgcert.certify import (
     best_response_values,
     choose_d,
-    gain_table,
     gain_to_regret_check,
-    lipschitz_constant,
-    residual,
     residual_to_gain_bound,
     residual_to_mpe_bound,
-    uniform_profile,
-    value_function,
 )
-from sgcert import corpus
 from sgcert.cli import main as cli_main
-from sgcert.game import marginal_reward, marginal_transition
+from sgcert.game import marginal_reward, marginal_transition, value_function
+from sgcert.nash_map import apply_f, gain_table, lipschitz_constant, residual
 from sgcert.oracles import (
     enumerate_deterministic_policies,
     enumerate_joint_expectation,
@@ -36,7 +29,7 @@ from sgcert.oracles import (
 )
 from sgcert.simplicial import find_stopping_simplex, stopping_residual_check
 
-CORPUS_DIR = Path(__file__).resolve().parents[1] / "corpus"
+from conftest import CORPUS_DIR, corpus_entries, corpus_entry, corpus_game, single_state_entries
 
 
 def report(name, elapsed, budget):
@@ -48,7 +41,7 @@ def test_01_corpus_equilibria_certify():
     """Every hand-built equilibrium is a fixed point with vanishing regret,
     and coarse grid search lands on it when it lies on the grid."""
     start = time.perf_counter()
-    for entry in corpus.desk_corpus():
+    for entry in corpus_entries():
         assert residual(entry.game, entry.equilibrium) <= 1e-9, entry.name
         for i in range(entry.game.num_players):
             v = value_function(entry.game, entry.equilibrium, i)
@@ -57,7 +50,7 @@ def test_01_corpus_equilibria_certify():
     # converse: the grid argmin recovers grid-exact equilibria
     for name, d in (("dominant", 2), ("matching_pennies", 2),
                     ("two_arm_bandit", 4)):
-        entry = next(e for e in corpus.desk_corpus() if e.name == name)
+        entry = corpus_entry(name)
         point, res = grid_residual_argmin(entry.game, d)
         assert res <= 1e-12
         got = point.to_profile(entry.game)
@@ -126,8 +119,8 @@ def test_04_residual_controls_regret():
         game = random_game(rng, 2, 2, 2, (0.0, 0.5, 0.9)[k % 3])
         pi = random_profile(game, rng)
         eps = residual(game, pi)
-        table = gain_table(game, pi)
-        assert table.max_gain <= residual_to_gain_bound(game, eps) + 1e-8
+        top = max(float(g.max()) for g in gain_table(game, pi))
+        assert top <= residual_to_gain_bound(game, eps) + 1e-8
         chain = gain_to_regret_check(game, pi)
         assert chain.passed
         assert chain.max_regret <= residual_to_mpe_bound(game, eps) + 1e-8
@@ -138,7 +131,7 @@ def test_05_stopping_simplices_exist_and_are_accurate():
     """Exhaustive search finds a stopping simplex on every one-state corpus
     game at d in {2, 4, 8}, and each one satisfies the grid residual bound."""
     start = time.perf_counter()
-    for entry in corpus.single_state_corpus():
+    for entry in single_state_entries():
         for d in (2, 4, 8):
             found = find_stopping_simplex(entry.game, d)
             assert found is not None, (entry.name, d)
@@ -190,7 +183,7 @@ def test_07_published_constants_reproduce():
     start = time.perf_counter()
     g = random_game(np.random.default_rng(20240817), 2, 2, 2, 0.5)
     assert lipschitz_constant(g) == 1152.0
-    bandit = corpus.two_arm_bandit()
+    bandit = corpus_game("two_arm_bandit")
     assert lipschitz_constant(bandit) == 36.0
     assert choose_d(bandit, 1) == 37888
     report("published constants reproduce", time.perf_counter() - start, 5)
@@ -206,7 +199,7 @@ def test_08_cli_solves_the_two_state_zero_sum_game(capsys):
     ])
     out = capsys.readouterr().out
     data = json.loads(out)
-    entry = next(e for e in corpus.desk_corpus() if e.name == "zero_sum_chain")
+    entry = corpus_entry("zero_sum_chain")
     if data["status"] == "converged":
         assert code in (0, 3)
         assert np.max(np.asarray(data["certificate"]["per_state_regret"])) <= 1e-3

@@ -4,25 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from sgcert import (
+from sgcert.certify import (
     best_response_values,
     certify_profile,
     choose_d,
     epsilon_prime,
-    gain_table,
     gain_to_regret_check,
-    residual,
     residual_to_gain_bound,
     residual_to_mpe_bound,
-    uniform_profile,
-    validate_profile,
-    value_function,
 )
-from sgcert import corpus
-from sgcert.game import opponent_marginals
+from sgcert.cli import _emit
+from sgcert.game import opponent_marginals, uniform_profile, validate_profile, value_function
+from sgcert.nash_map import residual
 from sgcert.oracles import enumerate_deterministic_policies, random_game
 
-from conftest import random_instances, scale_instances
+from conftest import corpus_game, random_instances, scale_instances
 
 
 class TestBestResponseValues:
@@ -62,9 +58,9 @@ class TestBestResponseValues:
 
 class TestCertifyProfile:
     def test_dominant_equilibrium_verdict(self):
-        g = corpus.dominant_bimatrix()
+        g = corpus_game("dominant")
         pi = validate_profile(g, [[[1, 0]], [[1, 0]]])
-        cert = certify_profile(g, pi, target_inv_l=1e-6)
+        cert = certify_profile(g, pi, target_l=10**6)
         assert cert.epsilon_achieved <= 1e-12
         assert cert.verdict is True
 
@@ -84,9 +80,10 @@ class TestCertifyProfile:
             cert = certify_profile(game, pi)
             assert cert.epsilon_achieved <= cert.epsilon_bound + 1e-9
 
-    def test_json_report_shape(self, pennies):
-        cert = certify_profile(pennies, uniform_profile(pennies), 0.5)
-        data = json.loads(cert.to_json())
+    def test_json_report_shape(self, pennies, capsys):
+        cert = certify_profile(pennies, uniform_profile(pennies), 2)
+        _emit(cert.to_dict())
+        data = json.loads(capsys.readouterr().out)
         assert set(data) == {
             "residual", "epsilon_bound", "epsilon_achieved", "per_state_regret",
             "lambda", "d", "target", "verdict",
@@ -144,7 +141,7 @@ class TestBoundFormulas:
 
 class TestGainToRegret:
     def test_equilibrium_passes_with_zeros(self):
-        g = corpus.dominant_bimatrix()
+        g = corpus_game("dominant")
         pi = validate_profile(g, [[[1, 0]], [[1, 0]]])
         report = gain_to_regret_check(g, pi)
         assert report.passed

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from sgcert.certify import choose_d
 from sgcert.cli import main
+from sgcert.game import load_game
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 PENNIES = str(CORPUS / "matching_pennies.game.json")
@@ -133,6 +135,19 @@ class TestCertify:
         _, first = run(capsys, "certify", PENNIES, PENNIES_EQ, "--target-L", "2")
         _, second = run(capsys, "certify", PENNIES, PENNIES_EQ, "--target-L", "2")
         assert first == second
+
+
+@pytest.mark.parametrize("target", [48, 49, 50, 98, 103])
+def test_target_l_grid_size_agrees(capsys, target):
+    """certify and solve report the d that info and choose_d give for L (at
+    L = 49, turning L into 1/L and back gave the d of L = 50)."""
+    want = choose_d(load_game(PENNIES), target)
+    _, out = run(capsys, "info", PENNIES, "--target-L", str(target))
+    assert json.loads(out)["d"] == want
+    _, out = run(capsys, "certify", PENNIES, PENNIES_EQ, "--target-L", str(target))
+    assert json.loads(out)["d"] == want
+    _, out = run(capsys, "solve", PENNIES, "--method", "grid", "--target-L", str(target))
+    assert json.loads(out)["certificate"]["d"] == want
 
 
 class TestSolve:

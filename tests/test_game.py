@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 
-from sgcert import (
+from sgcert.game import (
     GameValidationError,
     deviation_value,
     marginal_reward,
     marginal_transition,
+    opponent_marginals,
     pure_profile,
     uniform_profile,
     validate_game,
     validate_profile,
     value_function,
 )
-from sgcert.game import game_from_dict, game_to_dict, opponent_marginals
 from sgcert.oracles import (
     enumerate_joint_expectation,
     enumerate_marginal_transition,
@@ -84,13 +84,6 @@ class TestValidation:
         g = single_state_game([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]])
         with pytest.raises(GameValidationError, match="numeric"):
             validate_profile(g, [[[0.5, 0.5]], [[0.5], [0.5, 0.0]]])
-
-    def test_roundtrip_through_dict(self):
-        g = single_state_game([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]], 0.5)
-        g2 = game_from_dict(game_to_dict(g))
-        assert g2.gamma == g.gamma
-        assert np.array_equal(g2.rewards, g.rewards)
-        assert np.array_equal(g2.transition, g.transition)
 
 
 class TestMarginals:

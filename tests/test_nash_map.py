@@ -8,53 +8,59 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgcert import (
-    apply_f,
-    gain_table,
-    lipschitz_constant,
-    residual,
+from sgcert.game import (
+    GameValidationError,
+    deviation_value,
     uniform_profile,
     validate_profile,
+    value_function,
 )
-from sgcert import corpus, deviation_value, value_function
 from sgcert.nash_map import (
     GAIN_CLAMP,
     DenominatorError,
+    apply_f,
     evaluate_groups,
+    gain_table,
     improve,
+    lipschitz_constant,
     per_player,
     player_mdp,
+    residual,
 )
 from sgcert.oracles import random_game, random_profile
 
 from conftest import (
     CORPUS_GAMES,
     SCALE_SHAPES,
+    corpus_entries,
     corpus_game,
     random_instances,
     scale_instances,
 )
 
 
+def max_gain(gains) -> float:
+    return max(float(g.max()) for g in gains)
+
+
 class TestGainTable:
     def test_zero_at_dominant_equilibrium(self):
-        g = corpus.dominant_bimatrix()
+        g = corpus_game("dominant")
         pi = validate_profile(g, [[[1, 0]], [[1, 0]]])
-        assert gain_table(g, pi).max_gain == 0.0
+        assert max_gain(gain_table(g, pi)) == 0.0
 
     def test_hand_computed_toy(self, toy):
         pi = validate_profile(toy, [[[0.5, 0.5]]])
-        gains = gain_table(toy, pi).gains[0]
+        gains = gain_table(toy, pi)[0]
         np.testing.assert_allclose(gains, [[0.5, 0.0]])
 
     def test_matching_pennies_uniform_all_zero(self, pennies):
         pi = uniform_profile(pennies)
-        assert gain_table(pennies, pi).max_gain == 0.0
+        assert max_gain(gain_table(pennies, pi)) == 0.0
 
     def test_gains_bounded_by_value_range(self):
         for game, pi in random_instances(41, 20):
-            table = gain_table(game, pi)
-            for g in table.gains:
+            for g in gain_table(game, pi):
                 assert np.all(g >= 0.0)
                 assert np.all(g <= game.value_upper_bound + 1e-9)
 
@@ -70,12 +76,12 @@ class TestGainTable:
                     for a in range(game.num_actions[i]):
                         raw = deviation_value(game, pi, i, s, a) - v[s]
                         expected = raw if raw >= GAIN_CLAMP else 0.0
-                        assert abs(table.entry(i, s, a) - expected) <= 1e-10
+                        assert abs(table[i][s, a] - expected) <= 1e-10
 
 
 class TestApplyF:
     def test_equilibria_are_fixed_points(self):
-        for entry in corpus.desk_corpus():
+        for entry in corpus_entries():
             out = apply_f(entry.game, entry.equilibrium)
             assert out.max_norm_distance(entry.equilibrium) <= 1e-12, entry.name
 
@@ -105,7 +111,7 @@ class TestApplyF:
             for i, p in enumerate(out.probs):
                 zero = p == 0.0
                 assert np.all(pi.probs[i][zero] == 0.0)
-                assert np.all(table.gains[i][zero] == 0.0)
+                assert np.all(table[i][zero] == 0.0)
 
 
 class TestImprove:
@@ -131,7 +137,7 @@ class TestImprove:
                 table = gain_table(game, pi)
                 for i in range(n):
                     assert np.array_equal(nxt[i][k], single.probs[i])
-                    assert np.array_equal(gains[i][k], table.gains[i])
+                    assert np.array_equal(gains[i][k], table[i])
                 assert res[k] == residual(game, pi)
             # several leading batch axes give the same bits as one
             grid = tuple(p.reshape((2, 3) + p.shape[1:]) for p in probs)
@@ -237,7 +243,7 @@ class TestKernelMatchesReference:
         if not batch:
             table = gain_table(game, validate_profile(game, probs))
             for i in range(n):
-                assert np.array_equal(table.gains[i], gains[i])
+                assert np.array_equal(table[i], gains[i])
             assert residual(game, validate_profile(game, probs)) == res
 
     def test_groups_of_equal_action_counts(self):
@@ -246,34 +252,47 @@ class TestKernelMatchesReference:
         assert dict(REFERENCE_GAMES)["4x2x2-g0.0"].player_groups == ((0, 1, 2, 3),)
 
 
-_NAN_SCRIPT = """
+def off_simplex_input():
+    """A one-player game and an own strategy off the simplex whose rows sum
+    to 1, so that it passes the drift check and reaches the gain denominator."""
+    game = random_game(np.random.default_rng(1), 1, 2, 2, 0.9)
+    return game, (np.array([[4.0, -3.0], [4.0, -3.0]]),)
+
+
+_OFF_SIMPLEX_SCRIPT = """
 import numpy as np
 from sgcert.nash_map import DenominatorError, improve
 from sgcert.oracles import random_game
 
 if __debug__:
     raise SystemExit("assertions are on")
-game = random_game(np.random.default_rng(0), 2, 2, 2, 0.5)
+game = random_game(np.random.default_rng(1), 1, 2, 2, 0.9)
 try:
-    improve(game, tuple(np.full((2, 2), np.nan) for _ in range(2)))
+    improve(game, (np.array([[4.0, -3.0], [4.0, -3.0]]),))
 except DenominatorError:
     raise SystemExit(0)
 raise SystemExit("no DenominatorError")
 """
 
 
-class TestDenominatorCheck:
+class TestDriftCheck:
     @pytest.mark.parametrize("shape", [(2, 2, 2), (1, 1, 2), (3, 2, 2)])
     def test_nan_profile_raises(self, shape):
         game = random_game(np.random.default_rng(1), *shape, 0.5)
         probs = tuple(np.full((game.num_states, a), np.nan) for a in game.num_actions)
-        with pytest.raises(DenominatorError):
+        with pytest.raises(GameValidationError, match="drifted"):
             improve(game, probs)
+
+
+class TestDenominatorCheck:
+    def test_off_simplex_profile_raises(self):
+        with pytest.raises(DenominatorError):
+            improve(*off_simplex_input())
 
     def test_check_survives_optimized_python(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        done = subprocess.run([sys.executable, "-O", "-c", _NAN_SCRIPT],
+        done = subprocess.run([sys.executable, "-O", "-c", _OFF_SIMPLEX_SCRIPT],
                               env={**os.environ, "PYTHONPATH": path},
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
@@ -281,7 +300,7 @@ class TestDenominatorCheck:
 
 class TestResidual:
     def test_zero_at_equilibria(self):
-        for entry in corpus.desk_corpus():
+        for entry in corpus_entries():
             assert residual(entry.game, entry.equilibrium) <= 1e-12
 
     def test_hand_computed_toy(self, toy):
@@ -295,10 +314,10 @@ class TestResidual:
     def test_fixed_point_iff_zero_gains(self):
         for game, pi in random_instances(47, 30):
             res = residual(game, pi)
-            max_gain = gain_table(game, pi).max_gain
+            top = max_gain(gain_table(game, pi))
             if res <= 1e-10:
-                assert max_gain <= 1e-8
-            if max_gain <= 1e-12:
+                assert top <= 1e-8
+            if top <= 1e-12:
                 assert res <= 1e-10
 
 
@@ -306,7 +325,7 @@ class TestLipschitzConstant:
     def test_reference_values(self, rng):
         g = random_game(rng, 2, 2, 2, 0.5)
         assert lipschitz_constant(g) == 1152.0
-        assert lipschitz_constant(corpus.two_arm_bandit()) == 36.0
+        assert lipschitz_constant(corpus_game("two_arm_bandit")) == 36.0
 
     def test_linear_in_r_max(self, rng):
         from sgcert.game import validate_game

@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
-from sgcert import (
-    apply_f,
-    lipschitz_constant,
-    residual,
+from sgcert import oracles, simplicial
+from sgcert.game import (
+    StrategyProfile,
     uniform_profile,
     validate_game,
     validate_profile,
     value_function,
 )
-from sgcert import corpus, oracles, simplicial
-from sgcert.game import StrategyProfile
+from sgcert.nash_map import apply_f, lipschitz_constant, residual
 from sgcert.simplicial import grid_points
 from sgcert.oracles import (
     enumerate_deterministic_policies,
@@ -26,7 +24,7 @@ from sgcert.oracles import (
     truncated_value,
 )
 
-from conftest import CORPUS_GAMES, corpus_game, random_instances
+from conftest import CORPUS_GAMES, corpus_entry, corpus_game, random_instances
 
 
 class TestTruncatedValue:
@@ -58,18 +56,18 @@ class TestSupportEnumeration:
         np.testing.assert_allclose(eq.probs[1][0], [0.5, 0.5])
 
     def test_coordination_has_three(self):
-        result = support_enumeration_2x2(corpus.coordination())
+        result = support_enumeration_2x2(corpus_game("coordination_pure"))
         assert len(result.equilibria) == 3
 
     def test_dominant_single_pure(self):
-        result = support_enumeration_2x2(corpus.dominant_bimatrix())
+        result = support_enumeration_2x2(corpus_game("dominant"))
         assert len(result.equilibria) == 1
         eq = result.equilibria[0]
         np.testing.assert_allclose(eq.probs[0][0], [1.0, 0.0])
         np.testing.assert_allclose(eq.probs[1][0], [1.0, 0.0])
 
     def test_asymmetric_mixed_point(self):
-        result = support_enumeration_2x2(corpus.asymmetric_mixed())
+        result = support_enumeration_2x2(corpus_game("asymmetric_mixed"))
         mixed = [
             eq for eq in result.equilibria
             if 0 < eq.probs[0][0, 0] < 1 and 0 < eq.probs[1][0, 0] < 1
@@ -196,9 +194,7 @@ class TestZeroSumOracles:
         np.testing.assert_allclose(x, [0.5, 0.5], atol=1e-9)
 
     def test_shapley_on_zero_sum_chain(self):
-        entry = next(
-            e for e in corpus.desk_corpus() if e.name == "zero_sum_chain"
-        )
+        entry = corpus_entry("zero_sum_chain")
         v = shapley_values(entry.game)
         np.testing.assert_allclose(v, [2.0, 2.0], atol=1e-8)
         v_eq = value_function(entry.game, entry.equilibrium, 0)

@@ -4,7 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from sgcert import corpus, nash_map, oracles, simplicial
+from sgcert import nash_map, oracles, simplicial
 from sgcert.game import StrategyProfile, validate_game
 from sgcert.nash_map import apply_f, residual
 from sgcert.simplicial import (
@@ -30,7 +30,7 @@ from sgcert.simplicial import (
     stopping_residual_check,
 )
 
-from conftest import CORPUS_GAMES, corpus_game
+from conftest import CORPUS_GAMES, corpus_game, single_state_entries
 
 
 def point(game, rows, d):
@@ -101,7 +101,7 @@ class TestLabelPoint:
         assert label_point(toy, point(toy, [[[2, 0]]], 2)) == Label(0, 0, 0)
 
     def test_properness_everywhere(self):
-        for entry in corpus.single_state_corpus()[:4]:
+        for entry in single_state_entries()[:4]:
             for p in grid_points(entry.game, 3):
                 lab = label_point(entry.game, p)
                 assert p.numerators[lab.player][lab.state, lab.action] > 0
@@ -165,7 +165,7 @@ class TestClassification:
 
     def test_stopping_block_is_the_least_covered(self, monkeypatch):
         # labels covering two (player, state) blocks: the least block stops
-        game = corpus.zero_sum_chain()
+        game = corpus_game("zero_sum_chain")
         t = (Label(0, 0, 0), Label(0, 1, 0), Label(1, 0, 0))
         sigma = GridSimplex(point(game, [[[1, 1], [1, 1]], [[1, 1], [1, 1]]], 2), t, t)
         wanted = [Label(1, 0, 0), Label(1, 0, 1), Label(0, 0, 0), Label(0, 0, 1)]
@@ -219,8 +219,7 @@ class TestTriangulation:
         [("two_arm_bandit", 4), ("matching_pennies", 2), ("matching_pennies", 3)],
     )
     def test_cone_regions_are_covered(self, game_name, d):
-        game = getattr(corpus, game_name)() if game_name != "two_arm_bandit" \
-            else corpus.two_arm_bandit()
+        game = corpus_game(game_name)
         apex = starting_point(game, d)
         pts = list(grid_points(game, d))
         for t_set in index_sets(game):
@@ -434,9 +433,9 @@ def _seeded(seed, n, s, a):
 
 
 SEARCH_CASES = (
-    [(f"toy-d{d}", corpus.two_arm_bandit, d) for d in (2, 3, 4)]
-    + [(f"pennies-d{d}", corpus.matching_pennies, d) for d in (2, 3, 4)]
-    + [("zero_sum_chain-d2", corpus.zero_sum_chain, 2)]
+    [(f"toy-d{d}", lambda: corpus_game("two_arm_bandit"), d) for d in (2, 3, 4)]
+    + [(f"pennies-d{d}", lambda: corpus_game("matching_pennies"), d) for d in (2, 3, 4)]
+    + [("zero_sum_chain-d2", lambda: corpus_game("zero_sum_chain"), 2)]
     + [(f"seeded{shape}-d{d}", lambda shape=shape: _seeded(7, *shape), d)
        for shape, d in (((2, 1, 3), 2), ((3, 1, 2), 2), ((1, 2, 4), 1))]
 )
