@@ -2,7 +2,7 @@
 must match the recorded ones exactly.
 
 The commands read the committed files under ``corpus/``, the only copy of
-the corpus: no builder writes them, so a change to a corpus file is a change
+the corpus: no code writes them, so a change to a corpus file is a change
 of output like any other.
 
 The recorded file holds the Python and numpy versions it was written with.
