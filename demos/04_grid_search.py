@@ -43,13 +43,13 @@ for vertex in simplex_vertices(game, sigma):
     nums = [arr[0].tolist() for arr in vertex.numerators]
     print(f"  {nums}  residual = {residual(game, pi):.4f}")
 
-check = stopping_residual_check(game, sigma, d)
+check = stopping_residual_check(game, sigma)
 print(f"\nevery vertex residual <= {check.bound:.2f} (guaranteed); "
       f"worst observed {max(check.vertex_residuals):.4f}")
 
 # Finer grids tighten the guarantee linearly in 1/d.
 for d in (2, 4, 8, 16):
     sigma, _ = find_stopping_simplex(game, d)
-    check = stopping_residual_check(game, sigma, d)
+    check = stopping_residual_check(game, sigma)
     print(f"d={d:2d}: bound {check.bound:8.2f}  "
           f"best vertex residual {min(check.vertex_residuals):.6f}")

@@ -14,6 +14,7 @@ value of the single-agent MDP obtained by freezing the opponents.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,19 @@ from .nash_map import (
 # so numerically tied actions never alternate: the iteration stays finite and
 # ties break toward the lowest action index.
 _PI_TIE_TOL = 1e-12
+# Slack on the check regret <= (max gain) / (1 - gamma).  Both sides are
+# differences of values of size up to r_max / (1 - gamma) from dense solves
+# and carry rounding errors of a few ulps of those values, orders of magnitude
+# below this slack at desk scale; a true violation of the bound is far larger.
+_REGRET_SLACK = 1e-8
+# choose_d's grid size is a float product whose exact value is often an
+# integer: A_max and L are integers, and r_max, lambda and gamma are often
+# exact in binary.  Rounding moves such a product a few ulps off the integer,
+# so a value within this relative distance of an integer is taken to be it
+# rather than rounded up past it.  Above 5e5 the snap spans the whole
+# half-unit around an integer, so there d is the nearest integer, within a
+# relative 1e-6 of the value.
+_GRID_SNAP_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -138,7 +152,8 @@ def certify_profile(
     achieved = max(0.0, max(float(r.max()) for r in regrets))
     target, d_used = None, None
     if target_l is not None:
-        target, d_used = 1.0 / target_l, choose_d(game, target_l)
+        # choose_d first: it rejects an L whose 1/L is not a float
+        d_used, target = choose_d(game, target_l), 1.0 / target_l
     return Certificate(
         residual=eps,
         per_state_regret=tuple(regrets),
@@ -160,20 +175,23 @@ class GainRegretReport:
 
 def gain_to_regret_check(game: StochasticGame, pi: StrategyProfile) -> GainRegretReport:
     """Report-only check that regrets obey the one-shot gain bound:
-    every best-response regret <= (max gain) / (1 - gamma) + 1e-8."""
+    every best-response regret <= (max gain) / (1 - gamma) + _REGRET_SLACK."""
     mdps = evaluate_groups(game, pi.probs)
     g = max(float(m.gains().max()) for m in mdps)
     max_regret = max(float((_policy_iteration(m) - m.v).max())
                      for m in per_player(game, mdps))
     bound = g / (1.0 - game.gamma)
-    return GainRegretReport(g, max_regret, bound, max_regret <= bound + 1e-8)
+    return GainRegretReport(g, max_regret, bound, max_regret <= bound + _REGRET_SLACK)
 
 
 def choose_d(game: StochasticGame, l_target: int) -> int:
     """Grid size guaranteeing a 1/L-approximate equilibrium from any stopping
-    simplex: ceil(32 * A_max^5 * R_max^3 * (lambda + 1) * L^2 / (1-gamma)^5)."""
-    if l_target < 1:
-        raise ValueError("L must be a positive integer")
+    simplex: ceil(32 * A_max^5 * R_max^3 * (lambda + 1) * L^2 / (1-gamma)^5).
+    Raises ValueError when L is below 1 or past the float range, or when
+    the grid size is not a finite float; 1/L is a float for every L
+    accepted."""
+    if not 1 <= l_target <= sys.float_info.max:
+        raise ValueError("L must be a positive integer no larger than the largest float")
     lam = lipschitz_constant(game)
     value = (
         32.0
@@ -184,7 +202,9 @@ def choose_d(game: StochasticGame, l_target: int) -> int:
         * l_target
         / (1.0 - game.gamma) ** 5
     )
+    if not math.isfinite(value):
+        raise ValueError("L is too large: its grid size is not a finite float")
     nearest = round(value)
-    if abs(value - nearest) <= 1e-6 * max(1.0, abs(value)):
+    if abs(value - nearest) <= _GRID_SNAP_TOL * max(1.0, abs(value)):
         return int(nearest)
     return int(math.ceil(value))

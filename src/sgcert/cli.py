@@ -61,14 +61,20 @@ def _emit(payload: dict) -> None:
     print(json.dumps(_round_floats(payload), indent=2, sort_keys=True))
 
 
-def _target_l(args) -> int | None:
-    if args.target_L is not None and args.target_L < 1:
-        raise GameValidationError("--target-L must be a positive integer")
+def _target_l(args, game) -> int | None:
+    """``--target-L``, checked once, before any solve: L must give the game a
+    grid size (:func:`choose_d`)."""
+    if args.target_L is not None:
+        try:
+            choose_d(game, args.target_L)
+        except ValueError as exc:
+            raise GameValidationError(f"--target-L: {exc}") from exc
     return args.target_L
 
 
 def cmd_info(args) -> int:
     game = load_game(args.game)
+    target_l = _target_l(args, game)
     payload = {
         "num_players": game.num_players,
         "num_states": game.num_states,
@@ -77,67 +83,86 @@ def cmd_info(args) -> int:
         "r_max": game.r_max,
         "lambda": lipschitz_constant(game),
     }
-    if _target_l(args) is not None:
-        payload["L"] = args.target_L
-        payload["d"] = choose_d(game, args.target_L)
+    if target_l is not None:
+        payload["L"] = target_l
+        payload["d"] = choose_d(game, target_l)
     _emit(payload)
     return EXIT_OK
 
 
-def _solve_damped_f(game, args):
-    if args.seed is not None:
-        pi = random_profile(game, np.random.default_rng(args.seed))
+def _solve_damped_f(game, damping, max_iters, tol, seed):
+    if seed is not None:
+        pi = random_profile(game, np.random.default_rng(seed))
     else:
         pi = uniform_profile(game)
     status = "no-convergence"
-    for _ in range(args.max_iters):
+    for _ in range(max_iters):
         nxt = apply_f(game, pi)
-        if nxt.max_norm_distance(pi) <= args.tol:
+        if nxt.max_norm_distance(pi) <= tol:
             status = "converged"
             break
-        blended = [
-            (1.0 - args.damping) * a + args.damping * b
-            for a, b in zip(pi.probs, nxt.probs)
-        ]
+        blended = [(1.0 - damping) * a + damping * b for a, b in zip(pi.probs, nxt.probs)]
         # renormalize away float drift; the loop revalidates only on exit
         pi = StrategyProfile(tuple(p / p.sum(axis=1, keepdims=True) for p in blended))
     return validate_profile(game, pi.probs), status
 
 
-def _solve_grid(game, args):
-    point, _ = grid_residual_argmin(game, args.d)
+def _solve_grid(game, d):
+    point, _ = grid_residual_argmin(game, d)
     return point.to_profile(game), "converged"
 
 
-def _solve_simplicial(game, args):
-    found = find_stopping_simplex(game, args.d)
+def _solve_simplicial(game, d):
+    found = find_stopping_simplex(game, d)
     if found is None:
         return None, "no-stopping-simplex"
     sigma, _ = found
-    residuals = stopping_residual_check(game, sigma, args.d).vertex_residuals
+    residuals = stopping_residual_check(game, sigma).vertex_residuals
     best = simplex_vertices(game, sigma)[int(np.argmin(residuals))]
     return best.to_profile(game), "converged"
 
 
+# The flags each solve method reads, with their defaults.  Every method also
+# reads --target-L; a flag of this table that the method does not read is an
+# input error.
+SOLVE_FLAGS = {
+    "damped-f": {"damping": 0.5, "max_iters": 10_000, "tol": 1e-9, "seed": None},
+    "grid": {"d": 2},
+    "simplicial": {"d": 2},
+}
+_SOLVERS = {"damped-f": _solve_damped_f, "grid": _solve_grid,
+            "simplicial": _solve_simplicial}
+
+
+def _solve_options(args) -> dict:
+    """The method's flags: each given value, else its default.  The first
+    given flag that the method does not read is an input error."""
+    reads = SOLVE_FLAGS[args.method]
+    given = {k: v for k, v in vars(args).items() if any(k in f for f in SOLVE_FLAGS.values())}
+    unread = [k for k in given if k not in reads]
+    if unread:
+        flag = "--" + unread[0].replace("_", "-")
+        raise GameValidationError(f"{flag} is not read by the {args.method} method")
+    return {**reads, **given}
+
+
 def cmd_solve(args) -> int:
-    # damped-f's flags, checked whatever the method so that none passes unseen
-    if not 0.0 < args.damping <= 1.0:
-        raise GameValidationError(f"--damping must lie in (0, 1], got {args.damping}")
-    if not 0.0 <= args.tol < np.inf:
-        raise GameValidationError(f"--tol must be finite and nonnegative, got {args.tol}")
-    if args.max_iters < 1:
-        raise GameValidationError(f"--max-iters must be at least 1, got {args.max_iters}")
-    game = load_game(args.game)
+    options = _solve_options(args)
     if args.method == "damped-f":
-        pi, status = _solve_damped_f(game, args)
-    elif args.method == "grid":
-        pi, status = _solve_grid(game, args)
-    else:
-        pi, status = _solve_simplicial(game, args)
+        damping, max_iters, tol = options["damping"], options["max_iters"], options["tol"]
+        if not 0.0 < damping <= 1.0:
+            raise GameValidationError(f"--damping must lie in (0, 1], got {damping}")
+        if not 0.0 <= tol < np.inf:
+            raise GameValidationError(f"--tol must be finite and nonnegative, got {tol}")
+        if max_iters < 1:
+            raise GameValidationError(f"--max-iters must be at least 1, got {max_iters}")
+    game = load_game(args.game)
+    target_l = _target_l(args, game)
+    pi, status = _SOLVERS[args.method](game, **options)
     if pi is None:
         _emit({"method": args.method, "status": status})
         return EXIT_METHOD_FAILURE
-    cert = certify_profile(game, pi, _target_l(args))
+    cert = certify_profile(game, pi, target_l)
     _emit(
         {
             "method": args.method,
@@ -159,12 +184,11 @@ def _verdict_exit(cert: Certificate, status: str) -> int:
 
 def cmd_certify(args) -> int:
     game = load_game(args.game)
+    target_l = _target_l(args, game)
     pi = load_profile(game, args.profile)
-    cert = certify_profile(game, pi, _target_l(args))
+    cert = certify_profile(game, pi, target_l)
     _emit(cert.to_dict())
-    if cert.verdict is False:
-        return EXIT_VERDICT_FALSE
-    return EXIT_OK
+    return _verdict_exit(cert, "converged")
 
 
 def cmd_label(args) -> int:
@@ -220,16 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("game")
         if name == "solve":
-            p.add_argument(
-                "--method",
-                choices=["damped-f", "grid", "simplicial"],
-                default="damped-f",
-            )
-        p.add_argument("--d", type=int, default=2)
-        p.add_argument("--damping", type=float, default=0.5)
-        p.add_argument("--max-iters", type=int, default=10_000)
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--method", choices=list(SOLVE_FLAGS), default="damped-f")
+        # no defaults: a flag is in args only when given, so an unread one shows
+        for flag, kind in (("--d", int), ("--damping", float), ("--max-iters", int),
+                           ("--tol", float), ("--seed", int)):
+            p.add_argument(flag, type=kind, default=argparse.SUPPRESS)
         p.add_argument("--target-L", type=int, default=None)
         p.set_defaults(func=cmd_solve)
         if name == "search":

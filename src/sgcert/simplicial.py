@@ -7,9 +7,9 @@ to integer multiples of 1/d gives the grid.  The triangulation is built
 from a block-diagonal displacement matrix Q: within one (player, state)
 block the column for action k carries -1 at row k and +1 at row
 (k + 1) mod A, so every column preserves the per-(player, state) sum.  A
-simplex is determined by a base grid point, an admissible index set T of
-coordinate triples (at least one action per (player, state) stays out of
-T), and an ordering of T; successive vertices differ by one Q column.
+simplex is a base grid point and an ordering of an admissible index set T
+of coordinate triples (at least one action per (player, state) stays out of
+T); the ordering fixes T, and successive vertices differ by one Q column.
 
 Grid points are labelled by the coordinate triple that achieves the global
 minimum displacement of the improvement map, restricted to coordinates
@@ -23,7 +23,8 @@ arithmetic on the flattened numerators (the order of
 :meth:`GridProfile.flat_key`):
 
 * Cone regions.  A base point belongs to the region of T when it lies in
-  the cone of T's Q columns rooted at the apex :func:`starting_point`.
+  the cone of T's Q columns rooted at the apex :func:`starting_point`, the
+  grid point nearest the uniform profile, which has a closed form.
   Within one block the coefficients of ``point - apex`` have a closed form
   (see :func:`in_cone`), so each base point yields, once, the set of
   coordinates every admissible T must contain; a region test is then a
@@ -65,11 +66,6 @@ GRID_ENUM_GUARD = 10**7
 # in exact arithmetic resolves to the lexicographically least coordinate, not
 # to whichever side rounding favoured.
 _LABEL_TIE_TOL = 1e-12
-# Apex distances max|y/d - 1/A| are floats of rationals; distinct true
-# distances differ by at least 1/(d*A), far above this tolerance, so a
-# difference below it is a rounding-level tie and the lexicographically
-# first composition keeps the apex.
-_APEX_TIE_TOL = 1e-15
 # Slack on the stopping-simplex residual bound for the rounding of the
 # vertex residuals, which are at most 1 and carry errors of a few ulps.
 _BOUND_SLACK = 1e-8
@@ -134,11 +130,10 @@ class GridProfile:
 
 @dataclass(frozen=True)
 class GridSimplex:
-    """Simplex of the triangulation: base point, admissible index set T
-    (kept sorted), and the vertex ordering ``order`` (a permutation of T)."""
+    """Simplex of the triangulation: base point and the vertex ordering
+    ``order`` of an admissible index set T, which the ordering fixes."""
 
     base: GridProfile
-    index_set: tuple[Label, ...]
     order: tuple[Label, ...]
 
     @property
@@ -146,8 +141,13 @@ class GridSimplex:
         return self.base.d
 
     @property
+    def index_set(self) -> tuple[Label, ...]:
+        """The index set T, sorted."""
+        return tuple(sorted(self.order))
+
+    @property
     def dimension(self) -> int:
-        return len(self.index_set)
+        return len(self.order)
 
 
 @dataclass(frozen=True)
@@ -302,9 +302,8 @@ def q_column(game: StochasticGame, coord: Label) -> tuple[np.ndarray, ...]:
     """Displacement of one Q column on the numerators: -1 at the coordinate's
     action, +1 at the cyclically next action in the same (player, state)."""
     i, s, a = coord
-    if not (0 <= i < game.num_players and 0 <= s < game.num_states):
-        raise IndexError(f"invalid coordinate {coord}")
-    if not 0 <= a < game.num_actions[i]:
+    if not (0 <= i < game.num_players and 0 <= s < game.num_states
+            and 0 <= a < game.num_actions[i]):
         raise IndexError(f"invalid coordinate {coord}")
     delta = [0] * (game.num_states * sum(game.num_actions))
     low, high = _column(game, coord)
@@ -340,8 +339,6 @@ def _check_index_set(game: StochasticGame, index_set) -> None:
 
 def _vertex_keys(game: StochasticGame, sigma: GridSimplex) -> list[tuple[int, ...]]:
     """Validated flattened numerators of the vertices w^0 .. w^|T|."""
-    if sorted(sigma.order) != sorted(sigma.index_set):
-        raise InvalidSimplexError("ordering is not a permutation of the index set")
     _check_index_set(game, sigma.index_set)
     keys = [sigma.base.flat_key()]
     for coord in sigma.order:
@@ -389,41 +386,29 @@ def classify_simplex(game: StochasticGame, sigma: GridSimplex) -> SimplexClass:
 
 
 def index_sets(game: StochasticGame) -> list[tuple[Label, ...]]:
-    """All admissible index sets, ordered by size then lexicographically."""
-    per_cell = []
-    for i in range(game.num_players):
-        for s in range(game.num_states):
-            coords = [Label(i, s, a) for a in range(game.num_actions[i])]
-            subsets = []
-            for k in range(len(coords)):  # proper subsets only
-                subsets.extend(combinations(coords, k))
-            per_cell.append(subsets)
-    sets = []
-    for combo in product(*per_cell):
-        merged = tuple(sorted(c for part in combo for c in part))
-        sets.append(merged)
-    sets.sort(key=lambda t: (len(t), t))
-    return sets
+    """All admissible index sets, ordered by size then lexicographically.
+    Each is a choice of one proper subset per (player, state) block; the
+    blocks run in label order, so the joined choice is already sorted."""
+    blocks = [[Label(i, s, a) for a in range(a_count)] for i, s, _, a_count in _blocks(game)]
+    proper = [[part for k in range(len(b)) for part in combinations(b, k)] for b in blocks]
+    sets = (tuple(chain.from_iterable(choice)) for choice in product(*proper))
+    return sorted(sets, key=lambda t: (len(t), t))
 
 
 def starting_point(game: StochasticGame, d: int) -> GridProfile:
     """Grid point nearest the uniform profile in max norm, lexicographic
-    tie-break.  Serves as the cone apex v^0 of the triangulated regions."""
+    tie-break.  Serves as the cone apex v^0 of the triangulated regions.
+
+    Closed form: with ``q, r = divmod(d, A)``, the nearest blocks of
+    numerators hold only q and q + 1 (any other value lies farther from
+    d / A), r of them q + 1; the lexicographically least puts those last."""
     if d < 1:
         raise InvalidSimplexError("grid size d must be >= 1")
     nums = []
-    for i in range(game.num_players):
-        a_count = game.num_actions[i]
-        rows = []
-        for _ in range(game.num_states):
-            best = None
-            best_dist = None
-            for comp in _compositions(d, a_count):
-                dist = max(abs(y / d - 1.0 / a_count) for y in comp)
-                if best_dist is None or dist < best_dist - _APEX_TIE_TOL:
-                    best, best_dist = comp, dist
-            rows.append(best)
-        nums.append(np.array(rows, dtype=int))
+    for a_count in game.num_actions:
+        q, r = divmod(d, a_count)
+        nums.append(np.array([[q] * (a_count - r) + [q + 1] * r] * game.num_states,
+                             dtype=int))
     return GridProfile(tuple(nums), d)
 
 
@@ -484,7 +469,7 @@ def _orderings(base, t_set, columns) -> Iterator[tuple[tuple[Label, ...], tuple]
 
 
 def _simplices(game: StochasticGame, d: int) -> Iterator[tuple]:
-    """``(base key, T, order, vertex keys)`` of every simplex of the cone
+    """``(base key, order, vertex keys)`` of every simplex of the cone
     regions: base point lexicographic, then index-set size ascending, then
     index set and vertex ordering lexicographic."""
     blocks = _blocks(game)
@@ -495,7 +480,7 @@ def _simplices(game: StochasticGame, d: int) -> Iterator[tuple]:
         for t_set, members, columns in sets:
             if floor <= members:
                 for order, keys in _orderings(base, t_set, columns):
-                    yield base, t_set, order, keys
+                    yield base, order, keys
 
 
 def enumerate_simplices(game: StochasticGame, d: int) -> Iterator[GridSimplex]:
@@ -504,8 +489,8 @@ def enumerate_simplices(game: StochasticGame, d: int) -> Iterator[GridSimplex]:
     ordering lexicographic.  Only simplices inside the cone region of their
     index set (rooted at the starting point) whose vertices stay on the grid
     are yielded."""
-    for base, t_set, order, _ in _simplices(game, d):
-        yield GridSimplex(GridProfile.from_key(game, base, d), t_set, order)
+    for base, order, _ in _simplices(game, d):
+        yield GridSimplex(GridProfile.from_key(game, base, d), order)
 
 
 def find_stopping_simplex(
@@ -520,24 +505,20 @@ def find_stopping_simplex(
     labels = {}
     for nums, chunk_labels, _ in scan_grid(game, d):
         labels.update(zip(map(tuple, nums.tolist()), chunk_labels))
-    for base, t_set, order, keys in _simplices(game, d):
+    for base, order, keys in _simplices(game, d):
         cls = _classify_labels(game, tuple(labels[key] for key in keys))
         if cls.kind == "stopping":
-            return GridSimplex(GridProfile.from_key(game, base, d), t_set, order), cls
+            return GridSimplex(GridProfile.from_key(game, base, d), order), cls
     return None
 
 
-def stopping_residual_check(
-    game: StochasticGame, sigma: GridSimplex, d: int
-) -> StoppingReport:
+def stopping_residual_check(game: StochasticGame, sigma: GridSimplex) -> StoppingReport:
     """Check every vertex of a stopping simplex against the residual bound
-    A_max^2 * (lambda + 1) / d."""
+    A_max^2 * (lambda + 1) / d, at the simplex's grid size d."""
     cls, residuals = _evaluate_simplex(game, sigma)
     if cls.kind != "stopping":
         raise InvalidSimplexError(f"simplex is {cls.kind}, not stopping")
-    if sigma.d != d:
-        raise InvalidSimplexError("simplex grid size does not match d")
-    bound = game.a_max**2 * (lipschitz_constant(game) + 1.0) / d
+    bound = game.a_max**2 * (lipschitz_constant(game) + 1.0) / sigma.d
     return StoppingReport(
         bound, tuple(residuals), all(r <= bound + _BOUND_SLACK for r in residuals)
     )
@@ -575,8 +556,7 @@ def simplex_from_dict(game: StochasticGame, data: dict) -> GridSimplex:
         raise InvalidSimplexError(f"malformed simplex document: {exc}") from exc
     if sorted(perm) != list(range(len(index_set))):
         raise InvalidSimplexError("permutation must reorder the index set")
-    order = tuple(index_set[k] for k in perm)
-    sigma = GridSimplex(base, tuple(sorted(index_set)), order)
+    sigma = GridSimplex(base, tuple(index_set[k] for k in perm))
     _vertex_keys(game, sigma)  # validates
     return sigma
 

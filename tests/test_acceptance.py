@@ -136,7 +136,7 @@ def test_05_stopping_simplices_exist_and_are_accurate():
             found = find_stopping_simplex(entry.game, d)
             assert found is not None, (entry.name, d)
             sigma, cls = found
-            check = stopping_residual_check(entry.game, sigma, d)
+            check = stopping_residual_check(entry.game, sigma)
             assert check.passed, (entry.name, d)
             # every vertex is a proper grid profile
             assert all(

@@ -172,3 +172,12 @@ class TestChooseD:
     def test_rejects_nonpositive_l(self, toy):
         with pytest.raises(ValueError):
             choose_d(toy, 0)
+
+    @pytest.mark.parametrize("target", [10**160, 10**400])
+    def test_rejects_l_whose_grid_size_is_not_a_float(self, toy, target):
+        """ValueError naming L, not OverflowError, from choose_d and from
+        certify_profile."""
+        with pytest.raises(ValueError, match="^L "):
+            choose_d(toy, target)
+        with pytest.raises(ValueError, match="^L "):
+            certify_profile(toy, uniform_profile(toy), target)

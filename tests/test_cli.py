@@ -241,10 +241,38 @@ def test_nonpositive_size_is_input_error(capsys, argv):
 def test_bad_damped_f_flag_is_input_error(capsys, command, flag, value):
     """A damped-f flag out of range is bad input, named in one line, not a
     traceback, a profile error or a no-convergence report; the methods that
-    do not use it reject it too."""
+    do not read it reject it as unread."""
     run_input_error(capsys, *command, DOMINANT, flag, value)
     main([*command, DOMINANT, flag, value])
-    assert capsys.readouterr().err.startswith(f"error: {flag} must ")
+    reason = "must " if command == ("solve",) else "is not read"
+    assert capsys.readouterr().err.startswith(f"error: {flag} {reason}")
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", PENNIES, "--seed", "5"),
+    ("solve", PENNIES, "--method", "grid", "--seed", "5"),
+    ("solve", PENNIES, "--method", "simplicial", "--tol", "1e-3"),
+    ("solve", DOMINANT, "--d", "3"),
+])
+def test_unread_flag_is_input_error(capsys, argv):
+    """A valid value of a flag that the method does not read is rejected in
+    one line that names the flag, before the game file is read."""
+    run_input_error(capsys, *argv)
+    missing = ["/nonexistent/game.json" if a in (PENNIES, DOMINANT) else a for a in argv]
+    assert main(missing) == 2
+    assert capsys.readouterr().err.startswith(f"error: {argv[-2]} is not read by the ")
+
+
+@pytest.mark.parametrize("target", [10**160, 10**400])
+@pytest.mark.parametrize("command", [("info", PENNIES), ("certify", PENNIES, PENNIES_EQ),
+                                     ("solve", PENNIES, "--method", "grid")],
+                         ids=["info", "certify", "solve"])
+def test_huge_target_l_is_input_error(capsys, command, target):
+    """An L whose grid size overflows a float exits 2 with one line, not a
+    traceback."""
+    run_input_error(capsys, *command, "--target-L", str(target))
+    main([*command, "--target-L", str(target)])
+    assert capsys.readouterr().err.startswith("error: --target-L")
 
 
 def test_nonpositive_denominator_is_method_failure(capsys, monkeypatch):

@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import combinations, permutations, product
 from math import comb
 
 import numpy as np
@@ -110,38 +110,38 @@ class TestLabelPoint:
 class TestSimplexVertices:
     def test_empty_index_set(self, toy):
         base = point(toy, [[[1, 1]]], 2)
-        sigma = GridSimplex(base, (), ())
+        sigma = GridSimplex(base, ())
         assert simplex_vertices(toy, sigma) == [base]
 
     def test_single_column_edge(self, toy):
         base = point(toy, [[[1, 1]]], 2)
         t = (Label(0, 0, 0),)
-        vertices = simplex_vertices(toy, GridSimplex(base, t, t))
+        vertices = simplex_vertices(toy, GridSimplex(base, t))
         assert [v.numerators[0].tolist() for v in vertices] == [[[1, 1]], [[0, 2]]]
 
     def test_leaving_the_grid_fails(self, toy):
         base = point(toy, [[[0, 2]]], 2)
         t = (Label(0, 0, 0),)
         with pytest.raises(InvalidSimplexError):
-            simplex_vertices(toy, GridSimplex(base, t, t))
+            simplex_vertices(toy, GridSimplex(base, t))
 
     def test_rejects_full_action_block(self, toy):
         base = point(toy, [[[1, 1]]], 2)
         t = (Label(0, 0, 0), Label(0, 0, 1))
         with pytest.raises(InvalidSimplexError):
-            simplex_vertices(toy, GridSimplex(base, t, t))
+            simplex_vertices(toy, GridSimplex(base, t))
 
 
 class TestClassification:
     def test_vertex_simplex_never_stopping_with_two_actions(self, toy):
         for p in grid_points(toy, 2):
-            cls = classify_simplex(toy, GridSimplex(p, (), ()))
+            cls = classify_simplex(toy, GridSimplex(p, ()))
             assert cls.kind == "completely-labelled"
 
     def test_two_label_edge_is_stopping(self, toy):
         base = point(toy, [[[1, 1]]], 2)
         t = (Label(0, 0, 1),)
-        cls = classify_simplex(toy, GridSimplex(base, t, t))
+        cls = classify_simplex(toy, GridSimplex(base, t))
         assert cls.kind == "stopping"
         assert (cls.stopping_player, cls.stopping_state) == (0, 0)
         assert set(cls.labels) == {Label(0, 0, 0), Label(0, 0, 1)}
@@ -153,7 +153,7 @@ class TestClassification:
             for t_set in index_sets(pennies):
                 if len(t_set) != 1:
                     continue
-                sigma = GridSimplex(base, t_set, t_set)
+                sigma = GridSimplex(base, t_set)
                 try:
                     cls = classify_simplex(pennies, sigma)
                 except InvalidSimplexError:
@@ -167,7 +167,7 @@ class TestClassification:
         # labels covering two (player, state) blocks: the least block stops
         game = corpus_game("zero_sum_chain")
         t = (Label(0, 0, 0), Label(0, 1, 0), Label(1, 0, 0))
-        sigma = GridSimplex(point(game, [[[1, 1], [1, 1]], [[1, 1], [1, 1]]], 2), t, t)
+        sigma = GridSimplex(point(game, [[[1, 1], [1, 1]], [[1, 1], [1, 1]]], 2), t)
         wanted = [Label(1, 0, 0), Label(1, 0, 1), Label(0, 0, 0), Label(0, 0, 1)]
         by_key = {v.flat_key(): lab
                   for v, lab in zip(simplex_vertices(game, sigma), wanted)}
@@ -180,7 +180,7 @@ class TestClassification:
 class TestFindStoppingSimplex:
     def test_toy_satisfies_residual_bound(self, toy):
         sigma, cls = find_stopping_simplex(toy, 8)
-        report = stopping_residual_check(toy, sigma, 8)
+        report = stopping_residual_check(toy, sigma)
         assert report.bound == pytest.approx(18.5)
         assert report.passed
 
@@ -208,9 +208,9 @@ class TestFindStoppingSimplex:
 
     def test_check_rejects_non_stopping(self, toy):
         base = point(toy, [[[2, 0]]], 2)
-        sigma = GridSimplex(base, (), ())
+        sigma = GridSimplex(base, ())
         with pytest.raises(InvalidSimplexError):
-            stopping_residual_check(toy, sigma, 2)
+            stopping_residual_check(toy, sigma)
 
 
 class TestTriangulation:
@@ -228,7 +228,7 @@ class TestTriangulation:
             simplex_count = 0
             for base in reachable:
                 for order in permutations(t_set):
-                    sigma = GridSimplex(base, t_set, order)
+                    sigma = GridSimplex(base, order)
                     try:
                         vertices = simplex_vertices(game, sigma)
                     except InvalidSimplexError:
@@ -269,6 +269,64 @@ class TestSerialization:
     def test_rejects_off_grid_point(self, pennies):
         with pytest.raises(InvalidSimplexError):
             grid_profile_from_lists(pennies, [[[2, 1]], [[1, 1]]], 2)
+
+
+# ---------------------------------------------------------------------------
+# Reference apex and index sets: the enumerations that the closed forms of
+# ``starting_point`` and ``index_sets`` replaced.  The reference search below
+# takes both from the library, so they are checked here on their own.
+
+def reference_compositions(total, parts):
+    """Nonnegative integer compositions in lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in reference_compositions(total - first, parts - 1):
+            yield (first, *rest)
+
+
+def reference_apex_block(d, a_count):
+    """The composition of d into A parts nearest the uniform d / A in max
+    norm; the lexicographically first wins a tie (below 1e-15, rounding)."""
+    best, best_dist = None, None
+    for comp in reference_compositions(d, a_count):
+        dist = max(abs(y / d - 1.0 / a_count) for y in comp)
+        if best_dist is None or dist < best_dist - 1e-15:
+            best, best_dist = comp, dist
+    return list(best)
+
+
+def reference_index_sets(game):
+    """Every choice of a proper subset per (player, state), merged and
+    sorted, ordered by size then lexicographically."""
+    per_cell = []
+    for i in range(game.num_players):
+        for s in range(game.num_states):
+            coords = [Label(i, s, a) for a in range(game.num_actions[i])]
+            subsets = []
+            for k in range(len(coords)):
+                subsets.extend(combinations(coords, k))
+            per_cell.append(subsets)
+    sets = [tuple(sorted(c for part in combo for c in part)) for combo in product(*per_cell)]
+    return sorted(sets, key=lambda t: (len(t), t))
+
+
+@pytest.mark.parametrize("a_count", [1, 2, 3, 4, 5])
+def test_apex_matches_nearest_composition(a_count):
+    game = oracles.random_game(np.random.default_rng(5), 2, 2, [a_count, 3], 0.5)
+    for d in range(1, 21):
+        apex = starting_point(game, d)
+        for arr, n_a in zip(apex.numerators, (a_count, 3)):
+            assert arr.dtype == np.dtype(int)
+            assert arr.tolist() == [reference_apex_block(d, n_a)] * 2, (n_a, d)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, [3]), (1, 2, [2]), (2, 1, [2, 3]),
+                                   (2, 2, [3, 2]), (3, 1, [2, 3, 2]), (3, 2, [2, 2, 3])])
+def test_index_sets_match_nested_loops(shape):
+    game = oracles.random_game(np.random.default_rng(5), *shape, 0.5)
+    assert index_sets(game) == reference_index_sets(game)
 
 
 def test_enumeration_order_is_stable(toy):
@@ -353,7 +411,7 @@ class TestScanMatchesReference:
         each vertex evaluated alone, bit for bit."""
         game = corpus_game(name)
         sigma, _ = find_stopping_simplex(game, 2)
-        report = stopping_residual_check(game, sigma, 2)
+        report = stopping_residual_check(game, sigma)
         assert report.vertex_residuals == tuple(
             residual(game, v.to_profile(game)) for v in simplex_vertices(game, sigma))
 
@@ -404,7 +462,7 @@ def reference_simplices(game, d):
         for t_set in index_sets(game):
             if reference_in_cone(game, base, apex, t_set):
                 for order in permutations(t_set):
-                    sigma = GridSimplex(base, t_set, order)
+                    sigma = GridSimplex(base, order)
                     if reference_vertices(game, sigma) is not None:
                         yield sigma
 
