@@ -40,14 +40,6 @@ _PI_TIE_TOL = 1e-12
 # and carry rounding errors of a few ulps of those values, orders of magnitude
 # below this slack at desk scale; a true violation of the bound is far larger.
 _REGRET_SLACK = 1e-8
-# choose_d's grid size is a float product whose exact value is often an
-# integer: A_max and L are integers, and r_max, lambda and gamma are often
-# exact in binary.  Rounding moves such a product a few ulps off the integer,
-# so a value within this relative distance of an integer is taken to be it
-# rather than rounded up past it.  Above 5e5 the snap spans the whole
-# half-unit around an integer, so there d is the nearest integer, within a
-# relative 1e-6 of the value.
-_GRID_SNAP_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -186,25 +178,19 @@ def gain_to_regret_check(game: StochasticGame, pi: StrategyProfile) -> GainRegre
 
 def choose_d(game: StochasticGame, l_target: int) -> int:
     """Grid size guaranteeing a 1/L-approximate equilibrium from any stopping
-    simplex: ceil(32 * A_max^5 * R_max^3 * (lambda + 1) * L^2 / (1-gamma)^5).
-    Raises ValueError when L is below 1 or past the float range, or when
-    the grid size is not a finite float; 1/L is a float for every L
-    accepted."""
+    simplex: ceil(32 * A_max^5 * R_max^3 * (lambda + 1) * L^2 / (1-gamma)^5),
+    with lambda the formula of :func:`lipschitz_constant`.  Both are
+    computed exactly, in rationals over the game's gamma and R_max, so that
+    no rounding puts d below the bound.  Raises ValueError when L is
+    below 1 or past the float range, or when the grid size is past the
+    float range; 1/L is a float for every L accepted."""
     if not 1 <= l_target <= sys.float_info.max:
         raise ValueError("L must be a positive integer no larger than the largest float")
-    lam = lipschitz_constant(game)
-    value = (
-        32.0
-        * game.a_max**5
-        * game.r_max**3
-        * (lam + 1.0)
-        * l_target
-        * l_target
-        / (1.0 - game.gamma) ** 5
-    )
-    if not math.isfinite(value):
+    from fractions import Fraction  # imported here, off the cold start
+
+    gamma, r_max, a = Fraction(game.gamma), Fraction(game.r_max), game.a_max
+    lam = 9 * game.num_players * game.num_states**2 * a**2 * r_max / (1 - gamma) ** 2
+    value = 32 * a**5 * r_max**3 * (lam + 1) * l_target**2 / (1 - gamma) ** 5
+    if value > sys.float_info.max:
         raise ValueError("L is too large: its grid size is not a finite float")
-    nearest = round(value)
-    if abs(value - nearest) <= _GRID_SNAP_TOL * max(1.0, abs(value)):
-        return int(nearest)
-    return int(math.ceil(value))
+    return math.ceil(value)

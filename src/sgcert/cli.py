@@ -22,6 +22,7 @@ from .game import (
     load_game,
     load_profile,
     profile_to_dict,
+    read_json,
     uniform_profile,
     validate_profile,
 )
@@ -31,8 +32,8 @@ from .simplicial import (
     GridProfile,
     InvalidSimplexError,
     find_stopping_simplex,
-    grid_profile_from_lists,
     label_point,
+    point_from_dict,
     scan_grid,
     simplex_from_dict,
     simplex_to_dict,
@@ -149,13 +150,15 @@ def _solve_options(args) -> dict:
 def cmd_solve(args) -> int:
     options = _solve_options(args)
     if args.method == "damped-f":
-        damping, max_iters, tol = options["damping"], options["max_iters"], options["tol"]
+        damping, max_iters, tol, seed = (options[k] for k in SOLVE_FLAGS["damped-f"])
         if not 0.0 < damping <= 1.0:
             raise GameValidationError(f"--damping must lie in (0, 1], got {damping}")
         if not 0.0 <= tol < np.inf:
             raise GameValidationError(f"--tol must be finite and nonnegative, got {tol}")
         if max_iters < 1:
             raise GameValidationError(f"--max-iters must be at least 1, got {max_iters}")
+        if seed is not None and seed < 0:
+            raise GameValidationError(f"--seed must be nonnegative, got {seed}")
     game = load_game(args.game)
     target_l = _target_l(args, game)
     pi, status = _SOLVERS[args.method](game, **options)
@@ -192,22 +195,19 @@ def cmd_certify(args) -> int:
 
 
 def cmd_label(args) -> int:
-    game = load_game(args.game)
     if args.simplex is not None:
-        with open(args.simplex) as fh:
-            sigma = simplex_from_dict(game, json.load(fh))
-        _emit(simplex_to_dict(game, sigma))
+        # a simplex document carries its own grid size and points
+        for flag, value in (("--d", args.d), ("--point", args.point)):
+            if value is not None:
+                raise GameValidationError(f"{flag} is not read with --simplex")
+        game = load_game(args.game)
+        _emit(simplex_to_dict(game, simplex_from_dict(game, read_json(args.simplex))))
         return EXIT_OK
     if args.d is None:
         raise GameValidationError("--d is required when labelling grid points")
+    game = load_game(args.game)
     if args.point is not None:
-        with open(args.point) as fh:
-            data = json.load(fh)
-        try:
-            rows = data["numerators"]
-        except (KeyError, TypeError) as exc:
-            raise InvalidSimplexError("point file must contain a 'numerators' field") from exc
-        point = grid_profile_from_lists(game, rows, args.d)
+        point = point_from_dict(game, read_json(args.point), args.d)
         labelled = [(point, label_point(game, point))]
     else:
         labelled = [(GridProfile.from_key(game, key, args.d), label)
@@ -274,8 +274,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GameValidationError, InvalidSimplexError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except (GameValidationError, InvalidSimplexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (ValueError, DenominatorError) as exc:

@@ -33,7 +33,8 @@ PROB_TOL_DERIVED = 1e-10
 
 
 class GameValidationError(ValueError):
-    """A game or profile violates a structural constraint."""
+    """An input file cannot be read, or a game or profile in it violates a
+    structural constraint."""
 
 
 @dataclass(frozen=True)
@@ -272,21 +273,22 @@ def _entries(seq, what: str) -> tuple:
 
 
 def _number(value, what: str) -> float:
-    """``value`` as a float, or a validation error naming ``what``; strings
-    and null are not numbers."""
+    """``value`` as a float, or a validation error naming ``what``; strings,
+    null and integers past the float range are not numbers."""
     if not isinstance(value, str):
         try:
             return float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             pass
     raise GameValidationError(f"{what} must be a number, got {value!r}")
 
 
 def _float_array(data, what: str) -> np.ndarray:
-    """``data`` as a float array, or a validation error naming ``what``."""
+    """``data`` as a float array, or a validation error naming ``what``; an
+    integer past the float range is not a float."""
     try:
         return np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise GameValidationError(f"{what} is not a numeric array: {exc}") from exc
 
 
@@ -450,13 +452,25 @@ def game_from_dict(data: dict) -> StochasticGame:
     )
 
 
+def read_json(path):
+    """The JSON document in the file at ``path``, the one place an input file
+    is read.  A file that cannot be opened, is not UTF-8 or does not parse
+    raises :class:`GameValidationError`, one line naming the path and why."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise GameValidationError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+    # OSError: missing, a directory, no permission; ValueError: not UTF-8, or
+    # an integer of more digits than int() takes; RecursionError: nested
+    # deeper than the parser allows
+    except (OSError, ValueError, RecursionError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise GameValidationError(f"{path}: {reason}") from exc
+
+
 def load_game(path) -> StochasticGame:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GameValidationError(f"{path}: invalid JSON at line {exc.lineno}") from exc
-    return game_from_dict(data)
+    return game_from_dict(read_json(path))
 
 
 def profile_to_dict(pi: StrategyProfile) -> dict:
@@ -472,9 +486,4 @@ def profile_from_dict(game: StochasticGame, data: dict) -> StrategyProfile:
 
 
 def load_profile(game: StochasticGame, path) -> StrategyProfile:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GameValidationError(f"{path}: invalid JSON at line {exc.lineno}") from exc
-    return profile_from_dict(game, data)
+    return profile_from_dict(game, read_json(path))

@@ -561,6 +561,16 @@ def simplex_from_dict(game: StochasticGame, data: dict) -> GridSimplex:
     return sigma
 
 
+def point_from_dict(game: StochasticGame, data: dict, d: int) -> GridProfile:
+    """The grid point of size ``d`` of a point document, ``{"numerators":
+    [...]}``, one list of per-state rows per player."""
+    try:
+        rows = data["numerators"]
+    except (KeyError, TypeError) as exc:
+        raise InvalidSimplexError("point file must contain a 'numerators' field") from exc
+    return grid_profile_from_lists(game, rows, d)
+
+
 def _integer(value) -> int:
     """``value`` as an int; a float, a boolean or a string is not one
     (TypeError)."""

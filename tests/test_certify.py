@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from sgcert.game import opponent_marginals, uniform_profile, validate_profile, v
 from sgcert.nash_map import residual
 from sgcert.oracles import enumerate_deterministic_policies, random_game
 
-from conftest import corpus_game, random_instances, scale_instances
+from conftest import CORPUS_GAMES, corpus_game, random_instances, scale_instances
 
 
 class TestBestResponseValues:
@@ -172,6 +173,26 @@ class TestChooseD:
     def test_rejects_nonpositive_l(self, toy):
         with pytest.raises(ValueError):
             choose_d(toy, 0)
+
+    def test_ceiling_above_half_a_million(self):
+        """Grid sizes whose float product lay less than half a unit above an
+        integer were rounded down to it."""
+        g = random_game(np.random.default_rng(1), 2, 2, 2, 0.3)
+        assert choose_d(g, 3) == 32_283_972
+        assert choose_d(g, 7) == 175_768_288
+        assert choose_d(corpus_game("dominant_chain"), 1) == 1_474_662_400_001
+
+    def test_is_ceiling_of_exact_bound_on_corpus(self):
+        """d is the least integer at or above the bound, computed here in
+        rationals over the game's floats, for every corpus game and L <= 60."""
+        for name in CORPUS_GAMES:
+            game = corpus_game(name)
+            gamma, r_max, a = Fraction(game.gamma), Fraction(game.r_max), game.a_max
+            lam = 9 * game.num_players * game.num_states**2 * a**2 * r_max / (1 - gamma) ** 2
+            for l_target in range(1, 61):
+                exact = 32 * a**5 * r_max**3 * (lam + 1) * l_target**2 / (1 - gamma) ** 5
+                d = choose_d(game, l_target)
+                assert d - 1 < exact <= d, (name, l_target)
 
     @pytest.mark.parametrize("target", [10**160, 10**400])
     def test_rejects_l_whose_grid_size_is_not_a_float(self, toy, target):

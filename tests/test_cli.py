@@ -248,6 +248,13 @@ def test_bad_damped_f_flag_is_input_error(capsys, command, flag, value):
     assert capsys.readouterr().err.startswith(f"error: {flag} {reason}")
 
 
+def test_negative_seed_is_input_error(capsys):
+    """A negative seed is a bad flag value, not a method failure."""
+    run_input_error(capsys, "solve", DOMINANT, "--seed", "-1")
+    main(["solve", DOMINANT, "--seed", "-1"])
+    assert capsys.readouterr().err == "error: --seed must be nonnegative, got -1\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("search", PENNIES, "--seed", "5"),
     ("solve", PENNIES, "--method", "grid", "--seed", "5"),
@@ -417,3 +424,61 @@ def test_malformed_document_rejected(capsys, tmp_path, kind, name, doc):
             "point": ("label", game, "--d", "2", "--point", path),
             "simplex": ("label", game, "--simplex", path)}[kind]
     run_input_error(capsys, *argv)
+
+
+# Files no parser can read: a directory, bytes that are not UTF-8, JSON
+# nested deeper than the parser's recursion allows, and an integer of more
+# digits than Python converts from a string.
+UNREADABLE = {
+    "directory": lambda path: path.mkdir(),
+    "not-utf8": lambda path: path.write_bytes(b'{"gamma": "\xff"}'),
+    "deep": lambda path: path.write_text("[" * 100_000 + "]" * 100_000),
+    "digits": lambda path: path.write_text("[" + "1" * 5000 + "]"),
+}
+
+
+@pytest.mark.parametrize("fault", list(UNREADABLE))
+@pytest.mark.parametrize("kind", ["game", "profile", "point", "simplex"])
+def test_unreadable_document_is_input_error(capsys, tmp_path, kind, fault):
+    """Every input document is read one way: a file that cannot be read or
+    parsed exits 2 with one line naming it, not a traceback or exit 3."""
+    path = tmp_path / f"{kind}.json"
+    UNREADABLE[fault](path)
+    argv = {"game": ("info", str(path)),
+            "profile": ("certify", PENNIES, str(path)),
+            "point": ("label", PENNIES, "--d", "2", "--point", str(path)),
+            "simplex": ("label", PENNIES, "--simplex", str(path))}[kind]
+    run_input_error(capsys, *argv)
+    main(list(argv))
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("where", ["gamma", "r_max", "reward", "transition", "probability"])
+def test_integer_past_float_range_is_input_error(capsys, tmp_path, where):
+    """An integer too large for a float is bad input, like NaN."""
+    doc, profile = pennies_doc(), json.loads(Path(PENNIES_EQ).read_text())
+    huge = 10**400
+    if where in ("gamma", "r_max"):
+        doc[where] = huge
+    elif where == "reward":
+        doc["rewards"][0][0][1] = huge
+    elif where == "transition":
+        doc["transitions"][0][2] = [huge]
+    else:
+        profile["probs"][0][0][0] = huge
+    run_input_error(capsys, "certify", write_doc(tmp_path / "g.json", doc),
+                    write_doc(tmp_path / "p.json", profile))
+
+
+@pytest.mark.parametrize("flag,value", [("--d", "7"), ("--point", "/nonexistent/point.json")])
+def test_simplex_mode_rejects_grid_point_flags(capsys, tmp_path, flag, value):
+    """``label --simplex`` reads its grid size and points from the document:
+    --d or --point beside it exits 2 in one line, before the game is read."""
+    from sgcert.simplicial import find_stopping_simplex, simplex_to_dict
+
+    game = load_game(PENNIES)
+    sigma, _ = find_stopping_simplex(game, 2)
+    simplex = write_doc(tmp_path / "s.json", simplex_to_dict(game, sigma))
+    run_input_error(capsys, "label", PENNIES, "--simplex", simplex, flag, value)
+    assert main(["label", "/nonexistent/game.json", "--simplex", simplex, flag, value]) == 2
+    assert capsys.readouterr().err == f"error: {flag} is not read with --simplex\n"
