@@ -175,8 +175,8 @@ class TestChooseD:
             choose_d(toy, 0)
 
     def test_ceiling_above_half_a_million(self):
-        """Grid sizes whose float product lay less than half a unit above an
-        integer were rounded down to it."""
+        """Above 5e5, where the bound can lie a small fraction of a unit
+        above an integer, d is still its ceiling, not the nearest integer."""
         g = random_game(np.random.default_rng(1), 2, 2, 2, 0.3)
         assert choose_d(g, 3) == 32_283_972
         assert choose_d(g, 7) == 175_768_288
