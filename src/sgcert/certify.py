@@ -189,7 +189,7 @@ def choose_d(game: StochasticGame, l_target: int) -> int:
     from fractions import Fraction  # imported here, off the cold start
 
     gamma, r_max, a = Fraction(game.gamma), Fraction(game.r_max), game.a_max
-    lam = 9 * game.num_players * game.num_states**2 * a**2 * r_max / (1 - gamma) ** 2
+    lam = lipschitz_constant(game, Fraction)
     value = 32 * a**5 * r_max**3 * (lam + 1) * l_target**2 / (1 - gamma) ** 5
     if value > sys.float_info.max:
         raise ValueError("L is too large: its grid size is not a finite float")

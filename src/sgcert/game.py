@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import product
+from itertools import chain, product
 from math import prod
 
 import numpy as np
@@ -171,46 +171,16 @@ def validate_game(
     if not 0.0 <= gamma < 1.0:
         raise GameValidationError(f"discount must satisfy 0 <= gamma < 1, got {gamma}")
 
-    n = len(actions)
-    s_count = len(states)
+    n, s_count = len(actions), len(states)
     j_count = prod(len(a) for a in actions)
-
-    transition = _float_array(transition, "transition")
-    if transition.shape != (s_count, j_count, s_count):
-        raise GameValidationError(
-            f"transition shape {transition.shape} does not match "
-            f"(S={s_count}, joint={j_count}, S={s_count})"
-        )
-    bad = ~(np.isfinite(transition) & (transition >= 0))
-    if np.any(bad):
-        s, j, t = np.argwhere(bad)[0]
-        raise GameValidationError(
-            f"{_sign_fault(transition[s, j, t])} transition probability at state {s}, "
-            f"joint action {j}, successor {t}"
-        )
-    row_sums = transition.sum(axis=2)
-    bad = np.abs(row_sums - 1.0) > PROB_TOL_INPUT
-    if np.any(bad):
-        s, j = np.argwhere(bad)[0]
-        raise GameValidationError(
-            f"transition row at state {s}, joint action {j} sums to "
-            f"{row_sums[s, j]!r}, expected 1"
-        )
-
-    rewards = _float_array(rewards, "rewards")
-    if rewards.shape != (n, s_count, j_count):
-        raise GameValidationError(
-            f"rewards shape {rewards.shape} does not match "
-            f"(n={n}, S={s_count}, joint={j_count})"
-        )
-    bad = ~(np.isfinite(rewards) & (rewards >= 0))
-    if np.any(bad):
-        i, s, j = np.argwhere(bad)[0]
-        raise GameValidationError(
-            f"{_sign_fault(rewards[i, s, j])} reward for player {i} at state {s}, "
-            f"joint action {j}"
-        )
-    observed_max = float(rewards.max()) if rewards.size else 0.0
+    transition = _table(
+        transition, "transition probability", (s_count, j_count, s_count),
+        ("state", "joint action", "successor"), rows_sum_to_one=True,
+    )
+    rewards = _table(
+        rewards, "reward", (n, s_count, j_count), ("player", "state", "joint action")
+    )
+    observed_max = float(rewards.max())
     if r_max is None:
         r_max = observed_max
     else:
@@ -221,11 +191,6 @@ def validate_game(
             raise GameValidationError(
                 f"reward {observed_max} exceeds declared r_max {r_max}"
             )
-
-    transition = transition.copy()
-    rewards = rewards.copy()
-    transition.flags.writeable = False
-    rewards.flags.writeable = False
     return StochasticGame(states, actions, transition, rewards, gamma, r_max)
 
 
@@ -235,34 +200,11 @@ def validate_profile(game: StochasticGame, probs) -> StrategyProfile:
         raise GameValidationError(
             f"profile has {len(probs)} players, game has {game.num_players}"
         )
-    out = []
-    s_count, a_counts = game.num_states, game.num_actions
-    for i, rows in enumerate(probs):
-        arr = _float_array(rows, f"player {i} strategy")
-        if arr.shape != (s_count, a_counts[i]):
-            raise GameValidationError(
-                f"player {i} strategy shape {arr.shape} does not match "
-                f"(S={s_count}, A={a_counts[i]})"
-            )
-        # One reduction on the hot path: the minimum is NaN if any entry is
-        # NaN, which fails the comparison; +inf fails the row-sum test below.
-        if not arr.min() >= 0.0:
-            s, a = np.argwhere(~(np.isfinite(arr) & (arr >= 0)))[0]
-            raise GameValidationError(
-                f"{_sign_fault(arr[s, a])} probability for player {i} at state {s}, "
-                f"action {a}"
-            )
-        sums = arr.sum(axis=1)
-        bad = np.abs(sums - 1.0) > PROB_TOL_INPUT
-        if np.any(bad):
-            s = int(np.argwhere(bad)[0][0])
-            raise GameValidationError(
-                f"player {i} distribution at state {s} sums to {sums[s]!r}"
-            )
-        arr = arr.copy()
-        arr.flags.writeable = False
-        out.append(arr)
-    return StrategyProfile(tuple(out))
+    return StrategyProfile(tuple(
+        _table(rows, f"player {i} probability", (game.num_states, a_count),
+               ("state", "action"), rows_sum_to_one=True)
+        for i, (rows, a_count) in enumerate(zip(probs, game.num_actions))
+    ))
 
 
 def _entries(seq, what: str) -> tuple:
@@ -274,8 +216,8 @@ def _entries(seq, what: str) -> tuple:
 
 def _number(value, what: str) -> float:
     """``value`` as a float, or a validation error naming ``what``; strings,
-    null and integers past the float range are not numbers."""
-    if not isinstance(value, str):
+    booleans, null and integers past the float range are not numbers."""
+    if not isinstance(value, (str, bool)):
         try:
             return float(value)
         except (TypeError, ValueError, OverflowError):
@@ -283,18 +225,61 @@ def _number(value, what: str) -> float:
     raise GameValidationError(f"{what} must be a number, got {value!r}")
 
 
-def _float_array(data, what: str) -> np.ndarray:
-    """``data`` as a float array, or a validation error naming ``what``; an
-    integer past the float range is not a float."""
+# Entry types numpy reads as floats (true as 1.0, "0.5" as 0.5, null as NaN)
+# that a document may not use for a number.
+_NOT_NUMBERS = frozenset({bool, str, type(None)})
+
+
+def _table(
+    data, what: str, shape: tuple, axes: tuple, rows_sum_to_one: bool = False
+) -> np.ndarray:
+    """``data`` as a read-only float array of ``shape``, one axis per name in
+    ``axes``, whose entries are finite, nonnegative numbers; with
+    ``rows_sum_to_one``, every row along the last axis sums to 1 within
+    PROB_TOL_INPUT.  Otherwise a :class:`GameValidationError` naming
+    ``what`` and the first faulty index."""
     try:
-        return np.asarray(data, dtype=float)
+        arr = np.array(data, dtype=float)  # a copy: the caller keeps ``data``
     except (TypeError, ValueError, OverflowError) as exc:
-        raise GameValidationError(f"{what} is not a numeric array: {exc}") from exc
+        raise GameValidationError(f"{what} table is not a numeric array: {exc}") from exc
+    if arr.shape != shape:
+        expected = ", ".join(f"{axis}={k}" for axis, k in zip(axes, shape))
+        raise GameValidationError(
+            f"{what} table has shape {arr.shape}, expected ({expected})")
+    # numpy has converted the entries, so only the values it was given still
+    # show which were not numbers
+    if not _NOT_NUMBERS.isdisjoint(map(type, _leaves(data, len(shape)))):
+        k, x = next((k, x) for k, x in enumerate(_leaves(data, len(shape)))
+                    if type(x) in _NOT_NUMBERS)
+        raise GameValidationError(
+            f"{what} at {_where(axes, np.unravel_index(k, shape))} is "
+            f"{json.dumps(x)}, not a number")
+    # the minimum is NaN if any entry is NaN, which fails the comparison
+    if not (arr.min() >= 0.0 and arr.max() < np.inf):
+        at = tuple(np.argwhere(~(np.isfinite(arr) & (arr >= 0.0)))[0])
+        fault = "negative" if arr[at] < 0 else "non-finite"
+        raise GameValidationError(f"{fault} {what} at {_where(axes, at)}")
+    if rows_sum_to_one:
+        sums = arr.sum(axis=-1)
+        bad = np.abs(sums - 1.0) > PROB_TOL_INPUT
+        if bad.any():
+            at = tuple(np.argwhere(bad)[0])
+            raise GameValidationError(
+                f"{what} row at {_where(axes, at)} sums to {float(sums[at])!r}, expected 1")
+    arr.flags.writeable = False
+    return arr
 
 
-def _sign_fault(x: float) -> str:
-    """How an entry that must be finite and nonnegative fails."""
-    return "negative" if x < 0 else "non-finite"
+def _leaves(data, depth: int):
+    """The entries of ``data``, nested ``depth`` deep, in row-major order."""
+    for _ in range(depth - 1):
+        data = chain.from_iterable(data)
+    return data
+
+
+def _where(axes: tuple, index) -> str:
+    """An index into a table, one ``axis k`` per axis, for error messages."""
+    return ", ".join(f"{axis} {k}" for axis, k in zip(axes, index))
 
 
 def uniform_profile(game: StochasticGame) -> StrategyProfile:
@@ -404,19 +389,18 @@ def deviation_value(
 
 
 def opponent_marginals(
-    game: StochasticGame, pi, player: int
+    game: StochasticGame, probs, player: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reward and transition tables with all other players marginalized out.
 
     Returns ``(r, p)`` with ``r[s, a]`` the expected reward and ``p[s, a]``
     the next-state distribution when the player takes action ``a`` at ``s``
     and everyone else follows the profile.  This is the single-agent MDP
-    induced by freezing the opponents.  ``pi`` is a profile or its
+    induced by freezing the opponents.  ``probs`` are a profile's
     per-player arrays ``(..., S, A_j)``; leading batch axes carry over to
     the tables.
     """
     check_player(game, player)
-    probs = pi.probs if isinstance(pi, StrategyProfile) else pi
     return (
         _expect(game, probs, game.reward_table[player], keep=player),
         _expect(game, probs, game.transition_table, keep=player),

@@ -218,10 +218,13 @@ def residual(game: StochasticGame, pi: StrategyProfile) -> float:
     return float(improve(game, pi.probs)[1])
 
 
-def lipschitz_constant(game: StochasticGame) -> float:
+def lipschitz_constant(game: StochasticGame, number=float):
     """Closed-form Lipschitz constant of the map in the max norm:
-    9 * n * S^2 * A_max^2 * R_max / (1 - gamma)^2."""
-    n = game.num_players
-    s = game.num_states
-    a = game.a_max
-    return 9.0 * n * s * s * a * a * game.r_max / (1.0 - game.gamma) ** 2
+    9 * n * S^2 * A_max^2 * R_max / (1 - gamma)^2, with gamma and R_max
+    converted by ``number``: ``float`` gives the reported constant and
+    ``fractions.Fraction`` its exact value.  The integer factors are
+    multiplied first, exactly, so the float result keeps the bits of the
+    product taken left to right in floats."""
+    r_max, gamma = number(game.r_max), number(game.gamma)
+    return (9 * game.num_players * game.num_states**2 * game.a_max**2
+            * r_max / (1 - gamma) ** 2)

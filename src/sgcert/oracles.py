@@ -86,7 +86,7 @@ def enumerate_deterministic_policies(
     a_count = game.num_actions[player]
     if a_count**game.num_states > guard:
         raise ValueError("policy count exceeds enumeration guard")
-    r_ia, p_ia = opponent_marginals(game, pi_others, player)
+    r_ia, p_ia = opponent_marginals(game, pi_others.probs, player)
     eye = np.eye(game.num_states)
     rows = np.arange(game.num_states)
     best = np.full(game.num_states, -np.inf)

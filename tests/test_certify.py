@@ -45,7 +45,7 @@ class TestBestResponseValues:
         for game, pi in random_instances(59, 25):
             for i in range(game.num_players):
                 v = best_response_values(game, pi, i)
-                r_ia, p_ia = opponent_marginals(game, pi, i)
+                r_ia, p_ia = opponent_marginals(game, pi.probs, i)
                 q = r_ia + game.gamma * (p_ia @ v)
                 np.testing.assert_allclose(q.max(axis=1), v, atol=1e-9)
 

@@ -453,19 +453,30 @@ def test_unreadable_document_is_input_error(capsys, tmp_path, kind, fault):
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
-@pytest.mark.parametrize("where", ["gamma", "r_max", "reward", "transition", "probability"])
-def test_integer_past_float_range_is_input_error(capsys, tmp_path, where):
-    """An integer too large for a float is bad input, like NaN."""
+@pytest.mark.parametrize("where,value", [
+    *(pytest.param(where, 10**400, id=where)
+      for where in ["gamma", "r_max", "reward", "transition", "probability"]),
+    # each boolean, read as the number 0 or 1, would make valid documents
+    pytest.param("gamma", False, id="gamma-false"),
+    pytest.param("r_max", True, id="r_max-true"),
+    pytest.param("reward", False, id="reward-false"),
+    pytest.param("reward", True, id="reward-true"),
+    pytest.param("transition", True, id="transition-true"),
+    pytest.param("probability", True, id="probability-true"),
+    pytest.param("probability", False, id="probability-false"),
+])
+def test_integer_past_float_range_is_input_error(capsys, tmp_path, where, value):
+    """An integer too large for a float is bad input, like NaN, and so is a
+    boolean: neither is a float."""
     doc, profile = pennies_doc(), json.loads(Path(PENNIES_EQ).read_text())
-    huge = 10**400
     if where in ("gamma", "r_max"):
-        doc[where] = huge
+        doc[where] = value
     elif where == "reward":
-        doc["rewards"][0][0][1] = huge
+        doc["rewards"][0][0][1] = value
     elif where == "transition":
-        doc["transitions"][0][2] = [huge]
+        doc["transitions"][0][2] = [value]
     else:
-        profile["probs"][0][0][0] = huge
+        profile["probs"][0][0] = [value, 1 - value]
     run_input_error(capsys, "certify", write_doc(tmp_path / "g.json", doc),
                     write_doc(tmp_path / "p.json", profile))
 

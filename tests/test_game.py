@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,24 @@ class TestValidation:
         g = single_state_game([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]])
         with pytest.raises(GameValidationError, match="numeric"):
             validate_profile(g, [[[0.5, 0.5]], [[0.5], [0.5, 0.0]]])
+
+    @pytest.mark.parametrize("value,shown", [
+        (True, "true"), (False, "false"), ("0.5", '"0.5"'), (None, "null")])
+    def test_rejects_entries_that_are_not_numbers(self, value, shown):
+        """numpy reads true as 1.0, "0.5" as 0.5 and null as NaN; a table
+        entry must be a number, and the error names the first one that is
+        not."""
+        def rejects(where):
+            return pytest.raises(GameValidationError,
+                                 match=re.escape(f"{where} is {shown}, not a number"))
+
+        with rejects("transition probability at state 0, joint action 1, successor 0"):
+            validate_game(["s0"], [["a0", "a1"]], [[[1.0], [value]]], [[[1.0, 1.0]]], 0.5)
+        with rejects("reward at player 0, state 0, joint action 1"):
+            validate_game(["s0"], [["a0", "a1"]], [[[1.0], [1.0]]], [[[1.0, value]]], 0.5)
+        g = validate_game(["s0"], [["a0", "a1"]], [[[1.0], [1.0]]], [[[1.0, 0.0]]], 0.5)
+        with rejects("player 0 probability at state 0, action 1"):
+            validate_profile(g, [[[1.0, value]]])
 
 
 class TestMarginals:
@@ -258,7 +278,7 @@ def test_opponent_marginals_consistency():
     shapes = ((2, 2, 2), (3, 1, 2), (2, 1, 3)) + SCALE_SHAPES
     for game, pi in random_instances(37, 12, shapes=shapes):
         for i in range(game.num_players):
-            r_ia, p_ia = opponent_marginals(game, pi, i)
+            r_ia, p_ia = opponent_marginals(game, pi.probs, i)
             r_back = np.einsum("sa,sa->s", pi.probs[i], r_ia)
             p_back = np.einsum("sa,sat->st", pi.probs[i], p_ia)
             np.testing.assert_allclose(r_back, marginal_reward(game, pi, i), atol=1e-12)

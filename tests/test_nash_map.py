@@ -336,6 +336,20 @@ class TestLipschitzConstant:
         )
         assert lipschitz_constant(doubled) == 2 * lipschitz_constant(g)
 
+    def test_float_bits_and_exact_value(self):
+        """Reports print lambda, so its float bits are pinned to the product
+        taken left to right in floats; over fractions it is the exact value
+        that choose_d uses."""
+        from fractions import Fraction
+
+        for entry in corpus_entries():
+            g = entry.game
+            n, s, a = g.num_players, g.num_states, g.a_max
+            floats = 9.0 * n * s * s * a * a * g.r_max / (1.0 - g.gamma) ** 2
+            assert lipschitz_constant(g).hex() == floats.hex(), entry.name
+            exact = 9 * n * s**2 * a**2 * Fraction(g.r_max) / (1 - Fraction(g.gamma)) ** 2
+            assert lipschitz_constant(g, Fraction) == exact, entry.name
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_empirical_ratio_never_exceeds_constant(self, seed):

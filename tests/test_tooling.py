@@ -2,13 +2,15 @@
 A refactor that renames or moves one of them must fail here, not only in
 the benchmark's own self-test."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-LAYERS_FILE = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+ROOT = Path(__file__).resolve().parents[1]
+LAYERS_FILE = ROOT / "bench" / "layers.py"
 
 
 def traced_names() -> list[str]:
@@ -29,3 +31,37 @@ def test_damped_loop_calls_the_map_by_module_name():
     from sgcert import cli, nash_map
 
     assert cli.apply_f is nash_map.apply_f
+
+
+# The calls that open a file or parse JSON, by the name called: open,
+# json.load and json.loads under any import style, and the pathlib readers.
+READ_CALLS = {"open", "load", "loads", "read_text", "read_bytes"}
+
+
+def file_readers(path: Path) -> set[str]:
+    """``module.function`` for every function in ``path`` that makes one of
+    ``READ_CALLS``; ``module.<module>`` for a call outside any function."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{path.stem}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in READ_CALLS:
+                    found.add(owner)
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text()), f"{path.stem}.<module>")
+    return found
+
+
+def test_only_read_json_reads_input_files():
+    """Every input file is read one way, so that every fault in reading one
+    is the same exit-2 error: game.read_json is the only function in the
+    library that opens a file or parses JSON."""
+    readers = set().union(*map(file_readers, sorted((ROOT / "src" / "sgcert").glob("*.py"))))
+    assert readers == {"game.read_json"}
