@@ -223,8 +223,8 @@ def lipschitz_constant(game: StochasticGame, number=float):
     9 * n * S^2 * A_max^2 * R_max / (1 - gamma)^2, with gamma and R_max
     converted by ``number``: ``float`` gives the reported constant and
     ``fractions.Fraction`` its exact value.  The integer factors are
-    multiplied first, exactly, so the float result keeps the bits of the
-    product taken left to right in floats."""
+    multiplied first, exactly, so a float value rounds only where R_max and
+    gamma enter."""
     r_max, gamma = number(game.r_max), number(game.gamma)
     return (9 * game.num_players * game.num_states**2 * game.a_max**2
             * r_max / (1 - gamma) ** 2)

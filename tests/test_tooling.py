@@ -1,6 +1,8 @@
-"""The benchmark (bench/) traces library functions by name, from outside.
+"""Invariants of the source tree that no behaviour test sees.
+
+The benchmark (bench/) traces library functions by name, from outside.
 A refactor that renames or moves one of them must fail here, not only in
-the benchmark's own self-test."""
+the benchmark's own self-test.  And one function reads every input file."""
 
 import ast
 import importlib
