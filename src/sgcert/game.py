@@ -154,9 +154,9 @@ def validate_game(
     Raises :class:`GameValidationError` naming the first violated constraint.
     If ``r_max`` is omitted it is set to the maximum observed reward.
     """
-    states = tuple(map(str, _entries(states, "states")))
+    states = _names(states, "states")
     actions = tuple(
-        tuple(map(str, _entries(acts, f"player {i} actions")))
+        _names(acts, f"player {i} actions")
         for i, acts in enumerate(_entries(actions, "players"))
     )
     if len(states) == 0:
@@ -214,6 +214,25 @@ def _entries(seq, what: str) -> tuple:
     return tuple(seq)
 
 
+def _names(seq, what: str) -> tuple[str, ...]:
+    """The entries of a list of names, or a validation error naming
+    ``what``; every name is a string, distinct within the list."""
+    names = _entries(seq, what)
+    seen = set()
+    for name in names:
+        if not isinstance(name, str):
+            raise GameValidationError(f"{what} must be strings, got {_json(name)}")
+        if name in seen:
+            raise GameValidationError(f"{what} must be distinct, {_json(name)} repeats")
+        seen.add(name)
+    return names
+
+
+def _json(value) -> str:
+    """``value`` spelled as in a JSON document, for error messages."""
+    return json.dumps(value, default=repr)
+
+
 def _number(value, what: str) -> float:
     """``value`` as a float, or a validation error naming ``what``; strings,
     booleans, null and integers past the float range are not numbers."""
@@ -222,7 +241,7 @@ def _number(value, what: str) -> float:
             return float(value)
         except (TypeError, ValueError, OverflowError):
             pass
-    raise GameValidationError(f"{what} must be a number, got {value!r}")
+    raise GameValidationError(f"{what} must be a number, got {_json(value)}")
 
 
 # Entry types numpy reads as floats (true as 1.0, "0.5" as 0.5, null as NaN)
@@ -253,7 +272,7 @@ def _table(
                     if type(x) in _NOT_NUMBERS)
         raise GameValidationError(
             f"{what} at {_where(axes, np.unravel_index(k, shape))} is "
-            f"{json.dumps(x)}, not a number")
+            f"{_json(x)}, not a number")
     # the minimum is NaN if any entry is NaN, which fails the comparison
     if not (arr.min() >= 0.0 and arr.max() < np.inf):
         at = tuple(np.argwhere(~(np.isfinite(arr) & (arr >= 0.0)))[0])

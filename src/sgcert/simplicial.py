@@ -18,9 +18,10 @@ distinct vertex labels cover all actions of some (player, state) is a
 stopping simplex; every profile in it has residual at most
 A_max^2 * (lambda + 1) / d.
 
-The search is deterministic exhaustive enumeration in exact integer
-arithmetic on the flattened numerators (the order of
-:meth:`GridProfile.flat_key`):
+A grid point (:class:`GridProfile`) is its key: the numerators flattened
+in (player, state, action) order, a tuple of Python ints; keys order the
+grid lexicographically.  The search is deterministic exhaustive
+enumeration in exact integer arithmetic on these keys:
 
 * Cone regions.  A base point belongs to the region of T when it lies in
   the cone of T's Q columns rooted at the apex :func:`starting_point`, the
@@ -38,19 +39,20 @@ arithmetic on the flattened numerators (the order of
 Grid points are evaluated by one chunked scan (:func:`scan_grid`): the
 flattened numerators of the whole grid, a chunk at a time, each chunk
 through one batched application of the improvement map, which gives every
-point's label and residual together.  The search labels the whole grid
-this way before it walks the simplices; a simplex's vertices are evaluated
-in one call of the same kind.  Path following over the triangulation is an
-extension point; exhaustive enumeration is intended for desk-scale
-instances only.
+point's label and residual together.  The search enumerates the grid
+once: it labels the whole grid this way, and the label table, in scan
+order, gives the bases of the simplices it walks.  A simplex's vertices
+are evaluated in one call of the same kind.  Path following over the
+triangulation is an extension point; exhaustive enumeration is intended
+for desk-scale instances only.
 """
 
 from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass
-from itertools import chain, combinations, islice, product
+from dataclasses import dataclass, replace
+from itertools import chain, combinations, islice, pairwise, product
 from math import comb
 from typing import Iterator, NamedTuple
 
@@ -89,43 +91,35 @@ class InvalidSimplexError(ValueError):
     the grid."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GridProfile:
-    """A grid point: integer numerators over d for every (player, state)."""
+    """A grid point: its key, the integer numerators over d flattened in
+    (player, state, action) order as Python ints, and the game's shape
+    ``(S, num_actions)``."""
 
-    numerators: tuple[np.ndarray, ...]
-
-    def __eq__(self, other):
-        if not isinstance(other, GridProfile):
-            return NotImplemented
-        return self.d == other.d and self.flat_key() == other.flat_key()
-
-    def __hash__(self):
-        return hash((self.d, self.flat_key()))
+    key: tuple[int, ...]
     d: int
-
-    def flat_key(self) -> tuple[int, ...]:
-        """Flattened numerators in (player, state, action) order; the grid's
-        lexicographic ordering key."""
-        return tuple(int(x) for arr in self.numerators for x in arr.ravel())
+    shape: tuple[int, tuple[int, ...]]
 
     @classmethod
     def from_key(cls, game: StochasticGame, key, d: int) -> "GridProfile":
         """The grid point whose flattened numerators are ``key``."""
-        return cls(_unflatten(game, key), d)
+        return cls(tuple(map(int, key)), d, (game.num_states, game.num_actions))
+
+    @property
+    def numerators(self) -> tuple[np.ndarray, ...]:
+        """Per-player ``(S, A_i)`` numerator arrays, fresh on every call."""
+        return _unflatten(self.shape, self.key)
 
     def to_profile(self, game: StochasticGame) -> StrategyProfile:
-        return validate_profile(
-            game, [arr.astype(float) / self.d for arr in self.numerators]
-        )
+        return validate_profile(game, _unflatten(self.shape, np.array(self.key) / self.d))
 
     def shifted(self, delta: tuple[np.ndarray, ...]) -> "GridProfile":
-        return GridProfile(
-            tuple(arr + dlt for arr, dlt in zip(self.numerators, delta)), self.d
-        )
+        step = np.concatenate([arr.ravel() for arr in delta]).tolist()
+        return replace(self, key=tuple(map(operator.add, self.key, step)))
 
     def is_valid(self) -> bool:
-        return all(np.all(arr >= 0) for arr in self.numerators)
+        return min(self.key) >= 0
 
 
 @dataclass(frozen=True)
@@ -168,13 +162,11 @@ class StoppingReport:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Nonnegative integer compositions in lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first, *rest)
+    """Nonnegative integer compositions in lexicographic order: stars and
+    bars, with ``parts - 1`` bars among ``total + parts - 1`` slots."""
+    slots = total + parts - 1
+    for bars in combinations(range(slots), parts - 1):
+        yield tuple(b - a - 1 for a, b in pairwise((-1, *bars, slots)))
 
 
 def grid_point_count(game: StochasticGame, d: int) -> int:
@@ -211,15 +203,16 @@ def _grid_keys(game: StochasticGame, d: int) -> Iterator[tuple[int, ...]]:
         yield tuple(chain.from_iterable(combo))
 
 
-def _unflatten(game: StochasticGame, flat) -> tuple[np.ndarray, ...]:
-    """Per-player ``(..., S, A_i)`` arrays from flattened numerators, or from
-    a ``(..., F)`` array of them."""
+def _unflatten(shape: tuple[int, tuple[int, ...]], flat) -> tuple[np.ndarray, ...]:
+    """Per-player ``(..., S, A_i)`` arrays of a game of shape ``(S,
+    num_actions)`` from flattened numerators, or from a ``(..., F)`` array
+    of them."""
     flat = np.asarray(flat)
-    s_count = game.num_states
-    ends = np.cumsum([s_count * a for a in game.num_actions])
+    s_count, num_actions = shape
+    ends = np.cumsum([s_count * a for a in num_actions])
     return tuple(
         flat[..., end - s_count * a : end].reshape(flat.shape[:-1] + (s_count, a))
-        for end, a in zip(ends, game.num_actions)
+        for end, a in zip(ends, num_actions)
     )
 
 
@@ -257,7 +250,7 @@ def scan_grid(
 def _evaluate(game: StochasticGame, nums, d: int) -> tuple[list[Label], np.ndarray]:
     """Labels and residuals of the grid points with flattened numerators
     ``nums``, shaped ``(points, F)``, from one application of the map."""
-    probs = _unflatten(game, nums / d)
+    probs = _unflatten((game.num_states, game.num_actions), nums / d)
     nxt, res = improve(game, probs)
     disp = np.concatenate(
         [(f - p).reshape(len(nums), -1) for f, p in zip(nxt, probs)], axis=1
@@ -309,14 +302,14 @@ def q_column(game: StochasticGame, coord: Label) -> tuple[np.ndarray, ...]:
     low, high = _column(game, coord)
     delta[low] -= 1
     delta[high] += 1
-    return _unflatten(game, delta)
+    return _unflatten((game.num_states, game.num_actions), delta)
 
 
 def label_point(game: StochasticGame, point: GridProfile) -> Label:
     """Label of a grid point: the lexicographically least coordinate with
     positive probability whose displacement f(pi) - pi attains the global
     minimum over all coordinates (the rule of the grid scan, on one point)."""
-    return _evaluate(game, np.array([point.flat_key()]), point.d)[0][0]
+    return _evaluate(game, np.array([point.key]), point.d)[0][0]
 
 
 def _check_index_set(game: StochasticGame, index_set) -> None:
@@ -340,7 +333,7 @@ def _check_index_set(game: StochasticGame, index_set) -> None:
 def _vertex_keys(game: StochasticGame, sigma: GridSimplex) -> list[tuple[int, ...]]:
     """Validated flattened numerators of the vertices w^0 .. w^|T|."""
     _check_index_set(game, sigma.index_set)
-    keys = [sigma.base.flat_key()]
+    keys = [sigma.base.key]
     for coord in sigma.order:
         nxt = _step(keys[-1], _column(game, coord))
         if nxt is None:
@@ -353,8 +346,7 @@ def _vertex_keys(game: StochasticGame, sigma: GridSimplex) -> list[tuple[int, ..
 
 def simplex_vertices(game: StochasticGame, sigma: GridSimplex) -> list[GridProfile]:
     """Vertices w^0 .. w^|T| obtained by applying the ordered Q columns."""
-    keys = _vertex_keys(game, sigma)
-    return [sigma.base] + [GridProfile.from_key(game, key, sigma.d) for key in keys[1:]]
+    return [GridProfile.from_key(game, key, sigma.d) for key in _vertex_keys(game, sigma)]
 
 
 def _classify_labels(game: StochasticGame, labels: tuple[Label, ...]) -> SimplexClass:
@@ -404,12 +396,11 @@ def starting_point(game: StochasticGame, d: int) -> GridProfile:
     d / A), r of them q + 1; the lexicographically least puts those last."""
     if d < 1:
         raise InvalidSimplexError("grid size d must be >= 1")
-    nums = []
+    key = []
     for a_count in game.num_actions:
         q, r = divmod(d, a_count)
-        nums.append(np.array([[q] * (a_count - r) + [q + 1] * r] * game.num_states,
-                             dtype=int))
-    return GridProfile(tuple(nums), d)
+        key += ([q] * (a_count - r) + [q + 1] * r) * game.num_states
+    return GridProfile.from_key(game, key, d)
 
 
 def _cone_floor(blocks, point: tuple[int, ...], apex: tuple[int, ...]) -> frozenset[Label]:
@@ -445,7 +436,7 @@ def in_cone(
     is not admissible, because the argument needs an omitted action.
     """
     _check_index_set(game, index_set)
-    floor = _cone_floor(_blocks(game), point.flat_key(), apex.flat_key())
+    floor = _cone_floor(_blocks(game), point.key, apex.key)
     return floor <= set(index_set)
 
 
@@ -468,14 +459,15 @@ def _orderings(base, t_set, columns) -> Iterator[tuple[tuple[Label, ...], tuple]
     return walk((base,), (), tuple(range(len(t_set))))
 
 
-def _simplices(game: StochasticGame, d: int) -> Iterator[tuple]:
+def _simplices(game: StochasticGame, d: int, bases) -> Iterator[tuple]:
     """``(base key, order, vertex keys)`` of every simplex of the cone
-    regions: base point lexicographic, then index-set size ascending, then
+    regions whose base is in ``bases``, the grid's keys in lexicographic
+    order: base point lexicographic, then index-set size ascending, then
     index set and vertex ordering lexicographic."""
     blocks = _blocks(game)
-    apex = starting_point(game, d).flat_key()
+    apex = starting_point(game, d).key
     sets = [(t, frozenset(t), [_column(game, c) for c in t]) for t in index_sets(game)]
-    for base in _grid_keys(game, d):
+    for base in bases:
         floor = _cone_floor(blocks, base, apex)
         for t_set, members, columns in sets:
             if floor <= members:
@@ -489,7 +481,7 @@ def enumerate_simplices(game: StochasticGame, d: int) -> Iterator[GridSimplex]:
     ordering lexicographic.  Only simplices inside the cone region of their
     index set (rooted at the starting point) whose vertices stay on the grid
     are yielded."""
-    for base, order, _ in _simplices(game, d):
+    for base, order, _ in _simplices(game, d, _grid_keys(game, d)):
         yield GridSimplex(GridProfile.from_key(game, base, d), order)
 
 
@@ -500,12 +492,14 @@ def find_stopping_simplex(
 
     Returns the first stopping simplex in enumeration order together with
     its classification, or None if the triangulation contains none.  The
-    whole grid is labelled first, by :func:`scan_grid`.
+    whole grid is labelled first, by :func:`scan_grid`; the label table,
+    filled in scan order, then supplies the bases, so the grid is
+    enumerated once.
     """
     labels = {}
     for nums, chunk_labels, _ in scan_grid(game, d):
         labels.update(zip(map(tuple, nums.tolist()), chunk_labels))
-    for base, order, keys in _simplices(game, d):
+    for base, order, keys in _simplices(game, d, labels):
         cls = _classify_labels(game, tuple(labels[key] for key in keys))
         if cls.kind == "stopping":
             return GridSimplex(GridProfile.from_key(game, base, d), order), cls
@@ -546,14 +540,26 @@ def simplex_to_dict(game: StochasticGame, sigma: GridSimplex) -> dict:
 
 def simplex_from_dict(game: StochasticGame, data: dict) -> GridSimplex:
     """The simplex of a document; its labels and classification, if any,
-    are not read."""
+    are not read.  A malformed document raises
+    :class:`InvalidSimplexError` naming the first faulty field."""
+    if not isinstance(data, dict):
+        raise InvalidSimplexError("simplex document must be an object")
     try:
-        d = _integer(data["d"])
-        base = grid_profile_from_lists(game, data["base"], d)
-        index_set = tuple(Label(*map(_integer, c)) for c in data["index_set"])
-        perm = [_integer(k) for k in data["permutation"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidSimplexError(f"malformed simplex document: {exc}") from exc
+        d, rows, entries, perm = (data[f] for f in ("d", "base", "index_set", "permutation"))
+    except KeyError as exc:
+        raise InvalidSimplexError(f"simplex document has no {exc} field") from exc
+    if not _is_integer(d):
+        raise InvalidSimplexError("d must be an integer")
+    base = grid_profile_from_lists(game, rows, d)
+    if not isinstance(entries, list):
+        raise InvalidSimplexError("index_set must be a list")
+    for k, entry in enumerate(entries):
+        if not (isinstance(entry, list) and len(entry) == 3
+                and all(map(_is_integer, entry))):
+            raise InvalidSimplexError(f"index_set entry {k} must be [player, state, action]")
+    if not (isinstance(perm, list) and all(map(_is_integer, perm))):
+        raise InvalidSimplexError("permutation must be a list of integers")
+    index_set = tuple(Label(*entry) for entry in entries)
     if sorted(perm) != list(range(len(index_set))):
         raise InvalidSimplexError("permutation must reorder the index set")
     sigma = GridSimplex(base, tuple(index_set[k] for k in perm))
@@ -571,12 +577,9 @@ def point_from_dict(game: StochasticGame, data: dict, d: int) -> GridProfile:
     return grid_profile_from_lists(game, rows, d)
 
 
-def _integer(value) -> int:
-    """``value`` as an int; a float, a boolean or a string is not one
-    (TypeError)."""
-    if isinstance(value, bool):
-        raise TypeError(f"{value!r} is not an integer")
-    return operator.index(value)
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an int; a float, a boolean or a string is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def grid_profile_from_lists(game: StochasticGame, rows, d: int) -> GridProfile:
@@ -584,7 +587,7 @@ def grid_profile_from_lists(game: StochasticGame, rows, d: int) -> GridProfile:
         raise InvalidSimplexError("grid size d must be >= 1")
     if not isinstance(rows, (list, tuple)) or len(rows) != game.num_players:
         raise InvalidSimplexError("numerators must list every player")
-    nums = []
+    key = []
     for i, player_rows in enumerate(rows):
         try:
             arr = np.asarray(player_rows)
@@ -601,5 +604,5 @@ def grid_profile_from_lists(game: StochasticGame, rows, d: int) -> GridProfile:
             raise InvalidSimplexError(
                 f"player {i} numerators are not a grid point of size {d}"
             )
-        nums.append(arr)
-    return GridProfile(tuple(nums), d)
+        key += arr.ravel().tolist()
+    return GridProfile.from_key(game, key, d)

@@ -31,6 +31,7 @@ def run_input_error(capsys, *argv):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
 
 
 def write_doc(path, doc):
@@ -368,6 +369,11 @@ WRONGLY_TYPED_FIELDS = [
     ("gamma", None),
     ("gamma", "abc"),
     ("r_max", "x"),
+    # names must be distinct strings
+    ("states", [True]),
+    ("states", [{"x": 1}]),
+    ("players", [{"actions": [None, None]}, {"actions": ["b0", "b1"]}]),
+    ("players", [{"actions": ["a0", "a1"]}, {"actions": ["a0", "a0"]}]),
 ]
 
 
@@ -403,27 +409,40 @@ def test_malformed_simplex_index_set_rejected(capsys, tmp_path, index_set, permu
 
 
 # Documents whose fields have the wrong type: a profile or point that is not
-# a list, numerators that are not integers, a fractional simplex grid size.
+# a list, numerators that are not integers, a fractional simplex grid size,
+# index set entries that are not [player, state, action], a simplex document
+# that is not an object.  The message names the faulty field.
+SIMPLEX_BASE = {"d": 2, "base": [[[1, 1]], [[1, 1]]], "permutation": [0]}
 MALFORMED_DOCUMENTS = [
-    ("profile", "matching_pennies", {"probs": 5}),
-    ("profile", "matching_pennies", {"probs": None}),
-    ("point", "matching_pennies", {"numerators": 5}),
-    ("point", "two_arm_bandit", {"numerators": "a"}),
-    ("point", "matching_pennies", {"numerators": [[[1.5, 1.5]], [[1, 1]]]}),
-    ("point", "matching_pennies", {"numerators": [[[True, True]], [[1, 1]]]}),
-    ("simplex", "matching_pennies", {"d": 2.7, "base": [[[1, 1]], [[1, 1]]],
-                                     "index_set": [[1, 0, 1]], "permutation": [0]}),
+    ("profile", "matching_pennies", {"probs": 5}, "'probs'"),
+    ("profile", "matching_pennies", {"probs": None}, "'probs'"),
+    ("point", "matching_pennies", {"numerators": 5}, "numerators"),
+    ("point", "two_arm_bandit", {"numerators": "a"}, "numerators"),
+    ("point", "matching_pennies", {"numerators": [[[1.5, 1.5]], [[1, 1]]]},
+     "player 0 numerators"),
+    ("point", "matching_pennies", {"numerators": [[[True, True]], [[1, 1]]]},
+     "player 0 numerators"),
+    ("simplex", "matching_pennies", {**SIMPLEX_BASE, "d": 2.7, "index_set": [[1, 0, 1]]},
+     "d must be an integer"),
+    ("simplex", "matching_pennies", {**SIMPLEX_BASE, "index_set": [[0, 0]]},
+     "index_set entry 0 must be [player, state, action]"),
+    ("simplex", "matching_pennies", {**SIMPLEX_BASE, "index_set": [[0, 0, 0, 1]]},
+     "index_set entry 0 must be [player, state, action]"),
+    ("simplex", "matching_pennies", {**SIMPLEX_BASE, "index_set": 5},
+     "index_set must be a list"),
+    ("simplex", "matching_pennies", [1, 2], "simplex document must be an object"),
 ]
 
 
-@pytest.mark.parametrize("kind,name,doc", MALFORMED_DOCUMENTS)
-def test_malformed_document_rejected(capsys, tmp_path, kind, name, doc):
+@pytest.mark.parametrize("kind,name,doc,named", MALFORMED_DOCUMENTS,
+                         ids=[f"{c[0]}-{c[1]}-doc{k}" for k, c in enumerate(MALFORMED_DOCUMENTS)])
+def test_malformed_document_rejected(capsys, tmp_path, kind, name, doc, named):
     game = str(CORPUS / f"{name}.game.json")
     path = write_doc(tmp_path / f"{kind}.json", doc)
     argv = {"profile": ("certify", game, path),
             "point": ("label", game, "--d", "2", "--point", path),
             "simplex": ("label", game, "--simplex", path)}[kind]
-    run_input_error(capsys, *argv)
+    assert named in run_input_error(capsys, *argv)
 
 
 # Files no parser can read: a directory, bytes that are not UTF-8, JSON

@@ -105,6 +105,24 @@ class TestValidation:
         with rejects("player 0 probability at state 0, action 1"):
             validate_profile(g, [[[1.0, value]]])
 
+    @pytest.mark.parametrize("value,shown", [(False, "false"), ("0.5", '"0.5"'), (None, "null")])
+    def test_non_number_is_spelled_as_json(self, value, shown):
+        with pytest.raises(GameValidationError) as err:
+            validate_game(["s0"], [["a0"]], [[[1.0]]], [[[1.0]]], value)
+        assert str(err.value) == f"discount must be a number, got {shown}"
+
+    @pytest.mark.parametrize("states,actions,message", [
+        ([True], [["a0"]], "states must be strings, got true"),
+        ([{"x": 1}], [["a0"]], 'states must be strings, got {"x": 1}'),
+        (["s0"], [[None, None]], "player 0 actions must be strings, got null"),
+        (["s0"], [["a0", "a0"]], 'player 0 actions must be distinct, "a0" repeats'),
+    ])
+    def test_names_are_distinct_strings(self, states, actions, message):
+        a_count = len(actions[0])
+        with pytest.raises(GameValidationError) as err:
+            validate_game(states, actions, [[[1.0]]] * a_count, [[[1.0] * a_count]], 0.5)
+        assert str(err.value) == message
+
 
 class TestMarginals:
     def test_identity_pattern_uniform_is_half(self):

@@ -21,6 +21,7 @@ from sgcert.simplicial import (
     in_cone,
     index_sets,
     label_point,
+    point_from_dict,
     q_column,
     scan_grid,
     simplex_from_dict,
@@ -169,7 +170,7 @@ class TestClassification:
         t = (Label(0, 0, 0), Label(0, 1, 0), Label(1, 0, 0))
         sigma = GridSimplex(point(game, [[[1, 1], [1, 1]], [[1, 1], [1, 1]]], 2), t)
         wanted = [Label(1, 0, 0), Label(1, 0, 1), Label(0, 0, 0), Label(0, 0, 1)]
-        by_key = {v.flat_key(): lab
+        by_key = {v.key: lab
                   for v, lab in zip(simplex_vertices(game, sigma), wanted)}
         steer_labels(monkeypatch, by_key.__getitem__)
         cls = classify_simplex(game, sigma)
@@ -186,8 +187,8 @@ class TestFindStoppingSimplex:
 
     def test_adjacent_to_uniform_in_matching_pennies(self, pennies):
         sigma, cls = find_stopping_simplex(pennies, 2)
-        uniform_key = point(pennies, [[[1, 1]], [[1, 1]]], 2).flat_key()
-        vertex_keys = [v.flat_key() for v in simplex_vertices(pennies, sigma)]
+        uniform_key = point(pennies, [[[1, 1]], [[1, 1]]], 2).key
+        vertex_keys = [v.key for v in simplex_vertices(pennies, sigma)]
         assert uniform_key in vertex_keys
 
     def test_deterministic(self, pennies):
@@ -211,6 +212,46 @@ class TestFindStoppingSimplex:
         sigma = GridSimplex(base, ())
         with pytest.raises(InvalidSimplexError):
             stopping_residual_check(toy, sigma)
+
+
+class TestGridProfileIsAValue:
+    def test_routes_to_one_point_agree(self, pennies):
+        """The uniform pennies point reached four ways is one value: equal,
+        hashing equal, with a key of Python ints."""
+        edge = GridSimplex(point(pennies, [[[2, 0]], [[1, 1]]], 2), (Label(0, 0, 0),))
+        routes = [
+            oracles.grid_residual_argmin(pennies, 2)[0],
+            starting_point(pennies, 2),
+            point_from_dict(pennies, {"numerators": [[[1, 1]], [[1, 1]]]}, 2),
+            simplex_vertices(pennies, edge)[1],
+        ]
+        assert all(p == routes[0] and hash(p) == hash(routes[0]) for p in routes)
+        assert len(set(routes)) == 1
+        assert all(type(x) is int for p in routes for x in p.key)
+
+    def test_writing_numerators_leaves_the_point(self):
+        """The argmin of a chunked scan owns its key: writing into the
+        arrays ``numerators`` returns changes neither the point nor its
+        hash."""
+        game = corpus_game("asymmetric_mixed")
+        pt = oracles.grid_residual_argmin(game, 32)[0]
+        assert all(type(x) is int for x in pt.key)
+        before = (pt.key, hash(pt), pt.numerators[0].tolist())
+        for arr in pt.numerators:
+            arr += 1
+        assert (pt.key, hash(pt), pt.numerators[0].tolist()) == before
+
+    def test_search_enumerates_the_grid_once(self, monkeypatch, pennies):
+        calls = []
+        grid_keys = simplicial._grid_keys
+
+        def counting(game, d):
+            calls.append(d)
+            return grid_keys(game, d)
+
+        monkeypatch.setattr(simplicial, "_grid_keys", counting)
+        assert find_stopping_simplex(pennies, 3) is not None
+        assert calls == [3]
 
 
 class TestTriangulation:
@@ -237,10 +278,10 @@ class TestTriangulation:
                     for v in vertices:
                         assert v.is_valid()
                         assert in_cone(game, v, apex, t_set)
-                        vertex_keys.add(v.flat_key())
+                        vertex_keys.add(v.key)
             if simplex_count:
                 for p in reachable:
-                    assert p.flat_key() in vertex_keys
+                    assert p.key in vertex_keys
 
     def test_cone_membership_uses_integer_coefficients(self, pennies):
         apex = starting_point(pennies, 2)
@@ -312,6 +353,13 @@ def reference_index_sets(game):
     return sorted(sets, key=lambda t: (len(t), t))
 
 
+@pytest.mark.parametrize("parts", [1, 2, 3, 4])
+def test_compositions_match_recursion(parts):
+    for total in range(7):
+        assert list(simplicial._compositions(total, parts)) == list(
+            reference_compositions(total, parts))
+
+
 @pytest.mark.parametrize("a_count", [1, 2, 3, 4, 5])
 def test_apex_matches_nearest_composition(a_count):
     game = oracles.random_game(np.random.default_rng(5), 2, 2, [a_count, 3], 0.5)
@@ -331,7 +379,7 @@ def test_index_sets_match_nested_loops(shape):
 
 def test_enumeration_order_is_stable(toy):
     sigmas = list(enumerate_simplices(toy, 2))
-    keys = [(s.base.flat_key(), s.index_set, s.order) for s in sigmas]
+    keys = [(s.base.key, s.index_set, s.order) for s in sigmas]
     assert keys == sorted(keys, key=lambda k: (k[0], len(k[1]), k[1], k[2]))
 
 
@@ -359,7 +407,7 @@ def assert_scan_matches_points(game, d):
     for nums, labels, residuals in scan_grid(game, d):
         for key, label, res in zip(nums.tolist(), labels, residuals.tolist()):
             pt = next(points)
-            assert list(pt.flat_key()) == key
+            assert list(pt.key) == key
             assert label == reference_label(game, pt) == label_point(game, pt), key
             assert res == residual(game, pt.to_profile(game)), key
     assert next(points, None) is None
@@ -472,9 +520,9 @@ def reference_stopping_simplex(game, d):
     for sigma in reference_simplices(game, d):
         labels = []
         for v in reference_vertices(game, sigma):
-            if v.flat_key() not in cache:
-                cache[v.flat_key()] = reference_label(game, v)
-            labels.append(cache[v.flat_key()])
+            if v.key not in cache:
+                cache[v.key] = reference_label(game, v)
+            labels.append(cache[v.key])
         labels = tuple(labels)
         if len(set(labels)) != len(labels):
             continue
@@ -506,7 +554,7 @@ SEARCH_CASES = (
 class TestIntegerSearchMatchesReference:
     def test_enumeration_sequence(self, make_game, d):
         game = make_game()
-        key = lambda s: (s.base.flat_key(), s.index_set, s.order)  # noqa: E731
+        key = lambda s: (s.base.key, s.index_set, s.order)  # noqa: E731
         assert [key(s) for s in enumerate_simplices(game, d)] == [
             key(s) for s in reference_simplices(game, d)
         ]
