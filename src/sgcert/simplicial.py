@@ -548,16 +548,20 @@ def simplex_from_dict(game: StochasticGame, data: dict) -> GridSimplex:
         d, rows, entries, perm = (data[f] for f in ("d", "base", "index_set", "permutation"))
     except KeyError as exc:
         raise InvalidSimplexError(f"simplex document has no {exc} field") from exc
-    if not _is_integer(d):
-        raise InvalidSimplexError("d must be an integer")
-    base = grid_profile_from_lists(game, rows, d)
+    # type(x) is int: a float, a boolean or a string is not an integer
+    if type(d) is not int or d < 1:
+        raise InvalidSimplexError("d must be an integer >= 1")
+    try:
+        base = grid_profile_from_lists(game, rows, d)
+    except InvalidSimplexError as exc:
+        raise InvalidSimplexError(f"base: {exc}") from exc
     if not isinstance(entries, list):
         raise InvalidSimplexError("index_set must be a list")
     for k, entry in enumerate(entries):
         if not (isinstance(entry, list) and len(entry) == 3
-                and all(map(_is_integer, entry))):
+                and all(type(x) is int for x in entry)):
             raise InvalidSimplexError(f"index_set entry {k} must be [player, state, action]")
-    if not (isinstance(perm, list) and all(map(_is_integer, perm))):
+    if not (isinstance(perm, list) and all(type(k) is int for k in perm)):
         raise InvalidSimplexError("permutation must be a list of integers")
     index_set = tuple(Label(*entry) for entry in entries)
     if sorted(perm) != list(range(len(index_set))):
@@ -575,11 +579,6 @@ def point_from_dict(game: StochasticGame, data: dict, d: int) -> GridProfile:
     except (KeyError, TypeError) as exc:
         raise InvalidSimplexError("point file must contain a 'numerators' field") from exc
     return grid_profile_from_lists(game, rows, d)
-
-
-def _is_integer(value) -> bool:
-    """Whether ``value`` is an int; a float, a boolean or a string is not."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def grid_profile_from_lists(game: StochasticGame, rows, d: int) -> GridProfile:

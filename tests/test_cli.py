@@ -411,7 +411,8 @@ def test_malformed_simplex_index_set_rejected(capsys, tmp_path, index_set, permu
 # Documents whose fields have the wrong type: a profile or point that is not
 # a list, numerators that are not integers, a fractional simplex grid size,
 # index set entries that are not [player, state, action], a simplex document
-# that is not an object.  The message names the faulty field.
+# that is not an object, a simplex base that is not a list of players.  The
+# message names the faulty field.
 SIMPLEX_BASE = {"d": 2, "base": [[[1, 1]], [[1, 1]]], "permutation": [0]}
 MALFORMED_DOCUMENTS = [
     ("profile", "matching_pennies", {"probs": 5}, "'probs'"),
@@ -431,6 +432,8 @@ MALFORMED_DOCUMENTS = [
     ("simplex", "matching_pennies", {**SIMPLEX_BASE, "index_set": 5},
      "index_set must be a list"),
     ("simplex", "matching_pennies", [1, 2], "simplex document must be an object"),
+    ("simplex", "matching_pennies", {**SIMPLEX_BASE, "base": 5, "index_set": []},
+     "error: base: "),
 ]
 
 
