@@ -2,7 +2,8 @@
 profiles, and run the grid labelling machinery on files.
 
 Exit codes: 0 success (or verdict true), 1 verdict false, 2 input error,
-3 method-specific failure (no convergence, grid too large, nothing found).
+3 method-specific failure (no convergence, grid too large, a simplicial walk
+that steps off the grid or passes its step bound).
 Reports are JSON with floats at 12 significant digits; identical inputs
 and seeds produce byte-identical output.
 """
@@ -114,10 +115,7 @@ def _solve_grid(game, d):
 
 
 def _solve_simplicial(game, d):
-    found = find_stopping_simplex(game, d)
-    if found is None:
-        return None, "no-stopping-simplex"
-    sigma, _ = found
+    sigma, _ = find_stopping_simplex(game, d)
     residuals = stopping_residual_check(game, sigma).vertex_residuals
     best = simplex_vertices(game, sigma)[int(np.argmin(residuals))]
     return best.to_profile(game), "converged"
@@ -162,9 +160,6 @@ def cmd_solve(args) -> int:
     game = load_game(args.game)
     target_l = _target_l(args, game)
     pi, status = _SOLVERS[args.method](game, **options)
-    if pi is None:
-        _emit({"method": args.method, "status": status})
-        return EXIT_METHOD_FAILURE
     cert = certify_profile(game, pi, target_l)
     _emit(
         {

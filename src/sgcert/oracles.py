@@ -4,14 +4,16 @@ Everything here recomputes a quantity by a route deliberately different
 from the library's primary path: explicit joint-action enumeration instead
 of tensor contraction, truncated power series instead of a linear solve,
 deterministic-policy enumeration instead of policy iteration, support
-enumeration instead of the improvement map, and minimax value iteration
-for zero-sum cross-checks.  Desk scale only.
+enumeration instead of the improvement map, enumeration of every simplex
+of the triangulation instead of the door-in/door-out walk, and minimax
+value iteration for zero-sum cross-checks.  Desk scale only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, combinations, product
+from typing import Iterator
 
 import numpy as np
 
@@ -25,7 +27,20 @@ from .game import (
     validate_profile,
 )
 from .nash_map import apply_f
-from .simplicial import GridProfile, scan_grid
+from .simplicial import (
+    GridProfile,
+    GridSimplex,
+    Label,
+    SimplexClass,
+    _blocks,
+    _classify_labels,
+    _column,
+    _cone_floor,
+    _step,
+    grid_points,
+    scan_grid,
+    starting_point,
+)
 
 DET_POLICY_GUARD = 10**5
 
@@ -183,6 +198,87 @@ def grid_residual_argmin(game: StochasticGame, d: int):
             if r < best_res - _RESIDUAL_TIE_TOL:
                 best, best_res = nums[k], r
     return GridProfile.from_key(game, best, d), best_res
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive search of the triangulation: every simplex of every cone region,
+# in a fixed order, until one is stopping.  The library finds stopping
+# simplices by a walk that labels only its path; this labels the whole grid.
+
+def index_sets(game: StochasticGame) -> list[tuple[Label, ...]]:
+    """All admissible index sets, ordered by size then lexicographically.
+    Each is a choice of one proper subset per (player, state) block; the
+    blocks run in label order, so the joined choice is already sorted."""
+    blocks = [[Label(i, s, a) for a in range(a_count)] for i, s, _, a_count in _blocks(game)]
+    proper = [[part for k in range(len(b)) for part in combinations(b, k)] for b in blocks]
+    sets = (tuple(chain.from_iterable(choice)) for choice in product(*proper))
+    return sorted(sets, key=lambda t: (len(t), t))
+
+
+def _orderings(base, t_set, columns) -> Iterator[tuple[tuple[Label, ...], tuple]]:
+    """``(order, vertex keys)`` for every ordering of ``t_set`` whose
+    vertices stay on the grid, in ``itertools.permutations`` order.  A
+    prefix whose next vertex leaves the grid is dropped with all its
+    extensions."""
+
+    def walk(keys, order, rest):
+        if not rest:
+            yield order, keys
+            return
+        for k, pos in enumerate(rest):
+            nxt = _step(keys[-1], columns[pos])
+            if nxt is not None:
+                yield from walk(keys + (nxt,), order + (t_set[pos],),
+                                rest[:k] + rest[k + 1:])
+
+    return walk((base,), (), tuple(range(len(t_set))))
+
+
+def _simplices(game: StochasticGame, d: int, bases) -> Iterator[tuple]:
+    """``(base key, order, vertex keys)`` of every simplex of the cone
+    regions whose base is in ``bases``, the grid's keys in lexicographic
+    order: base point lexicographic, then index-set size ascending, then
+    index set and vertex ordering lexicographic."""
+    blocks = _blocks(game)
+    apex = starting_point(game, d).key
+    sets = [(t, frozenset(t), [_column(game, c) for c in t]) for t in index_sets(game)]
+    for base in bases:
+        floor = _cone_floor(blocks, base, apex)
+        for t_set, members, columns in sets:
+            if floor <= members:
+                for order, keys in _orderings(base, t_set, columns):
+                    yield base, order, keys
+
+
+def enumerate_simplices(game: StochasticGame, d: int) -> Iterator[GridSimplex]:
+    """All simplices of the triangulation in deterministic order: base point
+    lexicographic, then index-set size ascending, then index set and vertex
+    ordering lexicographic.  Only simplices inside the cone region of their
+    index set (rooted at the starting point) whose vertices stay on the grid
+    are yielded."""
+    for base, order, _ in _simplices(game, d, (p.key for p in grid_points(game, d))):
+        yield GridSimplex(GridProfile.from_key(game, base, d), order)
+
+
+def first_stopping_simplex(
+    game: StochasticGame, d: int
+) -> tuple[GridSimplex, SimplexClass] | None:
+    """Deterministic exhaustive search for a stopping simplex.
+
+    Returns the first stopping simplex in the order of
+    :func:`enumerate_simplices` together with its classification, or None
+    if the triangulation contains none.  The whole grid is labelled first,
+    by :func:`scan_grid`, behind its size guard; the label table, filled in
+    scan order, then supplies the bases, so the grid is enumerated once.
+    """
+    labels = {}
+    for nums, chunk_labels, _ in scan_grid(game, d):
+        labels.update(zip(map(tuple, nums.tolist()), chunk_labels))
+    for base, order, keys in _simplices(game, d, labels):
+        cls = _classify_labels(game, tuple(labels[key] for key in keys))
+        if cls.kind == "stopping":
+            return GridSimplex(GridProfile.from_key(game, base, d), order), cls
+    return None
 
 
 # ---------------------------------------------------------------------------

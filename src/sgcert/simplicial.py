@@ -20,31 +20,30 @@ A_max^2 * (lambda + 1) / d.
 
 A grid point (:class:`GridProfile`) is its key: the numerators flattened
 in (player, state, action) order, a tuple of Python ints; keys order the
-grid lexicographically.  The search is deterministic exhaustive
-enumeration in exact integer arithmetic on these keys:
+grid lexicographically.
 
-* Cone regions.  A base point belongs to the region of T when it lies in
-  the cone of T's Q columns rooted at the apex :func:`starting_point`, the
-  grid point nearest the uniform profile, which has a closed form.
-  Within one block the coefficients of ``point - apex`` have a closed form
-  (see :func:`in_cone`), so each base point yields, once, the set of
-  coordinates every admissible T must contain; a region test is then a
-  set inclusion.
-* Vertex walk.  The orderings of T are walked as a prefix tree in the
-  order of ``itertools.permutations``, stepping the numerators one Q
-  column at a time.  A column lowers one numerator by one, so a prefix
-  whose next column would make a numerator negative is dropped together
-  with every ordering that extends it.
+Cone regions.  The region of an admissible T is the cone of T's Q columns
+rooted at the apex :func:`starting_point`, the grid point nearest the
+uniform profile, which has a closed form.  Within one block the
+coefficients of ``point - apex`` on the Q columns have a closed form (see
+:func:`in_cone`), exact in integers.  A simplex of the region of T has its
+base in that cone and any ordering of T whose vertices stay on the grid.
 
-Grid points are evaluated by one chunked scan (:func:`scan_grid`): the
-flattened numerators of the whole grid, a chunk at a time, each chunk
-through one batched application of the improvement map, which gives every
-point's label and residual together.  The search enumerates the grid
-once: it labels the whole grid this way, and the label table, in scan
-order, gives the bases of the simplices it walks.  A simplex's vertices
-are evaluated in one call of the same kind.  Path following over the
-triangulation is an extension point; exhaustive enumeration is intended
-for desk-scale instances only.
+The search (:func:`find_stopping_simplex`) is the door-in/door-out walk of
+the fixed-point problem's End-of-the-Line reduction: on these regions it is
+the variable-dimension algorithm of van der Laan & Talman (1979), which
+builds on Scarf (1967).  From the apex with T empty, each step replaces
+one vertex of the current simplex and labels the vertex that entered; the
+region's dimension rises when the new label joins T and falls when the
+walk reaches the boundary of its region.  Only the points on the path are
+labelled, so the walk's cost and memory grow with the path, not the grid.
+
+Whole grids are evaluated by one chunked scan (:func:`scan_grid`): the
+flattened numerators of the grid, a chunk at a time, each chunk through
+one batched application of the improvement map, which gives every point's
+label and residual together.  A simplex's vertices are evaluated in one
+call of the same kind.  Exhaustive enumeration of the triangulation is the
+reference in :mod:`sgcert.oracles`.
 """
 
 from __future__ import annotations
@@ -62,6 +61,17 @@ from .game import StochasticGame, StrategyProfile, validate_profile
 from .nash_map import improve, lipschitz_constant
 
 GRID_ENUM_GUARD = 10**7
+# Numerators and grid sizes up to 2**53 are exact as float64 and int64, so
+# numerators / d is the correctly rounded coordinate.  Past it, neighbouring
+# grid points can share a float, and numerators can leave the int64 range of
+# the arrays that the labelling evaluates.
+MAX_GRID_SIZE = 2**53
+# A walk visits each simplex at most once, so on a proper labelling it ends;
+# this bound only turns a walk too long to wait for into an error.  Each
+# step labels at most one grid point, at 100-250 us, so the bound is a few
+# minutes of labelling; the longest walk measured on the corpus,
+# coordination_pure at d = 1024, labels 1,025 points.
+WALK_STEP_BOUND = 10**6
 # Displacements f(pi) - pi are differences of probabilities in [0, 1] and
 # carry a few ulps of rounding (about 1e-16 each).  A coordinate within this
 # distance of the global minimum counts as attaining it, so a tie that holds
@@ -169,6 +179,13 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield tuple(b - a - 1 for a, b in pairwise((-1, *bars, slots)))
 
 
+def _check_grid_size(d: int) -> None:
+    if d < 1:
+        raise InvalidSimplexError("grid size d must be >= 1")
+    if d > MAX_GRID_SIZE:
+        raise InvalidSimplexError(f"grid size d must be at most 2**53, got {d}")
+
+
 def grid_point_count(game: StochasticGame, d: int) -> int:
     count = 1
     for a in game.num_actions:
@@ -191,8 +208,7 @@ def _blocks(game: StochasticGame) -> list[tuple[int, int, int, int]]:
 def _grid_keys(game: StochasticGame, d: int) -> Iterator[tuple[int, ...]]:
     """Flattened numerators of every grid point, in lexicographic order.
     Every enumeration of the grid starts here, behind the one size guard."""
-    if d < 1:
-        raise InvalidSimplexError("grid size d must be >= 1")
+    _check_grid_size(d)
     count = grid_point_count(game, d)
     if count > GRID_ENUM_GUARD:
         raise ValueError(
@@ -377,16 +393,6 @@ def classify_simplex(game: StochasticGame, sigma: GridSimplex) -> SimplexClass:
     return _evaluate_simplex(game, sigma)[0]
 
 
-def index_sets(game: StochasticGame) -> list[tuple[Label, ...]]:
-    """All admissible index sets, ordered by size then lexicographically.
-    Each is a choice of one proper subset per (player, state) block; the
-    blocks run in label order, so the joined choice is already sorted."""
-    blocks = [[Label(i, s, a) for a in range(a_count)] for i, s, _, a_count in _blocks(game)]
-    proper = [[part for k in range(len(b)) for part in combinations(b, k)] for b in blocks]
-    sets = (tuple(chain.from_iterable(choice)) for choice in product(*proper))
-    return sorted(sets, key=lambda t: (len(t), t))
-
-
 def starting_point(game: StochasticGame, d: int) -> GridProfile:
     """Grid point nearest the uniform profile in max norm, lexicographic
     tie-break.  Serves as the cone apex v^0 of the triangulated regions.
@@ -394,8 +400,7 @@ def starting_point(game: StochasticGame, d: int) -> GridProfile:
     Closed form: with ``q, r = divmod(d, A)``, the nearest blocks of
     numerators hold only q and q + 1 (any other value lies farther from
     d / A), r of them q + 1; the lexicographically least puts those last."""
-    if d < 1:
-        raise InvalidSimplexError("grid size d must be >= 1")
+    _check_grid_size(d)
     key = []
     for a_count in game.num_actions:
         q, r = divmod(d, a_count)
@@ -403,18 +408,26 @@ def starting_point(game: StochasticGame, d: int) -> GridProfile:
     return GridProfile.from_key(game, key, d)
 
 
+def _cone_coefficients(point, apex, offset: int, a_count: int) -> list[int]:
+    """Coefficients ``lam0 - min(lam0)`` of ``point - apex`` on the Q
+    columns of the block at ``offset`` with ``a_count`` actions, by action
+    (see :func:`in_cone`)."""
+    lam = [0]
+    for j in range(offset + 1, offset + a_count):
+        lam.append(lam[-1] - (point[j] - apex[j]))
+    low = min(lam)
+    return [x - low for x in lam]
+
+
 def _cone_floor(blocks, point: tuple[int, ...], apex: tuple[int, ...]) -> frozenset[Label]:
     """Coordinates that every admissible index set whose cone holds
-    ``point`` must contain: those whose block coefficient ``lam0`` exceeds
-    the block minimum (see :func:`in_cone`)."""
-    floor = []
-    for i, s, offset, a_count in blocks:
-        lam = [0]
-        for j in range(offset + 1, offset + a_count):
-            lam.append(lam[-1] - (point[j] - apex[j]))
-        low = min(lam)
-        floor.extend(Label(i, s, a) for a, x in enumerate(lam) if x > low)
-    return frozenset(floor)
+    ``point`` must contain: those with a positive cone coefficient."""
+    return frozenset(
+        Label(i, s, a)
+        for i, s, offset, a_count in blocks
+        for a, x in enumerate(_cone_coefficients(point, apex, offset, a_count))
+        if x > 0
+    )
 
 
 def in_cone(
@@ -440,70 +453,81 @@ def in_cone(
     return floor <= set(index_set)
 
 
-def _orderings(base, t_set, columns) -> Iterator[tuple[tuple[Label, ...], tuple]]:
-    """``(order, vertex keys)`` for every ordering of ``t_set`` whose
-    vertices stay on the grid, in ``itertools.permutations`` order.  A
-    prefix whose next vertex leaves the grid is dropped with all its
-    extensions."""
+def find_stopping_simplex(game: StochasticGame, d: int) -> tuple[GridSimplex, SimplexClass]:
+    """A stopping simplex at grid size ``d`` and its classification, by the
+    door-in/door-out walk of van der Laan & Talman (1979).
 
-    def walk(keys, order, rest):
-        if not rest:
-            yield order, keys
-            return
-        for k, pos in enumerate(rest):
-            nxt = _step(keys[-1], columns[pos])
-            if nxt is not None:
-                yield from walk(keys + (nxt,), order + (t_set[pos],),
-                                rest[:k] + rest[k + 1:])
+    The walk starts at the apex :func:`starting_point` with T empty.  The
+    current simplex has vertices ``w^0 .. w^t`` and the order ``pi`` of T,
+    and k is the label of the vertex that entered last.
 
-    return walk((base,), (), tuple(range(len(t_set))))
+    * k not in T, and T + {k} holds every action of k's block: the simplex
+      is stopping.
+    * k not in T otherwise: go up; k joins the order and ``w^t + q(k)``
+      enters.
+    * k in T: the other vertex labelled k leaves.  For ``w^0`` the base
+      moves along ``q(pi_1)`` and the order rotates left; for ``w^r`` with
+      ``0 < r < t``, ``pi_r`` and ``pi_(r+1)`` swap; for ``w^t``, the base
+      moves back along ``q(pi_t)`` and the order rotates right if the
+      base's cone coefficient for ``pi_t`` is at least one, and otherwise
+      the walk goes down to T - {pi_t}, where the vertex labelled ``pi_t``
+      leaves the same way.
 
-
-def _simplices(game: StochasticGame, d: int, bases) -> Iterator[tuple]:
-    """``(base key, order, vertex keys)`` of every simplex of the cone
-    regions whose base is in ``bases``, the grid's keys in lexicographic
-    order: base point lexicographic, then index-set size ascending, then
-    index set and vertex ordering lexicographic."""
-    blocks = _blocks(game)
-    apex = starting_point(game, d).key
-    sets = [(t, frozenset(t), [_column(game, c) for c in t]) for t in index_sets(game)]
-    for base in bases:
-        floor = _cone_floor(blocks, base, apex)
-        for t_set, members, columns in sets:
-            if floor <= members:
-                for order, keys in _orderings(base, t_set, columns):
-                    yield base, order, keys
-
-
-def enumerate_simplices(game: StochasticGame, d: int) -> Iterator[GridSimplex]:
-    """All simplices of the triangulation in deterministic order: base point
-    lexicographic, then index-set size ascending, then index set and vertex
-    ordering lexicographic.  Only simplices inside the cone region of their
-    index set (rooted at the starting point) whose vertices stay on the grid
-    are yielded."""
-    for base, order, _ in _simplices(game, d, _grid_keys(game, d)):
-        yield GridSimplex(GridProfile.from_key(game, base, d), order)
-
-
-def find_stopping_simplex(
-    game: StochasticGame, d: int
-) -> tuple[GridSimplex, SimplexClass] | None:
-    """Deterministic exhaustive search for a stopping simplex.
-
-    Returns the first stopping simplex in enumeration order together with
-    its classification, or None if the triangulation contains none.  The
-    whole grid is labelled first, by :func:`scan_grid`; the label table,
-    filled in scan order, then supplies the bases, so the grid is
-    enumerated once.
+    Each vertex on the path is labelled once, by :func:`label_point`.  A
+    step off the grid, which a proper labelling never asks for, or more
+    than ``WALK_STEP_BOUND`` steps raise ValueError.
     """
-    labels = {}
-    for nums, chunk_labels, _ in scan_grid(game, d):
-        labels.update(zip(map(tuple, nums.tolist()), chunk_labels))
-    for base, order, keys in _simplices(game, d, labels):
-        cls = _classify_labels(game, tuple(labels[key] for key in keys))
-        if cls.kind == "stopping":
-            return GridSimplex(GridProfile.from_key(game, base, d), order), cls
-    return None
+    blocks = _blocks(game)
+    apex = starting_point(game, d)
+    labels = {apex.key: label_point(game, apex)}
+
+    def vertex(key: tuple[int, ...], column: tuple[int, int]) -> tuple[int, ...]:
+        """The labelled vertex one column after ``key``."""
+        nxt = _step(key, column)
+        if nxt is None:
+            raise ValueError(f"the walk stepped off the grid at d = {d}")
+        if nxt not in labels:
+            labels[nxt] = label_point(game, GridProfile.from_key(game, nxt, d))
+        return nxt
+
+    def coefficient(base: tuple[int, ...], coord: Label) -> int:
+        """The cone coefficient of ``base`` for ``coord``."""
+        i, s, a = coord
+        _, _, offset, a_count = blocks[i * game.num_states + s]
+        return _cone_coefficients(base, apex.key, offset, a_count)[a]
+
+    keys, order, fresh = [apex.key], [], 0
+    for _ in range(WALK_STEP_BOUND):
+        k = labels[keys[fresh]]
+        if k not in order:
+            # T + {k} holds every action of k's block
+            if sum(c[:2] == k[:2] for c in order) + 1 == game.num_actions[k.player]:
+                sigma = GridSimplex(GridProfile.from_key(game, keys[0], d), tuple(order))
+                return sigma, _classify_labels(game, tuple(labels[key] for key in keys))
+            order.append(k)
+            keys.append(vertex(keys[-1], _column(game, k)))
+            fresh = len(order)
+            continue
+        out = next(j for j, key in enumerate(keys) if labels[key] == k and j != fresh)
+        while out == len(order) and coefficient(keys[0], order[-1]) == 0:
+            gone = order.pop()
+            keys.pop()
+            out = next(j for j, key in enumerate(keys) if labels[key] == gone)
+        if out == 0:
+            order.append(order.pop(0))
+            keys.append(vertex(keys[-1], _column(game, order[-1])))
+            del keys[0]
+            fresh = len(order)
+        elif out < len(order):
+            order[out - 1], order[out] = order[out], order[out - 1]
+            keys[out] = vertex(keys[out - 1], _column(game, order[out - 1]))
+            fresh = out
+        else:
+            order.insert(0, order.pop())
+            keys.pop()
+            keys.insert(0, vertex(keys[0], _column(game, order[0])[::-1]))
+            fresh = 0
+    raise ValueError(f"the walk took {WALK_STEP_BOUND} steps at d = {d} without stopping")
 
 
 def stopping_residual_check(game: StochasticGame, sigma: GridSimplex) -> StoppingReport:
@@ -549,8 +573,9 @@ def simplex_from_dict(game: StochasticGame, data: dict) -> GridSimplex:
     except KeyError as exc:
         raise InvalidSimplexError(f"simplex document has no {exc} field") from exc
     # type(x) is int: a float, a boolean or a string is not an integer
-    if type(d) is not int or d < 1:
-        raise InvalidSimplexError("d must be an integer >= 1")
+    if type(d) is not int:
+        raise InvalidSimplexError("d must be an integer")
+    _check_grid_size(d)
     try:
         base = grid_profile_from_lists(game, rows, d)
     except InvalidSimplexError as exc:
@@ -582,8 +607,7 @@ def point_from_dict(game: StochasticGame, data: dict, d: int) -> GridProfile:
 
 
 def grid_profile_from_lists(game: StochasticGame, rows, d: int) -> GridProfile:
-    if d < 1:
-        raise InvalidSimplexError("grid size d must be >= 1")
+    _check_grid_size(d)
     if not isinstance(rows, (list, tuple)) or len(rows) != game.num_players:
         raise InvalidSimplexError("numerators must list every player")
     key = []
@@ -596,12 +620,14 @@ def grid_profile_from_lists(game: StochasticGame, rows, d: int) -> GridProfile:
             raise InvalidSimplexError(
                 f"player {i} numerators have shape {arr.shape}"
             )
-        if arr.dtype.kind != "i":
+        # the entries as given: numpy reads True as 1, 2**63 as a float and
+        # 10**30 as an object, so its dtype does not tell integers apart
+        values = [x for row in player_rows for x in row]
+        if not all(type(x) is int for x in values):
             raise InvalidSimplexError(f"player {i} numerators must be integers")
-        # entries above d could wrap the int64 row sums around to d
-        if np.any((arr < 0) | (arr > d)) or np.any(arr.sum(axis=1) != d):
+        if min(values) < 0 or any(sum(row) != d for row in player_rows):
             raise InvalidSimplexError(
                 f"player {i} numerators are not a grid point of size {d}"
             )
-        key += arr.ravel().tolist()
+        key += values
     return GridProfile.from_key(game, key, d)

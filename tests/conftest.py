@@ -43,7 +43,7 @@ def corpus_entry(name) -> CorpusEntry:
 
 
 def single_state_entries() -> list[CorpusEntry]:
-    """The one-state entries, small enough for exhaustive simplicial search."""
+    """The one-state entries, small enough to label their whole grids."""
     return [e for e in corpus_entries() if e.game.num_states == 1]
 
 

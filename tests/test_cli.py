@@ -204,6 +204,25 @@ class TestSolve:
                       "--d", "100000")
         assert code == 3
 
+    def test_search_past_the_enumeration_guard(self, capsys):
+        """The walk labels only its path: a grid of 10^8 points, which the
+        grid solver refuses, is searched with three labels."""
+        code, out = run(capsys, "search", PENNIES, "--d", "10000")
+        assert code == 0
+        assert json.loads(out)["profile"]["probs"] == [[[0.5, 0.5]], [[0.5, 0.5]]]
+
+    def test_walk_off_the_grid_is_method_failure(self, capsys, monkeypatch):
+        """A labelling that is not proper, one label everywhere, sends the
+        walk off the grid: exit 3 with one line, not a loop."""
+        from sgcert import simplicial
+
+        monkeypatch.setattr(simplicial, "_label_rule", lambda game, nums, disp:
+                            [simplicial.Label(0, 0, 0)] * len(nums))
+        code = main(["search", PENNIES, "--d", "4"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == "error: the walk stepped off the grid at d = 4\n"
+
     @pytest.mark.parametrize("method", ["grid", "simplicial"])
     @pytest.mark.parametrize("d", ["0", "-1"])
     def test_nonpositive_grid_size_is_one_line_error(self, capsys, method, d):
@@ -223,6 +242,27 @@ class TestSolve:
 ])
 def test_nonpositive_size_is_input_error(capsys, argv):
     run_input_error(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", PENNIES, "--d", str(2**53 + 1)),
+    ("solve", PENNIES, "--method", "grid", "--d", str(10**20)),
+    ("label", PENNIES, "--d", str(10**20)),
+])
+def test_grid_size_past_exact_floats_is_input_error(capsys, argv):
+    """Past 2**53, numerators / d are no longer exact floats: exit 2 in one
+    line, not a traceback or a walk that cannot tell neighbours apart."""
+    assert "grid size d must be at most 2**53" in run_input_error(capsys, *argv)
+
+
+def test_document_grid_size_past_exact_floats_is_input_error(capsys, tmp_path):
+    big = 10**20
+    point = write_doc(tmp_path / "p.json", {"numerators": [[[big, 0]], [[big, 0]]]})
+    simplex = write_doc(tmp_path / "s.json", {"d": big, "base": [[[big, 0]], [[big, 0]]],
+                                               "index_set": [], "permutation": []})
+    for argv in (("label", PENNIES, "--d", str(big), "--point", point),
+                 ("label", PENNIES, "--simplex", simplex)):
+        assert run_input_error(capsys, *argv) == f"error: grid size d must be at most 2**53, got {big}\n"
 
 
 @pytest.mark.parametrize("flag,value", [
@@ -332,11 +372,11 @@ class TestLabel:
         assert data["classification"] == "stopping"
 
     def test_simplex_vertices_are_labelled_once(self, capsys, tmp_path, monkeypatch):
-        from sgcert import simplicial
+        from sgcert import oracles, simplicial
         from sgcert.game import load_game
 
         game = load_game(CHAIN)
-        sigma = next(s for s in simplicial.enumerate_simplices(game, 2)
+        sigma = next(s for s in oracles.enumerate_simplices(game, 2)
                      if s.dimension == 4)
         doc = simplicial.simplex_to_dict(game, sigma)
         labelled = []
@@ -434,6 +474,11 @@ MALFORMED_DOCUMENTS = [
     ("simplex", "matching_pennies", [1, 2], "simplex document must be an object"),
     ("simplex", "matching_pennies", {**SIMPLEX_BASE, "base": 5, "index_set": []},
      "error: base: "),
+    ("point", "matching_pennies", {"numerators": [[[True, 1]], [[1, 1]]]},
+     "player 0 numerators must be integers"),
+    *(("point", "matching_pennies", {"numerators": [[[big, 0]], [[1, 1]]]},
+       "player 0 numerators are not a grid point of size 2")
+      for big in (10**30, -10**30, 2**63)),
 ]
 
 

@@ -13,13 +13,11 @@ from sgcert.simplicial import (
     Label,
     SimplexClass,
     classify_simplex,
-    enumerate_simplices,
     find_stopping_simplex,
     grid_point_count,
     grid_points,
     grid_profile_from_lists,
     in_cone,
-    index_sets,
     label_point,
     point_from_dict,
     q_column,
@@ -151,7 +149,7 @@ class TestClassification:
         # an edge whose endpoints carry the same label
         found = False
         for base in grid_points(pennies, 2):
-            for t_set in index_sets(pennies):
+            for t_set in oracles.index_sets(pennies):
                 if len(t_set) != 1:
                     continue
                 sigma = GridSimplex(base, t_set)
@@ -201,11 +199,63 @@ class TestFindStoppingSimplex:
         # force every grid point onto one label: no simplex can then cover
         # both actions, so the exhaustive search must report not-found
         steer_labels(monkeypatch, lambda key: Label(0, 0, 0))
-        assert find_stopping_simplex(toy, 4) is None
+        assert oracles.first_stopping_simplex(toy, 4) is None
 
     def test_guard_on_large_grids(self, pennies):
         with pytest.raises(ValueError, match="guard"):
-            find_stopping_simplex(pennies, 10_000)
+            oracles.first_stopping_simplex(pennies, 10_000)
+
+    @pytest.mark.parametrize("name", ["two_arm_bandit", "matching_pennies", "zero_sum_chain"])
+    def test_steered_labels_end_the_walk_at_the_grid_edge(self, monkeypatch, name):
+        # one label everywhere is not proper: the walk slides along that
+        # label's column until the next vertex would leave the grid
+        steer_labels(monkeypatch, lambda key: Label(0, 0, 0))
+        with pytest.raises(ValueError, match="stepped off the grid"):
+            find_stopping_simplex(corpus_game(name), 6)
+
+    def test_step_bound(self, monkeypatch):
+        game = corpus_game("zero_sum_chain")
+        find_stopping_simplex(game, 32)
+        monkeypatch.setattr(simplicial, "WALK_STEP_BOUND", 20)
+        with pytest.raises(ValueError, match="20 steps"):
+            find_stopping_simplex(game, 32)
+
+    @pytest.mark.parametrize("name", CORPUS_GAMES)
+    def test_walk_stops_on_the_corpus(self, name):
+        game = corpus_game(name)
+        for d in (1, 2, 3, 4, 5, 8, 16):
+            sigma, cls = find_stopping_simplex(game, d)
+            assert cls.kind == "stopping", (name, d)
+            assert stopping_residual_check(game, sigma).passed, (name, d)
+
+    def test_walk_never_enumerates_the_grid(self, monkeypatch):
+        def refuse(game, d):
+            raise AssertionError("the walk enumerated the grid")
+
+        monkeypatch.setattr(simplicial, "_grid_keys", refuse)
+        for name, d in (("matching_pennies", 4), ("zero_sum_chain", 32),
+                        ("asymmetric_mixed", 64)):
+            assert find_stopping_simplex(corpus_game(name), d)[1].kind == "stopping"
+
+    @pytest.mark.parametrize("name,d,count,points", [
+        ("zero_sum_chain", 32, 65, 1_185_921),
+        ("matching_pennies", 10_000, 3, 100_020_001),
+    ])
+    def test_walk_labels_only_its_path(self, monkeypatch, name, d, count, points):
+        """Each vertex on the path is labelled once, through label_point;
+        the path is a tiny part of the grid."""
+        game = corpus_game(name)
+        labelled = []
+        label = simplicial.label_point
+
+        def counting(game, point):
+            labelled.append(point.key)
+            return label(game, point)
+
+        monkeypatch.setattr(simplicial, "label_point", counting)
+        find_stopping_simplex(game, d)
+        assert len(labelled) == len(set(labelled)) == count
+        assert grid_point_count(game, d) == points
 
     def test_check_rejects_non_stopping(self, toy):
         base = point(toy, [[[2, 0]]], 2)
@@ -250,7 +300,7 @@ class TestGridProfileIsAValue:
             return grid_keys(game, d)
 
         monkeypatch.setattr(simplicial, "_grid_keys", counting)
-        assert find_stopping_simplex(pennies, 3) is not None
+        assert oracles.first_stopping_simplex(pennies, 3) is not None
         assert calls == [3]
 
 
@@ -263,7 +313,7 @@ class TestTriangulation:
         game = corpus_game(game_name)
         apex = starting_point(game, d)
         pts = list(grid_points(game, d))
-        for t_set in index_sets(game):
+        for t_set in oracles.index_sets(game):
             reachable = [p for p in pts if in_cone(game, p, apex, t_set)]
             vertex_keys = set()
             simplex_count = 0
@@ -374,11 +424,11 @@ def test_apex_matches_nearest_composition(a_count):
                                    (2, 2, [3, 2]), (3, 1, [2, 3, 2]), (3, 2, [2, 2, 3])])
 def test_index_sets_match_nested_loops(shape):
     game = oracles.random_game(np.random.default_rng(5), *shape, 0.5)
-    assert index_sets(game) == reference_index_sets(game)
+    assert oracles.index_sets(game) == reference_index_sets(game)
 
 
 def test_enumeration_order_is_stable(toy):
-    sigmas = list(enumerate_simplices(toy, 2))
+    sigmas = list(oracles.enumerate_simplices(toy, 2))
     keys = [(s.base.key, s.index_set, s.order) for s in sigmas]
     assert keys == sorted(keys, key=lambda k: (k[0], len(k[1]), k[1], k[2]))
 
@@ -507,7 +557,7 @@ def reference_vertices(game, sigma):
 def reference_simplices(game, d):
     apex = starting_point(game, d)
     for base in grid_points(game, d):
-        for t_set in index_sets(game):
+        for t_set in oracles.index_sets(game):
             if reference_in_cone(game, base, apex, t_set):
                 for order in permutations(t_set):
                     sigma = GridSimplex(base, order)
@@ -555,18 +605,28 @@ class TestIntegerSearchMatchesReference:
     def test_enumeration_sequence(self, make_game, d):
         game = make_game()
         key = lambda s: (s.base.key, s.index_set, s.order)  # noqa: E731
-        assert [key(s) for s in enumerate_simplices(game, d)] == [
+        assert [key(s) for s in oracles.enumerate_simplices(game, d)] == [
             key(s) for s in reference_simplices(game, d)
         ]
 
     def test_stopping_simplex(self, make_game, d):
         game = make_game()
-        assert find_stopping_simplex(game, d) == reference_stopping_simplex(game, d)
+        assert oracles.first_stopping_simplex(game, d) == reference_stopping_simplex(game, d)
+
+    def test_walk_finds_a_stopping_simplex(self, make_game, d):
+        """Where the exhaustive search finds a stopping simplex, the walk
+        finds one too, maybe another, within the residual bound."""
+        game = make_game()
+        assert oracles.first_stopping_simplex(game, d) is not None
+        sigma, cls = find_stopping_simplex(game, d)
+        assert cls == classify_simplex(game, sigma)
+        assert cls.kind == "stopping"
+        assert stopping_residual_check(game, sigma).passed
 
     def test_cone_membership(self, make_game, d):
         game = make_game()
         apex = starting_point(game, d)
-        sets = index_sets(game)
+        sets = oracles.index_sets(game)
         for pt in grid_points(game, d):
             for t_set in sets:
                 assert in_cone(game, pt, apex, t_set) == reference_in_cone(
