@@ -327,25 +327,21 @@ def pure_profile(game: StochasticGame, choices) -> StrategyProfile:
 _ACTION_AXES = "abcdefghijklmnopqruvwxyz"
 
 
-def _expect(
-    game: StochasticGame, probs, table: np.ndarray, keep: int | None = None
-) -> np.ndarray:
+def _expect(game: StochasticGame, probs, table: np.ndarray) -> np.ndarray:
     """Expectation over the joint action of ``table``, one player's
-    ``reward_table`` row or the ``transition_table`` of the game.
-
-    Every player except ``keep`` draws its action from ``probs[j]``, shaped
-    ``(..., S, A_j)``; the result carries those leading batch axes, then the
-    state axis, then the action axis of ``keep``.  One plain ``einsum`` over
-    all states (path planning costs more than it saves at these sizes).
-    """
+    ``reward_table`` row or the ``transition_table`` of the game, with every
+    player drawing its action from ``probs[j]``, shaped ``(..., S, A_j)``;
+    the result carries those leading batch axes, then the state axis."""
     n = game.num_players
-    operands = [probs[j] for j in range(n) if j != keep]
-    return np.einsum(_einsum_spec(n, keep, table.ndim > n + 1), table, *operands)
+    return np.einsum(_einsum_spec(n, None, table.ndim > n + 1), table, *probs)
 
 
 @cache
 def _einsum_spec(n: int, keep: int | None, next_state: bool) -> str:
-    """Subscripts of :func:`_expect`'s contraction for ``n`` players."""
+    """Subscripts of the expectation of a table of ``n`` players over every
+    player's action except ``keep``'s, which stays as the last action axis.
+    One plain ``einsum`` over all states (path planning costs more than it
+    saves at these sizes)."""
     axes = _ACTION_AXES[:n]
     rest = "t" if next_state else ""
     batch = "..." if n > (keep is not None) else ""
@@ -420,10 +416,24 @@ def opponent_marginals(
     the tables.
     """
     check_player(game, player)
-    return (
-        _expect(game, probs, game.reward_table[player], keep=player),
-        _expect(game, probs, game.transition_table, keep=player),
-    )
+    return _opponent_marginals(game, probs, player)
+
+
+def _opponent_marginals(game: StochasticGame, probs, player: int):
+    """:func:`opponent_marginals` without the player check, for callers that
+    take ``player`` from the game itself."""
+    r_spec, p_spec, others = _marginal_plan(game.num_players, player)
+    operands = [probs[j] for j in others]
+    return (np.einsum(r_spec, game.reward_table[player], *operands),
+            np.einsum(p_spec, game.transition_table, *operands))
+
+
+@cache
+def _marginal_plan(n: int, player: int) -> tuple[str, str, tuple[int, ...]]:
+    """The reward and transition subscripts of :func:`opponent_marginals` for
+    ``player`` of ``n`` players, and the opponents whose arrays they take."""
+    others = tuple(j for j in range(n) if j != player)
+    return _einsum_spec(n, player, False), _einsum_spec(n, player, True), others
 
 
 def check_player(game: StochasticGame, player: int) -> None:

@@ -47,15 +47,16 @@ distribution by construction, so it is not validated again.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .game import (
     StochasticGame,
     StrategyProfile,
+    _opponent_marginals,
     check_player,
     check_row_drift,
-    opponent_marginals,
 )
 
 # Raw gains below this are clamped to zero.  A gain is a difference of values
@@ -126,7 +127,7 @@ def _evaluate(game: StochasticGame, probs, players: tuple[int, ...]) -> PlayerMD
     if game.num_players == 1:
         r_ia, p_ia = game.reward_table, game.transition_table[None]
     else:
-        tables = [opponent_marginals(game, probs, i) for i in players]
+        tables = [_opponent_marginals(game, probs, i) for i in players]
         r_ia = np.array([r for r, _ in tables])
         p_ia = np.array([p for _, p in tables])
     r_pi = np.einsum("...sa,...sa->...s", own, r_ia)
@@ -193,8 +194,8 @@ def apply_gains(game: StochasticGame, mdps) -> tuple[tuple[np.ndarray, ...], np.
         g = m.gains()
         nxt = (m.pi + g) / (1.0 + g.sum(axis=-1))[..., None]
         steps.append(nxt)
-        moved.append(np.abs(nxt - m.pi).max(axis=(-2, -1)))
-    return per_player(game, steps), np.concatenate(moved).max(axis=0)
+        moved.append(np.abs(nxt - m.pi).max(axis=(0, -2, -1)))
+    return per_player(game, steps), reduce(np.maximum, moved)
 
 
 def improve(game: StochasticGame, probs) -> tuple[tuple[np.ndarray, ...], np.ndarray]:

@@ -51,6 +51,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import chain, combinations, islice, pairwise, product
 from math import comb
 from typing import Iterator, NamedTuple
@@ -68,9 +69,10 @@ GRID_ENUM_GUARD = 10**7
 MAX_GRID_SIZE = 2**53
 # A walk visits each simplex at most once, so on a proper labelling it ends;
 # this bound only turns a walk too long to wait for into an error.  Each
-# step labels at most one grid point, at 100-250 us, so the bound is a few
-# minutes of labelling; the longest walk measured on the corpus,
-# coordination_pure at d = 1024, labels 1,025 points.
+# step labels at most one grid point, at 80-125 us on the corpus games (one
+# label_point on a 2-vCPU Xeon VM), so the bound is a few minutes of
+# labelling; the longest walk measured on the corpus, coordination_pure at
+# d = 1024, labels 1,025 points in about 0.1 s.
 WALK_STEP_BOUND = 10**6
 # Displacements f(pi) - pi are differences of probabilities in [0, 1] and
 # carry a few ulps of rounding (about 1e-16 each).  A coordinate within this
@@ -193,16 +195,36 @@ def grid_point_count(game: StochasticGame, d: int) -> int:
     return count
 
 
-def _blocks(game: StochasticGame) -> list[tuple[int, int, int, int]]:
-    """``(player, state, offset, A)`` of every (player, state) block of the
-    flattened numerators, in flat order."""
-    blocks = []
-    offset = 0
-    for i, a_count in enumerate(game.num_actions):
-        for s in range(game.num_states):
+class _Layout(NamedTuple):
+    """The flat order of a game shape's numerators, in tuples: the
+    ``(player, state, offset, A)`` of every (player, state) block, the
+    coordinate at every flat position, and each player's ``(start, end)``
+    slice."""
+
+    blocks: tuple[tuple[int, int, int, int], ...]
+    coords: tuple[Label, ...]
+    slices: tuple[tuple[int, int], ...]
+
+
+@cache
+def _layout(shape: tuple[int, tuple[int, ...]]) -> _Layout:
+    """The flat layout of a game of shape ``(S, num_actions)``, built once
+    per shape."""
+    s_count, num_actions = shape
+    blocks, slices, offset = [], [], 0
+    for i, a_count in enumerate(num_actions):
+        slices.append((offset, offset + s_count * a_count))
+        for s in range(s_count):
             blocks.append((i, s, offset, a_count))
             offset += a_count
-    return blocks
+    coords = tuple(Label(i, s, a) for i, s, _, a_count in blocks for a in range(a_count))
+    return _Layout(tuple(blocks), coords, tuple(slices))
+
+
+def _blocks(game: StochasticGame) -> tuple[tuple[int, int, int, int], ...]:
+    """``(player, state, offset, A)`` of every (player, state) block of the
+    flattened numerators, in flat order."""
+    return _layout((game.num_states, game.num_actions)).blocks
 
 
 def _grid_keys(game: StochasticGame, d: int) -> Iterator[tuple[int, ...]]:
@@ -225,10 +247,9 @@ def _unflatten(shape: tuple[int, tuple[int, ...]], flat) -> tuple[np.ndarray, ..
     of them."""
     flat = np.asarray(flat)
     s_count, num_actions = shape
-    ends = np.cumsum([s_count * a for a in num_actions])
     return tuple(
-        flat[..., end - s_count * a : end].reshape(flat.shape[:-1] + (s_count, a))
-        for end, a in zip(ends, num_actions)
+        flat[..., start:end].reshape(flat.shape[:-1] + (s_count, a))
+        for (start, end), a in zip(_layout(shape).slices, num_actions)
     )
 
 
@@ -266,11 +287,9 @@ def scan_grid(
 def _evaluate(game: StochasticGame, nums, d: int) -> tuple[list[Label], np.ndarray]:
     """Labels and residuals of the grid points with flattened numerators
     ``nums``, shaped ``(points, F)``, from one application of the map."""
-    probs = _unflatten((game.num_states, game.num_actions), nums / d)
-    nxt, res = improve(game, probs)
-    disp = np.concatenate(
-        [(f - p).reshape(len(nums), -1) for f, p in zip(nxt, probs)], axis=1
-    )
+    flat = nums / d
+    nxt, res = improve(game, _unflatten((game.num_states, game.num_actions), flat))
+    disp = np.concatenate([f.reshape(len(nums), -1) for f in nxt], axis=1) - flat
     return _label_rule(game, nums, disp), res
 
 
@@ -284,7 +303,7 @@ def _label_rule(game: StochasticGame, nums, disp) -> list[Label]:
     of displacements sums to zero."""
     eligible = (nums > 0) & (disp <= disp.min(axis=1, keepdims=True) + _LABEL_TIE_TOL)
     assert eligible.any(axis=1).all(), "labelling rule found no eligible coordinate"
-    coords = [Label(i, s, a) for i, s, _, a_count in _blocks(game) for a in range(a_count)]
+    coords = _layout((game.num_states, game.num_actions)).coords
     return [coords[k] for k in eligible.argmax(axis=1).tolist()]
 
 

@@ -15,6 +15,8 @@ from sgcert.game import (
     validate_profile,
     value_function,
 )
+from sgcert.certify import best_response_values
+from sgcert.nash_map import player_mdp
 from sgcert.oracles import (
     enumerate_joint_expectation,
     enumerate_marginal_transition,
@@ -244,6 +246,25 @@ class TestDeviationValue:
             deviation_value(toy, pi, 0, 5, 0)
         with pytest.raises(IndexError):
             deviation_value(toy, pi, 0, 0, 7)
+
+
+@pytest.mark.parametrize("name", ["toy", "pennies"])
+def test_public_entry_points_check_player(request, name):
+    """The kernel skips the player check on indices it takes from the
+    game; every public entry point keeps it, for -1 as for n."""
+    game = request.getfixturevalue(name)
+    pi = uniform_profile(game)
+    calls = (
+        lambda i: opponent_marginals(game, pi.probs, i),
+        lambda i: player_mdp(game, pi.probs, i),
+        lambda i: marginal_reward(game, pi, i),
+        lambda i: value_function(game, pi, i),
+        lambda i: best_response_values(game, pi, i),
+    )
+    for call in calls:
+        for player in (-1, game.num_players):
+            with pytest.raises(IndexError, match=f"player {player} out of range"):
+                call(player)
 
 
 class TestBellmanInverseFacts:

@@ -648,3 +648,48 @@ class TestIntegerSearchMatchesReference:
                 for bad in bad_sets:
                     with pytest.raises(InvalidSimplexError):
                         in_cone(game, apex, apex, bad)
+
+
+# ---------------------------------------------------------------------------
+# The flat layout of the numerators is built once per game shape and shared
+# by every game of that shape.  Games of several shapes labelled in turn in
+# one process must each see their own layout, and the shared one must not
+# be mutable by any caller.
+
+LAYOUT_SHAPES = ((1, 2, (2,)), (2, 1, (2, 3)), (3, 1, (2, 2, 2)), (2, 2, (2, 2)))
+
+
+def reference_unflatten(game, key):
+    arrays, start = [], 0
+    for a_count in game.num_actions:
+        end = start + game.num_states * a_count
+        arrays.append(np.array(key[start:end]).reshape(game.num_states, a_count))
+        start = end
+    return arrays
+
+
+def test_layout_cache_never_crosses_shapes():
+    simplicial._layout.cache_clear()
+    games = [oracles.random_game(np.random.default_rng(41 + k), n, s, list(a), 0.5)
+             for k, (n, s, a) in enumerate(LAYOUT_SHAPES)]
+    points = [list(grid_points(game, 2)) for game in games]
+    for turn in range(3):  # every shape in turn, three times over
+        for game, pts in zip(games, points):
+            shape = (game.num_states, game.num_actions)
+            for pt in pts[turn::3]:
+                assert label_point(game, pt) == reference_label(game, pt), pt.key
+                for got, want in zip(simplicial._unflatten(shape, pt.key),
+                                     reference_unflatten(game, pt.key)):
+                    assert got.tolist() == want.tolist()
+            for i, a_count in enumerate(game.num_actions):
+                for s, a in product(range(game.num_states), range(a_count)):
+                    col = _flat(reference_column(game, Label(i, s, a)))
+                    low, high = simplicial._column(game, Label(i, s, a))
+                    assert (col[low], col[high], np.abs(col).sum()) == (-1, 1, 2)
+    assert simplicial._layout.cache_info().currsize == len(LAYOUT_SHAPES)
+    for game in games:
+        layout = simplicial._layout((game.num_states, game.num_actions))
+        assert isinstance(layout, tuple)
+        for part in layout:
+            assert type(part) is tuple
+            assert all(isinstance(entry, tuple) for entry in part)

@@ -7,6 +7,8 @@ the benchmark's own self-test.  And one function reads every input file."""
 import ast
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,3 +69,18 @@ def test_only_read_json_reads_input_files():
     library that opens a file or parses JSON."""
     readers = set().union(*map(file_readers, sorted((ROOT / "src" / "sgcert").glob("*.py"))))
     assert readers == {"game.read_json"}
+
+
+@pytest.mark.parametrize("given", [[], ["--seeds", "1"], ["--workload", "search"],
+                                   ["--workload", "search", "--seeds"]])
+def test_compare_pairs_needs_workload_and_seeds(tmp_path, given):
+    """Without a workload or a seed, ``pairs`` has nothing to run: one line
+    on stderr, exit 2, and no output file."""
+    out = tmp_path / "bench.json"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "compare_trees.py"), "pairs",
+         "--before", str(ROOT), "--after", str(ROOT), "--out", str(out), *given],
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stdout == "" and len(done.stderr.splitlines()) == 1
+    assert not out.exists()
