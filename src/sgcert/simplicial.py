@@ -69,8 +69,8 @@ GRID_ENUM_GUARD = 10**7
 MAX_GRID_SIZE = 2**53
 # A walk visits each simplex at most once, so on a proper labelling it ends;
 # this bound only turns a walk too long to wait for into an error.  Each
-# step labels at most one grid point, at 80-125 us on the corpus games (one
-# label_point on a 2-vCPU Xeon VM), so the bound is a few minutes of
+# step labels at most one grid point, at 80-170 us on the corpus games (one
+# label_point on a shared 2-vCPU Xeon VM), so the bound is a few minutes of
 # labelling; the longest walk measured on the corpus, coordination_pure at
 # d = 1024, labels 1,025 points in about 0.1 s.
 WALK_STEP_BOUND = 10**6
