@@ -7,6 +7,7 @@ the benchmark's own self-test.  And one function reads every input file."""
 import ast
 import importlib
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -84,3 +85,41 @@ def test_compare_pairs_needs_workload_and_seeds(tmp_path, given):
     assert done.returncode == 2
     assert done.stdout == "" and len(done.stderr.splitlines()) == 1
     assert not out.exists()
+
+
+FAKE_RUN = """import json, sys
+seed = sys.argv[sys.argv.index("--seed") + 1]
+if seed == "2":
+    {fault}
+print(json.dumps({{"metrics": {{"wall_s": {{"value": 0.1}}}}}}))
+"""
+
+
+@pytest.mark.parametrize("fault, reason", [("sys.exit(1)", "exited 1"),
+                                           ("print('{'); sys.exit(0)",
+                                            "printed no JSON report")])
+def test_compare_pairs_keeps_finished_pairs_when_a_run_fails(tmp_path, fault, reason):
+    """A failed run ends ``pairs`` with exit 1 and one line naming the tree,
+    the workload and the seed, and the pairs finished before it stay in the
+    output file."""
+    trees = {}
+    for side, run in (("before", FAKE_RUN.format(fault="pass")),
+                      ("after", FAKE_RUN.format(fault=fault))):
+        trees[side] = tmp_path / side
+        (trees[side] / "bench").mkdir(parents=True)
+        (trees[side] / "bench" / "run.py").write_text(run)
+        (trees[side] / "BENCHMARK.json").write_text('{"run_seconds": 1}')
+    out = tmp_path / "bench.json"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "compare_trees.py"), "pairs",
+         "--before", str(trees["before"]), "--after", str(trees["after"]), "--out", str(out),
+         "--workload", "search", "--seeds", "1", "2", "3"],
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr.count("\n") == 1
+    assert done.stderr.startswith(f"error: bench/run.py in the after tree ({trees['after']}), "
+                                  "workload search, seed 2,")
+    assert reason in done.stderr
+    finished = json.loads(out.read_text())["pairs"]["search"]
+    assert [(pair["seed"], pair["first"]) for pair in finished] == [(1, "before")]
+    assert finished[0]["after"] == {"metrics": {"wall_s": {"value": 0.1}}}

@@ -5,7 +5,10 @@ Two measurements, each added to the output file under its own keys:
 * ``pairs``: ``bench/run.py`` on one workload, run in each tree in turn for
   every seed given, alternating which tree runs first, for the
   ``run_seconds`` that the tree's ``BENCHMARK.json`` sets.  Each run's final
-  JSON line is kept as it was printed.
+  JSON line is kept as it was printed, and each pair is written to the
+  output file as soon as it is complete.  A run that fails, or whose last
+  line is not a JSON report, ends the command with exit 1 and one line
+  naming the tree, the workload and the seed; the pairs before it stay.
 
       python3 tools/compare_trees.py pairs --before ../parent --after . \\
           --workload solve-small --seeds 601 602 603 --out BENCH_6.json
@@ -13,11 +16,13 @@ Two measurements, each added to the output file under its own keys:
 * ``kernel``: microseconds per call of ``nash_map.improve`` and
   ``nash_map.player_mdp`` on one random profile, and of
   ``simplicial.label_point`` at the grid point ``starting_point(game, 8)``,
-  for every (n, S, A) of a small sweep; and of ``label_point`` at the apex
-  of every corpus job of the ``search`` workload.  Both trees are loaded
-  into one process under two package names, and their timings alternate
-  call by call, so that a slow phase of the host falls on both alike; a
-  call's cost is the best of seven repeats.
+  for every (n, S, A) of a small sweep; of ``label_point`` at the apex
+  of every corpus job of the ``search`` workload; and milliseconds per
+  call of ``cli._solve_damped_f`` on every damped corpus game of the
+  ``solve-small`` workload, at its tolerance and seed 1.  Both trees are
+  loaded into one process under two package names, and their timings
+  alternate call by call, so that a slow phase of the host falls on both
+  alike; a call's cost is the best of seven repeats.
 
       python3 tools/compare_trees.py kernel --before ../parent --after . \\
           --out BENCH_6.json
@@ -47,13 +52,27 @@ os.environ.update(BLAS_PIN)
 SWEEP = {"n": (1, 2, 3, 4), "S": (1, 2, 8, 32), "A": (2, 3, 4)}
 
 
-def _last_json(cmd, cwd) -> dict:
-    done = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+class RunFailed(Exception):
+    """A benchmark run that exited nonzero or whose last line is not JSON."""
 
 
-def pairs(args) -> dict:
-    runs = []
+def _last_json(cmd, cwd, what: str) -> dict:
+    """The run's last stdout line, a JSON report with a ``wall_s`` metric;
+    :class:`RunFailed`, naming ``what``, if the run fails or has none."""
+    done = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RunFailed(f"{what} exited {done.returncode}")
+    try:
+        report = json.loads(done.stdout.strip().splitlines()[-1])
+        report["metrics"]["wall_s"]["value"]
+    except (IndexError, ValueError, KeyError, TypeError):
+        raise RunFailed(f"{what} printed no JSON report on its last line") from None
+    return report
+
+
+def pairs(args, runs: list, save) -> None:
+    """Run the pairs, appending each to ``runs`` and calling ``save`` as soon
+    as it is complete, so that a failed run keeps the pairs before it."""
     for k, seed in enumerate(args.seeds):
         order = [("before", args.before), ("after", args.after)]
         if k % 2:
@@ -63,11 +82,12 @@ def pairs(args) -> dict:
             seconds = json.loads(Path(tree, "BENCHMARK.json").read_text())["run_seconds"]
             cmd = [sys.executable, "bench/run.py", "--workload", args.workload,
                    "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-            pair[side] = _last_json(cmd, tree)
+            pair[side] = _last_json(cmd, tree, f"bench/run.py in the {side} tree ({tree}), "
+                                    f"workload {args.workload}, seed {seed},")
             print(args.workload, seed, side,
                   pair[side]["metrics"]["wall_s"]["value"], flush=True)
         runs.append(pair)
-    return {args.workload: runs}
+        save()
 
 
 def _load(tree: str, name: str) -> dict:
@@ -78,24 +98,26 @@ def _load(tree: str, name: str) -> dict:
     sys.modules[name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sys.modules[name])
     return {module: importlib.import_module(f"{name}.{module}")
-            for module in ("game", "nash_map", "oracles", "simplicial")}
+            for module in ("cli", "game", "nash_map", "oracles", "simplicial")}
 
 
-def _best_us(calls: dict) -> dict:
-    """Microseconds per call of each of ``calls``, the best of seven
-    repeats, the calls alternating within each repeat."""
+def _best(calls: dict, per_second: float = 1e6) -> dict:
+    """Time per call of each of ``calls``, in units of ``1 / per_second``
+    seconds (microseconds by default), the best of seven repeats, the calls
+    alternating within each repeat."""
     number = max(1, timeit.Timer(next(iter(calls.values()))).autorange()[0] // 4)
     best = dict.fromkeys(calls, float("inf"))
     for _ in range(7):
         for key, call in calls.items():
             best[key] = min(best[key], timeit.timeit(call, number=number) / number)
-    return {key: round(1e6 * t, 2) for key, t in sorted(best.items())}
+    return {key: round(per_second * t, 2) for key, t in sorted(best.items())}
 
 
 def kernel(args) -> dict:
-    """The sweep's table, and ``label_point`` at the apex of every corpus
-    job of the ``search`` workload (``SEARCH_CORPUS`` in the change's
-    ``bench/jobs.py``)."""
+    """The sweep's table; ``label_point`` at the apex of every corpus job of
+    the ``search`` workload (``SEARCH_CORPUS`` in the change's
+    ``bench/jobs.py``); and the damped loop on every damped corpus game of
+    ``solve-small`` (``DAMPED_GAMES``, at ``DAMPED_TOL`` and seed 1)."""
     import numpy as np
 
     trees = {side: _load(getattr(args, side), f"sgcert_{side}")
@@ -104,7 +126,7 @@ def kernel(args) -> dict:
         "bench_jobs", Path(args.after, "bench", "jobs.py"))
     sys.modules["bench_jobs"] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sys.modules["bench_jobs"])
-    search_corpus = sys.modules["bench_jobs"].SEARCH_CORPUS
+    jobs = sys.modules["bench_jobs"]
     table = {}
     for n, s, a in product(*SWEEP.values()):
         calls = {}
@@ -119,10 +141,10 @@ def kernel(args) -> dict:
                 mods["nash_map"].player_mdp, game, probs, 0)
             calls[f"label_point_us_{side}"] = partial(
                 mods["simplicial"].label_point, game, apex)
-        table[f"{n},{s},{a}"] = _best_us(calls)
+        table[f"{n},{s},{a}"] = _best(calls)
         print(n, s, a, table[f"{n},{s},{a}"], flush=True)
     apexes = {}
-    for name, d in search_corpus:
+    for name, d in jobs.SEARCH_CORPUS:
         calls = {}
         for side, mods in trees.items():
             game = mods["game"].load_game(
@@ -130,9 +152,19 @@ def kernel(args) -> dict:
             apex = mods["simplicial"].starting_point(game, d)
             calls[f"label_point_us_{side}"] = partial(
                 mods["simplicial"].label_point, game, apex)
-        apexes[f"{name},{d}"] = _best_us(calls)
+        apexes[f"{name},{d}"] = _best(calls)
         print(name, d, apexes[f"{name},{d}"], flush=True)
-    return {"kernel_us": table, "search_apex_label_point_us": apexes}
+    damped = {}
+    for name in jobs.DAMPED_GAMES:
+        calls = {}
+        for side, mods in trees.items():
+            game = mods["game"].load_game(Path(getattr(args, side), "corpus", f"{name}.game.json"))
+            options = {**mods["cli"].SOLVE_FLAGS["damped-f"], "tol": float(jobs.DAMPED_TOL),
+                       "seed": 1}
+            calls[f"damped_f_ms_{side}"] = partial(mods["cli"]._solve_damped_f, game, **options)
+        damped[name] = _best(calls, per_second=1e3)
+        print(name, damped[name], flush=True)
+    return {"kernel_us": table, "search_apex_label_point_us": apexes, "damped_f_ms": damped}
 
 
 def main(argv=None) -> int:
@@ -149,11 +181,21 @@ def main(argv=None) -> int:
         return 2
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
-    if args.mode == "pairs":
-        doc.setdefault("pairs", {}).update(pairs(args))
-    else:
+
+    def save():
+        out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+
+    if args.mode == "kernel":
         doc.update(kernel(args))
-    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        save()
+        return 0
+    runs = []
+    doc.setdefault("pairs", {})[args.workload] = runs
+    try:
+        pairs(args, runs, save)
+    except RunFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 
