@@ -70,9 +70,8 @@ def _last_json(cmd, cwd, what: str) -> dict:
     return report
 
 
-def pairs(args, runs: list, save) -> None:
-    """Run the pairs, appending each to ``runs`` and calling ``save`` as soon
-    as it is complete, so that a failed run keeps the pairs before it."""
+def pairs(args):
+    """Run the pairs, yielding each as soon as it is complete."""
     for k, seed in enumerate(args.seeds):
         order = [("before", args.before), ("after", args.after)]
         if k % 2:
@@ -86,8 +85,7 @@ def pairs(args, runs: list, save) -> None:
                                     f"workload {args.workload}, seed {seed},")
             print(args.workload, seed, side,
                   pair[side]["metrics"]["wall_s"]["value"], flush=True)
-        runs.append(pair)
-        save()
+        yield pair
 
 
 def _load(tree: str, name: str) -> dict:
@@ -192,7 +190,10 @@ def main(argv=None) -> int:
     runs = []
     doc.setdefault("pairs", {})[args.workload] = runs
     try:
-        pairs(args, runs, save)
+        for pair in pairs(args):
+            # saved at once, so that a failed run keeps the pairs before it
+            runs.append(pair)
+            save()
     except RunFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
