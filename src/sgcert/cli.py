@@ -229,19 +229,33 @@ def cmd_label(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("info", "solve", "search", "certify", "label")
+
+
+def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
+    """The ``sgcert`` parser with the subcommands in ``commands`` only.
+
+    Building all five costs about 1 ms, most of a ``search`` job's fixed
+    cost, and a run uses one, so :func:`main` builds the one it was given.
+    A subset keeps the full command list in the usage line, which argparse
+    prints for arguments left over after the subcommand's."""
     parser = argparse.ArgumentParser(
         prog="sgcert",
         description="stochastic-game equilibrium evaluation and certification",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # with all five, argparse's own metavar keeps its "argument command" messages
+    listed = {"metavar": "{" + ",".join(COMMANDS) + "}"} if set(commands) != set(COMMANDS) else {}
+    sub = parser.add_subparsers(dest="command", required=True, **listed)
 
-    p = sub.add_parser("info", help="print game dimensions and derived constants")
-    p.add_argument("game")
-    p.add_argument("--target-L", type=int, default=None)
-    p.set_defaults(func=cmd_info)
+    if "info" in commands:
+        p = sub.add_parser("info", help="print game dimensions and derived constants")
+        p.add_argument("game")
+        p.add_argument("--target-L", type=int, default=None)
+        p.set_defaults(func=cmd_info)
 
     for name in ("solve", "search"):
+        if name not in commands:
+            continue
         p = sub.add_parser(
             name,
             help="search for a low-residual profile and certify it"
@@ -259,24 +273,29 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "search":
             p.set_defaults(method="simplicial")
 
-    p = sub.add_parser("certify", help="certify a profile file against a game")
-    p.add_argument("game")
-    p.add_argument("profile")
-    p.add_argument("--target-L", type=int, default=None)
-    p.set_defaults(func=cmd_certify)
+    if "certify" in commands:
+        p = sub.add_parser("certify", help="certify a profile file against a game")
+        p.add_argument("game")
+        p.add_argument("profile")
+        p.add_argument("--target-L", type=int, default=None)
+        p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("label", help="label grid points or classify a simplex")
-    p.add_argument("game")
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--point", default=None, help="JSON file with grid numerators")
-    p.add_argument("--simplex", default=None, help="JSON simplex document")
-    p.set_defaults(func=cmd_label)
+    if "label" in commands:
+        p = sub.add_parser("label", help="label grid points or classify a simplex")
+        p.add_argument("game")
+        p.add_argument("--d", type=int, default=None)
+        p.add_argument("--point", default=None, help="JSON file with grid numerators")
+        p.add_argument("--simplex", default=None, help="JSON simplex document")
+        p.set_defaults(func=cmd_label)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # help, errors and a missing or unknown command list all five
+    commands = (argv[0],) if argv and argv[0] in COMMANDS else COMMANDS
+    args = build_parser(commands).parse_args(argv)
     try:
         return args.func(args)
     except (GameValidationError, InvalidSimplexError) as exc:

@@ -1,17 +1,23 @@
+import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sgcert import cli
 from sgcert.certify import choose_d
 from sgcert.cli import _solve_damped_f, main
 from sgcert.game import StrategyProfile, load_game, uniform_profile, validate_profile
 from sgcert.nash_map import apply_f
 from sgcert.oracles import random_game, random_profile
 
-CORPUS = Path(__file__).resolve().parents[1] / "corpus"
+ROOT = Path(__file__).resolve().parents[1]
+CORPUS = ROOT / "corpus"
 PENNIES = str(CORPUS / "matching_pennies.game.json")
 PENNIES_EQ = str(CORPUS / "matching_pennies.equilibrium.json")
 DOMINANT = str(CORPUS / "dominant.game.json")
@@ -604,3 +610,94 @@ def test_simplex_mode_rejects_grid_point_flags(capsys, tmp_path, flag, value):
     run_input_error(capsys, "label", PENNIES, "--simplex", simplex, flag, value)
     assert main(["label", "/nonexistent/game.json", "--simplex", simplex, flag, value]) == 2
     assert capsys.readouterr().err == f"error: {flag} is not read with --simplex\n"
+
+
+def outcome(capsys, argv):
+    """stdout, stderr and the exit code of ``main(argv)``, whether it
+    returns or argparse exits."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return captured.out, captured.err, code
+
+
+# Help, usage errors and one run of each kind; GAME stands for the game file.
+PARSE_CASES = [
+    [], ["-h"], ["--help"], ["bogus"], ["so"], ["-x"], ["-x", "info", "GAME"],
+    *([command, "-h"] for command in cli.COMMANDS),
+    ["solve"],
+    ["solve", "GAME", "extra"],  # leftovers are reported with the root usage line
+    ["solve", "GAME", "--d", "x"], ["search", "GAME", "--d", "x"],
+    ["solve", "GAME", "--method", "nope"], ["solve", "GAME", "--tol"],
+    ["certify", "GAME"], ["info", "GAME", "--bogus"],
+    ["info", "GAME"], ["search", "GAME", "--d", "2"],
+]
+
+
+@pytest.mark.parametrize("columns", ["80", "200"])
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda argv: " ".join(argv) or "no-args")
+def test_one_command_parser_prints_as_the_full_one(capsys, monkeypatch, argv, columns):
+    """``main`` builds only the parser of the command it is given; stdout,
+    stderr and the exit code are those of the parser with all five."""
+    monkeypatch.setenv("COLUMNS", columns)
+    argv = [PENNIES if arg == "GAME" else arg for arg in argv]
+    built = outcome(capsys, argv)
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda commands: build_parser(cli.COMMANDS))
+    assert built == outcome(capsys, argv)
+
+
+def count_add_parser(monkeypatch) -> list:
+    """The names of the subparsers built from now on, in order."""
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    return names
+
+
+@pytest.mark.parametrize("argv,built", [
+    pytest.param(["info", PENNIES], ["info"], id="info"),
+    pytest.param(["solve", PENNIES, "--max-iters", "1"], ["solve"], id="solve"),
+    pytest.param(["search", PENNIES, "--d", "2"], ["search"], id="search"),
+    pytest.param(["certify", PENNIES, PENNIES_EQ], ["certify"], id="certify"),
+    pytest.param(["label", PENNIES, "--d", "1"], ["label"], id="label"),
+    pytest.param(["-h"], list(cli.COMMANDS), id="help"),
+    pytest.param(["bogus"], list(cli.COMMANDS), id="unknown"),
+])
+def test_main_builds_the_invoked_command_only(capsys, monkeypatch, argv, built):
+    names = count_add_parser(monkeypatch)
+    outcome(capsys, argv)
+    assert names == built
+
+
+def test_each_main_call_builds_its_own_parser(capsys, monkeypatch):
+    """No parser is kept across calls: two runs build two."""
+    names = count_add_parser(monkeypatch)
+    parsers = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda commands: parsers.append(build_parser(commands)) or parsers[-1])
+    for _ in range(2):
+        assert outcome(capsys, ["info", PENNIES])[2] == 0
+    assert names == ["info", "info"]
+    assert len(parsers) == 2 and parsers[0] is not parsers[1]
+
+
+def test_module_run_reads_sys_argv(capsys, monkeypatch):
+    """``python -m sgcert.cli`` passes no argv: ``main`` reads ``sys.argv``
+    and prints what an in-process call prints."""
+    monkeypatch.chdir(ROOT)
+    argv = ["info", "corpus/matching_pennies.game.json"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "sgcert.cli", *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == outcome(capsys, argv)[0]

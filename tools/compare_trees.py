@@ -17,12 +17,14 @@ Two measurements, each added to the output file under its own keys:
   ``nash_map.player_mdp`` on one random profile, and of
   ``simplicial.label_point`` at the grid point ``starting_point(game, 8)``,
   for every (n, S, A) of a small sweep; of ``label_point`` at the apex
-  of every corpus job of the ``search`` workload; and milliseconds per
-  call of ``cli._solve_damped_f`` on every damped corpus game of the
-  ``solve-small`` workload, at its tolerance and seed 1.  Both trees are
-  loaded into one process under two package names, and their timings
-  alternate call by call, so that a slow phase of the host falls on both
-  alike; a call's cost is the best of seven repeats.
+  of every corpus job of the ``search`` workload; milliseconds per
+  ``cli.main`` call on each of those jobs, the whole job with its stdout
+  kept in memory; and milliseconds per call of ``cli._solve_damped_f`` on
+  every damped corpus game of the ``solve-small`` workload, at its
+  tolerance and seed 1.  Both trees are loaded into one process under two
+  package names, and their timings alternate call by call, so that a slow
+  phase of the host falls on both alike; a call's cost is the best of
+  seven repeats.
 
       python3 tools/compare_trees.py kernel --before ../parent --after . \\
           --out BENCH_6.json
@@ -35,8 +37,10 @@ numpy are used.  ``pairs`` without ``--workload`` or ``--seeds`` exits 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -111,11 +115,18 @@ def _best(calls: dict, per_second: float = 1e6) -> dict:
     return {key: round(per_second * t, 2) for key, t in sorted(best.items())}
 
 
+def _quiet(main, argv) -> None:
+    """``main(argv)`` with its stdout written to memory."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv)
+
+
 def kernel(args) -> dict:
-    """The sweep's table; ``label_point`` at the apex of every corpus job of
-    the ``search`` workload (``SEARCH_CORPUS`` in the change's
-    ``bench/jobs.py``); and the damped loop on every damped corpus game of
-    ``solve-small`` (``DAMPED_GAMES``, at ``DAMPED_TOL`` and seed 1)."""
+    """The sweep's table; ``label_point`` at the apex of, and ``cli.main``
+    on, every corpus job of the ``search`` workload (``SEARCH_CORPUS`` in
+    the change's ``bench/jobs.py``); and the damped loop on every damped
+    corpus game of ``solve-small`` (``DAMPED_GAMES``, at ``DAMPED_TOL`` and
+    seed 1)."""
     import numpy as np
 
     trees = {side: _load(getattr(args, side), f"sgcert_{side}")
@@ -141,17 +152,20 @@ def kernel(args) -> dict:
                 mods["simplicial"].label_point, game, apex)
         table[f"{n},{s},{a}"] = _best(calls)
         print(n, s, a, table[f"{n},{s},{a}"], flush=True)
-    apexes = {}
+    apexes, search_jobs = {}, {}
     for name, d in jobs.SEARCH_CORPUS:
-        calls = {}
+        calls, job_calls = {}, {}
         for side, mods in trees.items():
-            game = mods["game"].load_game(
-                Path(getattr(args, side), "corpus", f"{name}.game.json"))
+            path = Path(getattr(args, side), "corpus", f"{name}.game.json")
+            game = mods["game"].load_game(path)
             apex = mods["simplicial"].starting_point(game, d)
             calls[f"label_point_us_{side}"] = partial(
                 mods["simplicial"].label_point, game, apex)
+            job_calls[f"search_job_ms_{side}"] = partial(
+                _quiet, mods["cli"].main, ["search", str(path), "--d", str(d)])
         apexes[f"{name},{d}"] = _best(calls)
-        print(name, d, apexes[f"{name},{d}"], flush=True)
+        search_jobs[f"{name},{d}"] = _best(job_calls, per_second=1e3)
+        print(name, d, apexes[f"{name},{d}"], search_jobs[f"{name},{d}"], flush=True)
     damped = {}
     for name in jobs.DAMPED_GAMES:
         calls = {}
@@ -162,7 +176,8 @@ def kernel(args) -> dict:
             calls[f"damped_f_ms_{side}"] = partial(mods["cli"]._solve_damped_f, game, **options)
         damped[name] = _best(calls, per_second=1e3)
         print(name, damped[name], flush=True)
-    return {"kernel_us": table, "search_apex_label_point_us": apexes, "damped_f_ms": damped}
+    return {"kernel_us": table, "search_apex_label_point_us": apexes,
+            "search_job_ms": search_jobs, "damped_f_ms": damped}
 
 
 def main(argv=None) -> int:
