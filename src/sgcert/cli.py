@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -32,14 +34,13 @@ from .oracles import grid_residual_argmin, random_profile
 from .simplicial import (
     GridProfile,
     InvalidSimplexError,
+    _vertex_keys,
     find_stopping_simplex,
     label_point,
     point_from_dict,
     scan_grid,
     simplex_from_dict,
     simplex_to_dict,
-    simplex_vertices,
-    stopping_residual_check,
 )
 
 EXIT_OK = 0
@@ -125,10 +126,10 @@ def _solve_grid(game, d):
 
 
 def _solve_simplicial(game, d):
-    sigma, _ = find_stopping_simplex(game, d)
-    residuals = stopping_residual_check(game, sigma).vertex_residuals
-    best = simplex_vertices(game, sigma)[int(np.argmin(residuals))]
-    return best.to_profile(game), "converged"
+    # the residuals the walk kept: no vertex is evaluated twice
+    sigma, _, residuals = find_stopping_simplex(game, d)
+    best = _vertex_keys(game, sigma)[int(np.argmin(residuals))]
+    return GridProfile.from_key(game, best, d).to_profile(game), "converged"
 
 
 # The flags each solve method reads, with their defaults.  Every method also
@@ -239,13 +240,19 @@ def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
     cost, and a run uses one, so :func:`main` builds the one it was given.
     A subset keeps the full command list in the usage line, which argparse
     prints for arguments left over after the subcommand's."""
+    # argparse builds a formatter for every argument, and each asks the
+    # terminal for its width: ask once, for the width HelpFormatter takes
+    formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="sgcert",
         description="stochastic-game equilibrium evaluation and certification",
+        formatter_class=formatter,
     )
     # with all five, argparse's own metavar keeps its "argument command" messages
     listed = {"metavar": "{" + ",".join(COMMANDS) + "}"} if set(commands) != set(COMMANDS) else {}
-    sub = parser.add_subparsers(dest="command", required=True, **listed)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=partial(argparse.ArgumentParser, formatter_class=formatter), **listed)
 
     if "info" in commands:
         p = sub.add_parser("info", help="print game dimensions and derived constants")

@@ -446,13 +446,15 @@ def check_player(game: StochasticGame, player: int) -> None:
 # File formats (JSON): games and profiles.
 
 def game_from_dict(data: dict) -> StochasticGame:
+    if not isinstance(data, dict):
+        raise GameValidationError("game document must be an object")
     try:
         states = data["states"]
         players = data["players"]
         transitions = data["transitions"]
         rewards = data["rewards"]
         gamma = data["gamma"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise GameValidationError(f"missing game field: {exc}") from exc
     try:
         actions = [p["actions"] for p in players]
@@ -491,9 +493,11 @@ def profile_to_dict(pi: StrategyProfile) -> dict:
 
 
 def profile_from_dict(game: StochasticGame, data: dict) -> StrategyProfile:
+    if not isinstance(data, dict):
+        raise GameValidationError("profile document must be an object")
     try:
         probs = data["probs"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise GameValidationError("profile file must contain a 'probs' field") from exc
     return validate_profile(game, _entries(probs, "'probs'"))
 

@@ -472,9 +472,12 @@ def in_cone(
     return floor <= set(index_set)
 
 
-def find_stopping_simplex(game: StochasticGame, d: int) -> tuple[GridSimplex, SimplexClass]:
-    """A stopping simplex at grid size ``d`` and its classification, by the
-    door-in/door-out walk of van der Laan & Talman (1979).
+def find_stopping_simplex(
+    game: StochasticGame, d: int
+) -> tuple[GridSimplex, SimplexClass, tuple[float, ...]]:
+    """A stopping simplex at grid size ``d``, its classification and the
+    residuals of its vertices ``w^0 .. w^|T|``, by the door-in/door-out walk
+    of van der Laan & Talman (1979).
 
     The walk starts at the apex :func:`starting_point` with T empty.  The
     current simplex has vertices ``w^0 .. w^t`` and the order ``pi`` of T,
@@ -492,13 +495,20 @@ def find_stopping_simplex(game: StochasticGame, d: int) -> tuple[GridSimplex, Si
       the walk goes down to T - {pi_t}, where the vertex labelled ``pi_t``
       leaves the same way.
 
-    Each vertex on the path is labelled once, by :func:`label_point`.  A
+    Each vertex on the path is evaluated once, by :func:`_evaluate` on its
+    key, which gives its label and its residual together; the walk keeps
+    both, so the stopping simplex's residuals need no second evaluation.  A
     step off the grid, which a proper labelling never asks for, or more
     than ``WALK_STEP_BOUND`` steps raise ValueError.
     """
     blocks = _blocks(game)
-    apex = starting_point(game, d)
-    labels = {apex.key: label_point(game, apex)}
+    apex = starting_point(game, d).key
+    labels, residuals = {}, {}
+
+    def evaluate(key: tuple[int, ...]) -> None:
+        """Label ``key`` and keep its residual, from one evaluation."""
+        (labels[key],), res = _evaluate(game, np.array([key]), d)
+        residuals[key] = res.item()
 
     def vertex(key: tuple[int, ...], column: tuple[int, int]) -> tuple[int, ...]:
         """The labelled vertex one column after ``key``."""
@@ -506,23 +516,25 @@ def find_stopping_simplex(game: StochasticGame, d: int) -> tuple[GridSimplex, Si
         if nxt is None:
             raise ValueError(f"the walk stepped off the grid at d = {d}")
         if nxt not in labels:
-            labels[nxt] = label_point(game, GridProfile.from_key(game, nxt, d))
+            evaluate(nxt)
         return nxt
 
     def coefficient(base: tuple[int, ...], coord: Label) -> int:
         """The cone coefficient of ``base`` for ``coord``."""
         i, s, a = coord
         _, _, offset, a_count = blocks[i * game.num_states + s]
-        return _cone_coefficients(base, apex.key, offset, a_count)[a]
+        return _cone_coefficients(base, apex, offset, a_count)[a]
 
-    keys, order, fresh = [apex.key], [], 0
+    evaluate(apex)
+    keys, order, fresh = [apex], [], 0
     for _ in range(WALK_STEP_BOUND):
         k = labels[keys[fresh]]
         if k not in order:
             # T + {k} holds every action of k's block
             if sum(c[:2] == k[:2] for c in order) + 1 == game.num_actions[k.player]:
                 sigma = GridSimplex(GridProfile.from_key(game, keys[0], d), tuple(order))
-                return sigma, _classify_labels(game, tuple(labels[key] for key in keys))
+                return (sigma, _classify_labels(game, tuple(labels[key] for key in keys)),
+                        tuple(residuals[key] for key in keys))
             order.append(k)
             keys.append(vertex(keys[-1], _column(game, k)))
             fresh = len(order)
@@ -618,9 +630,11 @@ def simplex_from_dict(game: StochasticGame, data: dict) -> GridSimplex:
 def point_from_dict(game: StochasticGame, data: dict, d: int) -> GridProfile:
     """The grid point of size ``d`` of a point document, ``{"numerators":
     [...]}``, one list of per-state rows per player."""
+    if not isinstance(data, dict):
+        raise InvalidSimplexError("point document must be an object")
     try:
         rows = data["numerators"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise InvalidSimplexError("point file must contain a 'numerators' field") from exc
     return grid_profile_from_lists(game, rows, d)
 

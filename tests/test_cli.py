@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -241,6 +242,37 @@ class TestSolve:
         assert captured.err == "error: grid size d must be >= 1\n"
 
 
+def bench_jobs():
+    """The benchmark's job lists, ``bench/jobs.py``."""
+    spec = importlib.util.spec_from_file_location("bench_jobs", ROOT / "bench" / "jobs.py")
+    # a module's dataclasses look the module up by name while they are built
+    jobs = sys.modules["bench_jobs"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(jobs)
+    return jobs
+
+
+@pytest.mark.parametrize("name,d", bench_jobs().SEARCH_CORPUS)
+def test_search_evaluates_each_point_once(capsys, monkeypatch, name, d):
+    """A corpus job of the benchmark's search workload applies the map once
+    per grid point the walk labels: the least-residual vertex is picked from
+    the residuals the walk kept, not from a second evaluation."""
+    from sgcert import simplicial
+
+    calls, points = [], set()
+    improve = simplicial.improve
+
+    def counted(game, probs):
+        calls.append(probs)
+        points.update(map(tuple, np.concatenate(
+            [p.reshape(len(p), -1) for p in probs], axis=1).tolist()))
+        return improve(game, probs)
+
+    monkeypatch.setattr(simplicial, "improve", counted)
+    code, out = run(capsys, "search", str(CORPUS / f"{name}.game.json"), "--d", str(d))
+    assert code == 0 and json.loads(out)["status"] == "converged"
+    assert len(calls) == len(points)
+
+
 def damped_f_per_player(game, damping, max_iters, tol, seed):
     """The damped loop as it ran before it held group stacks: one array
     call per player for the distance, the blend and the renormalisation."""
@@ -413,7 +445,7 @@ class TestLabel:
         from sgcert.simplicial import find_stopping_simplex, simplex_to_dict
 
         game = load_game(PENNIES)
-        sigma, _ = find_stopping_simplex(game, 2)
+        sigma, _, _ = find_stopping_simplex(game, 2)
         doc = tmp_path / "simplex.json"
         doc.write_text(json.dumps(simplex_to_dict(game, sigma)))
         code, out = run(capsys, "label", PENNIES, "--simplex", str(doc))
@@ -529,6 +561,10 @@ MALFORMED_DOCUMENTS = [
     *(("point", "matching_pennies", {"numerators": [[[big, 0]], [[1, 1]]]},
        "player 0 numerators are not a grid point of size 2")
       for big in (10**30, -10**30, 2**63)),
+    *(("game", "matching_pennies", doc, "error: game document must be an object\n")
+      for doc in ([], None, 3, "game")),
+    ("profile", "matching_pennies", [1, 2], "error: profile document must be an object\n"),
+    ("point", "matching_pennies", [1, 2], "error: point document must be an object\n"),
 ]
 
 
@@ -537,7 +573,8 @@ MALFORMED_DOCUMENTS = [
 def test_malformed_document_rejected(capsys, tmp_path, kind, name, doc, named):
     game = str(CORPUS / f"{name}.game.json")
     path = write_doc(tmp_path / f"{kind}.json", doc)
-    argv = {"profile": ("certify", game, path),
+    argv = {"game": ("info", path),
+            "profile": ("certify", game, path),
             "point": ("label", game, "--d", "2", "--point", path),
             "simplex": ("label", game, "--simplex", path)}[kind]
     assert named in run_input_error(capsys, *argv)
@@ -605,7 +642,7 @@ def test_simplex_mode_rejects_grid_point_flags(capsys, tmp_path, flag, value):
     from sgcert.simplicial import find_stopping_simplex, simplex_to_dict
 
     game = load_game(PENNIES)
-    sigma, _ = find_stopping_simplex(game, 2)
+    sigma, _, _ = find_stopping_simplex(game, 2)
     simplex = write_doc(tmp_path / "s.json", simplex_to_dict(game, sigma))
     run_input_error(capsys, "label", PENNIES, "--simplex", simplex, flag, value)
     assert main(["label", "/nonexistent/game.json", "--simplex", simplex, flag, value]) == 2

@@ -176,15 +176,28 @@ class TestClassification:
         assert (cls.stopping_player, cls.stopping_state) == (0, 0)
 
 
+def residual_games():
+    """The corpus and 18 seeded random games: two at each one-state shape
+    (2, 1, A) for A in 2..4 and gamma in {0, 0.5, 0.9}."""
+    rng = np.random.default_rng(11)
+    shapes = [(2, 1, a, gamma) for a in (2, 3, 4) for gamma in (0.0, 0.5, 0.9)] * 2
+    return [pytest.param(corpus_game(name), id=name) for name in CORPUS_GAMES] + [
+        pytest.param(oracles.random_game(rng, *shape), id=f"random{k}-{shape}")
+        for k, shape in enumerate(shapes)]
+
+
+RESIDUAL_GAMES = residual_games()
+
+
 class TestFindStoppingSimplex:
     def test_toy_satisfies_residual_bound(self, toy):
-        sigma, cls = find_stopping_simplex(toy, 8)
+        sigma, cls, _ = find_stopping_simplex(toy, 8)
         report = stopping_residual_check(toy, sigma)
         assert report.bound == pytest.approx(18.5)
         assert report.passed
 
     def test_adjacent_to_uniform_in_matching_pennies(self, pennies):
-        sigma, cls = find_stopping_simplex(pennies, 2)
+        sigma, cls, _ = find_stopping_simplex(pennies, 2)
         uniform_key = point(pennies, [[[1, 1]], [[1, 1]]], 2).key
         vertex_keys = [v.key for v in simplex_vertices(pennies, sigma)]
         assert uniform_key in vertex_keys
@@ -192,8 +205,7 @@ class TestFindStoppingSimplex:
     def test_deterministic(self, pennies):
         first = find_stopping_simplex(pennies, 4)
         second = find_stopping_simplex(pennies, 4)
-        assert first[0] == second[0]
-        assert first[1] == second[1]
+        assert first == second
 
     def test_not_found_reported_honestly(self, toy, monkeypatch):
         # force every grid point onto one label: no simplex can then cover
@@ -224,7 +236,7 @@ class TestFindStoppingSimplex:
     def test_walk_stops_on_the_corpus(self, name):
         game = corpus_game(name)
         for d in (1, 2, 3, 4, 5, 8, 16):
-            sigma, cls = find_stopping_simplex(game, d)
+            sigma, cls, _ = find_stopping_simplex(game, d)
             assert cls.kind == "stopping", (name, d)
             assert stopping_residual_check(game, sigma).passed, (name, d)
 
@@ -242,20 +254,42 @@ class TestFindStoppingSimplex:
         ("matching_pennies", 10_000, 3, 100_020_001),
     ])
     def test_walk_labels_only_its_path(self, monkeypatch, name, d, count, points):
-        """Each vertex on the path is labelled once, through label_point;
-        the path is a tiny part of the grid."""
+        """Each vertex on the path is labelled once, by one evaluation of
+        its key; the path is a tiny part of the grid."""
         game = corpus_game(name)
         labelled = []
-        label = simplicial.label_point
+        evaluate = simplicial._evaluate
 
-        def counting(game, point):
-            labelled.append(point.key)
-            return label(game, point)
+        def counting(game, nums, d):
+            labelled.extend(map(tuple, nums.tolist()))
+            return evaluate(game, nums, d)
 
-        monkeypatch.setattr(simplicial, "label_point", counting)
+        monkeypatch.setattr(simplicial, "_evaluate", counting)
         find_stopping_simplex(game, d)
         assert len(labelled) == len(set(labelled)) == count
         assert grid_point_count(game, d) == points
+
+    @pytest.mark.parametrize("game", RESIDUAL_GAMES)
+    def test_walk_residuals_are_the_checks(self, monkeypatch, game):
+        """The residuals the walk keeps are, bit for bit, those that
+        stopping_residual_check evaluates again, in the vertex order of
+        _vertex_keys."""
+        walked = {}
+        evaluate = simplicial._evaluate
+
+        def recording(game, nums, d):
+            labels, res = evaluate(game, nums, d)
+            walked.update(zip(map(tuple, nums.tolist()), res.tolist()))
+            return labels, res
+
+        for d in (1, 2, 3, 4, 8, 16, 32):
+            walked.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(simplicial, "_evaluate", recording)
+                sigma, _, residuals = find_stopping_simplex(game, d)
+            keys = simplicial._vertex_keys(game, sigma)
+            assert residuals == tuple(walked[key] for key in keys), d
+            assert residuals == stopping_residual_check(game, sigma).vertex_residuals, d
 
     def test_check_rejects_non_stopping(self, toy):
         base = point(toy, [[[2, 0]]], 2)
@@ -344,14 +378,14 @@ class TestTriangulation:
 
 class TestSerialization:
     def test_round_trip(self, pennies):
-        sigma, cls = find_stopping_simplex(pennies, 2)
+        sigma, cls, _ = find_stopping_simplex(pennies, 2)
         doc = simplex_to_dict(pennies, sigma)
         back = simplex_from_dict(pennies, doc)
         assert back == sigma
         assert [Label(*lab) for lab in doc["vertex_labels"]] == list(cls.labels)
 
     def test_rejects_bad_permutation(self, pennies):
-        sigma, _ = find_stopping_simplex(pennies, 2)
+        sigma, _, _ = find_stopping_simplex(pennies, 2)
         doc = simplex_to_dict(pennies, sigma)
         doc["permutation"] = [5] * len(doc["permutation"])
         with pytest.raises(InvalidSimplexError):
@@ -508,7 +542,7 @@ class TestScanMatchesReference:
         """A simplex's vertices, evaluated together, have the residuals of
         each vertex evaluated alone, bit for bit."""
         game = corpus_game(name)
-        sigma, _ = find_stopping_simplex(game, 2)
+        sigma, _, _ = find_stopping_simplex(game, 2)
         report = stopping_residual_check(game, sigma)
         assert report.vertex_residuals == tuple(
             residual(game, v.to_profile(game)) for v in simplex_vertices(game, sigma))
@@ -618,7 +652,7 @@ class TestIntegerSearchMatchesReference:
         finds one too, maybe another, within the residual bound."""
         game = make_game()
         assert oracles.first_stopping_simplex(game, d) is not None
-        sigma, cls = find_stopping_simplex(game, d)
+        sigma, cls, _ = find_stopping_simplex(game, d)
         assert cls == classify_simplex(game, sigma)
         assert cls.kind == "stopping"
         assert stopping_residual_check(game, sigma).passed

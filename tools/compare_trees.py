@@ -19,12 +19,13 @@ Two measurements, each added to the output file under its own keys:
   for every (n, S, A) of a small sweep; of ``label_point`` at the apex
   of every corpus job of the ``search`` workload; milliseconds per
   ``cli.main`` call on each of those jobs, the whole job with its stdout
-  kept in memory; and milliseconds per call of ``cli._solve_damped_f`` on
-  every damped corpus game of the ``solve-small`` workload, at its
-  tolerance and seed 1.  Both trees are loaded into one process under two
-  package names, and their timings alternate call by call, so that a slow
-  phase of the host falls on both alike; a call's cost is the best of
-  seven repeats.
+  kept in memory, and the calls of the improvement map that one such job
+  makes through ``simplicial``; and milliseconds per call of
+  ``cli._solve_damped_f`` on every damped corpus game of the
+  ``solve-small`` workload, at its tolerance and seed 1.  Both trees are
+  loaded into one process under two package names, and their timings
+  alternate call by call, so that a slow phase of the host falls on both
+  alike; a call's cost is the best of seven repeats.
 
       python3 tools/compare_trees.py kernel --before ../parent --after . \\
           --out BENCH_6.json
@@ -121,12 +122,25 @@ def _quiet(main, argv) -> None:
         main(argv)
 
 
+def _evaluations(mods: dict, argv) -> int:
+    """Calls of ``nash_map.improve`` that ``simplicial`` makes in one
+    ``cli.main(argv)`` run, its stdout written to memory."""
+    simplicial, improve = mods["simplicial"], mods["simplicial"].improve
+    calls = []
+    simplicial.improve = lambda *a: calls.append(1) or improve(*a)
+    try:
+        _quiet(mods["cli"].main, argv)
+    finally:
+        simplicial.improve = improve
+    return len(calls)
+
+
 def kernel(args) -> dict:
     """The sweep's table; ``label_point`` at the apex of, and ``cli.main``
     on, every corpus job of the ``search`` workload (``SEARCH_CORPUS`` in
-    the change's ``bench/jobs.py``); and the damped loop on every damped
-    corpus game of ``solve-small`` (``DAMPED_GAMES``, at ``DAMPED_TOL`` and
-    seed 1)."""
+    the change's ``bench/jobs.py``), with the map calls of each job; and
+    the damped loop on every damped corpus game of ``solve-small``
+    (``DAMPED_GAMES``, at ``DAMPED_TOL`` and seed 1)."""
     import numpy as np
 
     trees = {side: _load(getattr(args, side), f"sgcert_{side}")
@@ -152,20 +166,22 @@ def kernel(args) -> dict:
                 mods["simplicial"].label_point, game, apex)
         table[f"{n},{s},{a}"] = _best(calls)
         print(n, s, a, table[f"{n},{s},{a}"], flush=True)
-    apexes, search_jobs = {}, {}
+    apexes, search_jobs, evaluations = {}, {}, {}
     for name, d in jobs.SEARCH_CORPUS:
-        calls, job_calls = {}, {}
+        calls, job_calls, job = {}, {}, f"{name},{d}"
+        evaluations[job] = {}
         for side, mods in trees.items():
             path = Path(getattr(args, side), "corpus", f"{name}.game.json")
             game = mods["game"].load_game(path)
             apex = mods["simplicial"].starting_point(game, d)
+            argv = ["search", str(path), "--d", str(d)]
             calls[f"label_point_us_{side}"] = partial(
                 mods["simplicial"].label_point, game, apex)
-            job_calls[f"search_job_ms_{side}"] = partial(
-                _quiet, mods["cli"].main, ["search", str(path), "--d", str(d)])
-        apexes[f"{name},{d}"] = _best(calls)
-        search_jobs[f"{name},{d}"] = _best(job_calls, per_second=1e3)
-        print(name, d, apexes[f"{name},{d}"], search_jobs[f"{name},{d}"], flush=True)
+            job_calls[f"search_job_ms_{side}"] = partial(_quiet, mods["cli"].main, argv)
+            evaluations[job][f"search_job_evaluations_{side}"] = _evaluations(mods, argv)
+        apexes[job] = _best(calls)
+        search_jobs[job] = _best(job_calls, per_second=1e3)
+        print(name, d, apexes[job], search_jobs[job], evaluations[job], flush=True)
     damped = {}
     for name in jobs.DAMPED_GAMES:
         calls = {}
@@ -177,7 +193,8 @@ def kernel(args) -> dict:
         damped[name] = _best(calls, per_second=1e3)
         print(name, damped[name], flush=True)
     return {"kernel_us": table, "search_apex_label_point_us": apexes,
-            "search_job_ms": search_jobs, "damped_f_ms": damped}
+            "search_job_ms": search_jobs, "search_job_evaluations": evaluations,
+            "damped_f_ms": damped}
 
 
 def main(argv=None) -> int:
