@@ -3,7 +3,8 @@ profiles, and run the grid labelling machinery on files.
 
 Exit codes: 0 success (or verdict true), 1 verdict false, 2 input error,
 3 method-specific failure (no convergence, grid too large, a simplicial walk
-that steps off the grid or passes its step bound).
+that steps off the grid or passes its step bound), 141 a report written to a
+stdout that its reader has closed (128 + SIGPIPE, as ``cat`` exits).
 Reports are JSON with floats at 12 significant digits; identical inputs
 and seeds produce byte-identical output.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import sys
 from functools import partial
@@ -47,6 +49,7 @@ EXIT_OK = 0
 EXIT_VERDICT_FALSE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_METHOD_FAILURE = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
 def _round_floats(obj):
@@ -61,7 +64,9 @@ def _round_floats(obj):
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(_round_floats(payload), indent=2, sort_keys=True))
+    """Write the report, the only output on stdout; flushed here, so that a
+    closed stdout raises inside :func:`main`."""
+    print(json.dumps(_round_floats(payload), indent=2, sort_keys=True), flush=True)
 
 
 def _target_l(args, game) -> int | None:
@@ -230,79 +235,80 @@ def cmd_label(args) -> int:
     return EXIT_OK
 
 
-COMMANDS = ("info", "solve", "search", "certify", "label")
+# Each command, with its line in the root help.
+COMMANDS = {"info": "print game dimensions and derived constants",
+            "solve": "search for a low-residual profile and certify it",
+            "search": "search for a low-residual profile and certify it (simplicial method)",
+            "certify": "certify a profile file against a game",
+            "label": "label grid points or classify a simplex"}
 
 
-def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
-    """The ``sgcert`` parser with the subcommands in ``commands`` only.
-
-    Building all five costs about 1 ms, most of a ``search`` job's fixed
-    cost, and a run uses one, so :func:`main` builds the one it was given.
-    A subset keeps the full command list in the usage line, which argparse
-    prints for arguments left over after the subcommand's."""
+def _formatter():
     # argparse builds a formatter for every argument, and each asks the
     # terminal for its width: ask once, for the width HelpFormatter takes
-    formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
-    parser = argparse.ArgumentParser(
-        prog="sgcert",
-        description="stochastic-game equilibrium evaluation and certification",
-        formatter_class=formatter,
-    )
-    # with all five, argparse's own metavar keeps its "argument command" messages
-    listed = {"metavar": "{" + ",".join(COMMANDS) + "}"} if set(commands) != set(COMMANDS) else {}
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        parser_class=partial(argparse.ArgumentParser, formatter_class=formatter), **listed)
+    return partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
 
-    if "info" in commands:
-        p = sub.add_parser("info", help="print game dimensions and derived constants")
-        p.add_argument("game")
-        p.add_argument("--target-L", type=int, default=None)
-        p.set_defaults(func=cmd_info)
 
-    for name in ("solve", "search"):
-        if name not in commands:
-            continue
-        p = sub.add_parser(
-            name,
-            help="search for a low-residual profile and certify it"
-            + (" (simplicial method)" if name == "search" else ""),
-        )
-        p.add_argument("game")
-        if name == "solve":
-            p.add_argument("--method", choices=list(SOLVE_FLAGS), default="damped-f")
+def add_arguments(parser: argparse.ArgumentParser, command: str) -> None:
+    """Give ``parser`` the arguments and the handler of ``command``: the
+    one parser of a run and the subparser of the full tree alike."""
+    parser.add_argument("game")
+    if command == "certify":
+        parser.add_argument("profile")
+    if command == "label":
+        parser.add_argument("--d", type=int, default=None)
+        parser.add_argument("--point", default=None, help="JSON file with grid numerators")
+        parser.add_argument("--simplex", default=None, help="JSON simplex document")
+        parser.set_defaults(func=cmd_label)
+        return
+    if command == "solve":
+        parser.add_argument("--method", choices=list(SOLVE_FLAGS), default="damped-f")
+    if command in ("solve", "search"):
         # no defaults: a flag is in args only when given, so an unread one shows
         for flag, kind in (("--d", int), ("--damping", float), ("--max-iters", int),
                            ("--tol", float), ("--seed", int)):
-            p.add_argument(flag, type=kind, default=argparse.SUPPRESS)
-        p.add_argument("--target-L", type=int, default=None)
-        p.set_defaults(func=cmd_solve)
-        if name == "search":
-            p.set_defaults(method="simplicial")
+            parser.add_argument(flag, type=kind, default=argparse.SUPPRESS)
+    parser.add_argument("--target-L", type=int, default=None)
+    parser.set_defaults(func={"info": cmd_info, "certify": cmd_certify}.get(command, cmd_solve))
+    if command == "search":
+        parser.set_defaults(method="simplicial")
 
-    if "certify" in commands:
-        p = sub.add_parser("certify", help="certify a profile file against a game")
-        p.add_argument("game")
-        p.add_argument("profile")
-        p.add_argument("--target-L", type=int, default=None)
-        p.set_defaults(func=cmd_certify)
 
-    if "label" in commands:
-        p = sub.add_parser("label", help="label grid points or classify a simplex")
-        p.add_argument("game")
-        p.add_argument("--d", type=int, default=None)
-        p.add_argument("--point", default=None, help="JSON file with grid numerators")
-        p.add_argument("--simplex", default=None, help="JSON simplex document")
-        p.set_defaults(func=cmd_label)
-
+def build_parser() -> argparse.ArgumentParser:
+    """The ``sgcert`` parser with all five commands.  It prints the root help
+    and every message whose usage line lists the commands."""
+    formatter = _formatter()
+    parser = argparse.ArgumentParser(
+        prog="sgcert", description="stochastic-game equilibrium evaluation and certification",
+        formatter_class=formatter)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=partial(argparse.ArgumentParser, formatter_class=formatter))
+    for name, line in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=line), name)
     return parser
 
 
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed as :func:`build_parser` parses it.
+
+    A run of a known command builds that command's parser alone, with no
+    root parser or subparsers action, since parsing is a fixed cost of every
+    run.  It has the prog and formatter of the full tree's subparser, which
+    receives ``argv[1:]`` verbatim, so its help and errors are the
+    subparser's, byte for byte."""
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"sgcert {argv[0]}", formatter_class=_formatter())
+        add_arguments(parser, argv[0])
+        args, leftover = parser.parse_known_args(argv[1:])
+        if not leftover:
+            return args
+    # help, a missing or unknown command and leftovers print the root usage line
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # help, errors and a missing or unknown command list all five
-    commands = (argv[0],) if argv and argv[0] in COMMANDS else COMMANDS
-    args = build_parser(commands).parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (GameValidationError, InvalidSimplexError) as exc:
@@ -311,6 +317,11 @@ def main(argv=None) -> int:
     except (ValueError, DenominatorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_METHOD_FAILURE
+    except BrokenPipeError:
+        # The reader closed stdout: point fd 1 at devnull, so that the flush
+        # at exit, of what the closed pipe did not take, raises no second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

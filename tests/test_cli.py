@@ -670,61 +670,84 @@ PARSE_CASES = [
     ["solve", "GAME", "--method", "nope"], ["solve", "GAME", "--tol"],
     ["certify", "GAME"], ["info", "GAME", "--bogus"],
     ["info", "GAME"], ["search", "GAME", "--d", "2"],
+    # argparse syntax that the one command's parser must read as the subparser does
+    ["search", "GAME", "--d=2"], ["solve", "GAME", "--max", "1"],
+    ["search", "GAME", "--d", "2", "--d", "3"],
+    ["info", "--", "GAME"], ["info", "GAME", "--"], ["search", "--d", "2", "--", "GAME"],
+    ["search", "GAME", "-h"], ["info", "--bogus", "GAME"],
+    ["label", "GAME", "--simplex", "S", "--d", "2"],
 ]
 
 
 @pytest.mark.parametrize("columns", ["80", "200"])
 @pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda argv: " ".join(argv) or "no-args")
 def test_one_command_parser_prints_as_the_full_one(capsys, monkeypatch, argv, columns):
-    """``main`` builds only the parser of the command it is given; stdout,
-    stderr and the exit code are those of the parser with all five."""
+    """``main`` parses a run of one command with that command's parser alone;
+    stdout, stderr and the exit code are those of the parser with all five."""
     monkeypatch.setenv("COLUMNS", columns)
     argv = [PENNIES if arg == "GAME" else arg for arg in argv]
     built = outcome(capsys, argv)
-    build_parser = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda commands: build_parser(cli.COMMANDS))
+    monkeypatch.setattr(cli, "parse_args", lambda argv: cli.build_parser().parse_args(argv))
     assert built == outcome(capsys, argv)
 
 
-def count_add_parser(monkeypatch) -> list:
-    """The names of the subparsers built from now on, in order."""
-    names = []
-    add_parser = argparse._SubParsersAction.add_parser
+def count_parsers(monkeypatch) -> tuple[list, list]:
+    """The parsers and the subparsers actions built from now on, in order."""
+    parsers, actions = [], []
+    init, add_subparsers = argparse.ArgumentParser.__init__, argparse.ArgumentParser.add_subparsers
 
-    def counted(self, name, **kwargs):
-        names.append(name)
-        return add_parser(self, name, **kwargs)
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        parsers.append(self)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
-    return names
+    def counted_add_subparsers(self, **kwargs):
+        actions.append(add_subparsers(self, **kwargs))
+        return actions[-1]
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted_add_subparsers)
+    return parsers, actions
+
+
+FULL_TREE = ["sgcert", *(f"sgcert {command}" for command in cli.COMMANDS)]
 
 
 @pytest.mark.parametrize("argv,built", [
-    pytest.param(["info", PENNIES], ["info"], id="info"),
-    pytest.param(["solve", PENNIES, "--max-iters", "1"], ["solve"], id="solve"),
-    pytest.param(["search", PENNIES, "--d", "2"], ["search"], id="search"),
-    pytest.param(["certify", PENNIES, PENNIES_EQ], ["certify"], id="certify"),
-    pytest.param(["label", PENNIES, "--d", "1"], ["label"], id="label"),
-    pytest.param(["-h"], list(cli.COMMANDS), id="help"),
-    pytest.param(["bogus"], list(cli.COMMANDS), id="unknown"),
+    pytest.param(["info", PENNIES], ["sgcert info"], id="info"),
+    pytest.param(["solve", PENNIES, "--max-iters", "1"], ["sgcert solve"], id="solve"),
+    pytest.param(["search", PENNIES, "--d", "2"], ["sgcert search"], id="search"),
+    pytest.param(["certify", PENNIES, PENNIES_EQ], ["sgcert certify"], id="certify"),
+    pytest.param(["label", PENNIES, "--d", "1"], ["sgcert label"], id="label"),
+    pytest.param(["search", PENNIES, "--d", "x"], ["sgcert search"], id="error"),
+    pytest.param(["search", "-h"], ["sgcert search"], id="command-help"),
+    pytest.param(["-h"], FULL_TREE, id="help"),
+    pytest.param(["bogus"], FULL_TREE, id="unknown"),
+    pytest.param([], FULL_TREE, id="missing"),
+    pytest.param(["info", PENNIES, "extra"], ["sgcert info", *FULL_TREE], id="leftover"),
 ])
 def test_main_builds_the_invoked_command_only(capsys, monkeypatch, argv, built):
-    names = count_add_parser(monkeypatch)
+    """A run of a known command builds one parser, its own, and no
+    subparsers action; the full tree is built only to print the root usage."""
+    parsers, actions = count_parsers(monkeypatch)
     outcome(capsys, argv)
-    assert names == built
+    assert [parser.prog for parser in parsers] == built
+    assert len(actions) == ("sgcert" in built)
 
 
 def test_each_main_call_builds_its_own_parser(capsys, monkeypatch):
     """No parser is kept across calls: two runs build two."""
-    names = count_add_parser(monkeypatch)
-    parsers = []
-    build_parser = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser",
-                        lambda commands: parsers.append(build_parser(commands)) or parsers[-1])
+    parsers, _ = count_parsers(monkeypatch)
     for _ in range(2):
         assert outcome(capsys, ["info", PENNIES])[2] == 0
-    assert names == ["info", "info"]
-    assert len(parsers) == 2 and parsers[0] is not parsers[1]
+    assert [parser.prog for parser in parsers] == ["sgcert info", "sgcert info"]
+    assert parsers[0] is not parsers[1]
+
+
+def module_env(**extra) -> dict:
+    """The environment of a ``python -m sgcert.cli`` run of this tree."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return {**env, **extra}
 
 
 def test_module_run_reads_sys_argv(capsys, monkeypatch):
@@ -732,9 +755,26 @@ def test_module_run_reads_sys_argv(capsys, monkeypatch):
     and prints what an in-process call prints."""
     monkeypatch.chdir(ROOT)
     argv = ["info", "corpus/matching_pennies.game.json"]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-m", "sgcert.cli", *argv], cwd=ROOT, env=env,
+    done = subprocess.run([sys.executable, "-m", "sgcert.cli", *argv], cwd=ROOT, env=module_env(),
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == outcome(capsys, argv)[0]
+
+
+@pytest.mark.parametrize("unbuffered", [{}, {"PYTHONUNBUFFERED": "1"}],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["info", PENNIES], ["search", PENNIES, "--d", "2"],
+                                  ["certify", PENNIES, PENNIES_EQ]], ids=lambda argv: argv[0])
+def test_report_to_closed_stdout_exits_141_quietly(argv, unbuffered):
+    """A report written to a pipe whose reader has closed it: exit 141
+    (128 + SIGPIPE, as cat exits) and nothing on stderr, with stdout
+    block-buffered or unbuffered."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "sgcert.cli", *argv], cwd=ROOT,
+                              env=module_env(**unbuffered), stdout=write,
+                              stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (141, b"")

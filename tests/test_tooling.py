@@ -2,7 +2,8 @@
 
 The benchmark (bench/) traces library functions by name, from outside.
 A refactor that renames or moves one of them must fail here, not only in
-the benchmark's own self-test.  And one function reads every input file."""
+the benchmark's own self-test.  And one function reads every input file,
+and one writes every report."""
 
 import ast
 import importlib
@@ -38,14 +39,13 @@ def test_damped_loop_calls_the_map_by_module_name():
     assert cli.apply_f is nash_map.apply_f
 
 
-# The calls that open a file or parse JSON, by the name called: open,
-# json.load and json.loads under any import style, and the pathlib readers.
-READ_CALLS = {"open", "load", "loads", "read_text", "read_bytes"}
+LIBRARY = sorted((ROOT / "src" / "sgcert").glob("*.py"))
 
 
-def file_readers(path: Path) -> set[str]:
-    """``module.function`` for every function in ``path`` that makes one of
-    ``READ_CALLS``; ``module.<module>`` for a call outside any function."""
+def owners(path: Path, matches) -> set[str]:
+    """``module.function`` for every function in ``path`` that holds a node
+    for which ``matches`` is true; ``module.<module>`` for one outside any
+    function."""
     found = set()
 
     def visit(node, owner):
@@ -53,23 +53,54 @@ def file_readers(path: Path) -> set[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, f"{path.stem}.{child.name}")
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in READ_CALLS:
-                    found.add(owner)
+            if matches(child):
+                found.add(owner)
             visit(child, owner)
 
     visit(ast.parse(path.read_text()), f"{path.stem}.<module>")
     return found
 
 
+def called_name(node) -> str | None:
+    """The name that a call calls, without its module or object; None for
+    a node that is not a call."""
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+# The calls that open a file or parse JSON, by the name called: open,
+# json.load and json.loads under any import style, and the pathlib readers.
+READ_CALLS = {"open", "load", "loads", "read_text", "read_bytes"}
+
+
+def reads_a_file(node) -> bool:
+    """A call of ``READ_CALLS``, unless it opens ``os.devnull``: the sink
+    that a closed stdout is pointed at reads no input."""
+    return (called_name(node) in READ_CALLS
+            and not (node.args and ast.unparse(node.args[0]) == "os.devnull"))
+
+
+def writes_to_stdout(node) -> bool:
+    """A print without a ``file`` argument, or any use of ``sys.stdout``."""
+    if called_name(node) == "print":
+        return not any(keyword.arg == "file" for keyword in node.keywords)
+    return isinstance(node, ast.Attribute) and node.attr in ("stdout", "__stdout__")
+
+
 def test_only_read_json_reads_input_files():
     """Every input file is read one way, so that every fault in reading one
     is the same exit-2 error: game.read_json is the only function in the
-    library that opens a file or parses JSON."""
-    readers = set().union(*map(file_readers, sorted((ROOT / "src" / "sgcert").glob("*.py"))))
-    assert readers == {"game.read_json"}
+    library that opens an input file or parses JSON."""
+    assert set().union(*(owners(path, reads_a_file) for path in LIBRARY)) == {"game.read_json"}
+
+
+def test_only_emit_writes_to_stdout():
+    """Every report reaches stdout one way, so that a closed stdout is
+    handled in one place: cli._emit is the only function in the library
+    that prints to stdout or uses sys.stdout."""
+    assert set().union(*(owners(path, writes_to_stdout) for path in LIBRARY)) == {"cli._emit"}
 
 
 @pytest.mark.parametrize("given", [[], ["--seeds", "1"], ["--workload", "search"],

@@ -22,10 +22,13 @@ Two measurements, each added to the output file under its own keys:
   kept in memory, and the calls of the improvement map that one such job
   makes through ``simplicial``; and milliseconds per call of
   ``cli._solve_damped_f`` on every damped corpus game of the
-  ``solve-small`` workload, at its tolerance and seed 1.  Both trees are
-  loaded into one process under two package names, and their timings
-  alternate call by call, so that a slow phase of the host falls on both
-  alike; a call's cost is the best of seven repeats.
+  ``solve-small`` workload, at its tolerance and seed 1; and microseconds
+  per ``cli.main`` call on one command line of each command, with every
+  ``cmd_*`` handler replaced by a no-op, so that the call reads its
+  arguments and does nothing else, in the parent and the change alike.
+  Both trees are loaded into one process under two package names, and
+  their timings alternate call by call, so that a slow phase of the host
+  falls on both alike; a call's cost is the best of seven repeats.
 
       python3 tools/compare_trees.py kernel --before ../parent --after . \\
           --out BENCH_6.json
@@ -135,12 +138,30 @@ def _evaluations(mods: dict, argv) -> int:
     return len(calls)
 
 
+def _parse_us(trees: dict, argvs: dict) -> dict:
+    """Microseconds per ``cli.main`` call on each of ``argvs``, a command's
+    arguments by its name, in each tree, every ``cmd_*`` handler of both
+    replaced by a no-op while they are timed."""
+    handlers = {(side, name): handler for side, mods in trees.items()
+                for name, handler in vars(mods["cli"]).items() if name.startswith("cmd_")}
+    for side, name in handlers:
+        setattr(trees[side]["cli"], name, lambda args: 0)
+    try:
+        return {command: _best({f"parse_us_{side}": partial(mods["cli"].main, [command, *argv])
+                                for side, mods in trees.items()})
+                for command, argv in argvs.items()}
+    finally:
+        for (side, name), handler in handlers.items():
+            setattr(trees[side]["cli"], name, handler)
+
+
 def kernel(args) -> dict:
     """The sweep's table; ``label_point`` at the apex of, and ``cli.main``
     on, every corpus job of the ``search`` workload (``SEARCH_CORPUS`` in
     the change's ``bench/jobs.py``), with the map calls of each job; and
     the damped loop on every damped corpus game of ``solve-small``
-    (``DAMPED_GAMES``, at ``DAMPED_TOL`` and seed 1)."""
+    (``DAMPED_GAMES``, at ``DAMPED_TOL`` and seed 1); and the parse of one
+    command line of each command, ``search`` at grid size 2."""
     import numpy as np
 
     trees = {side: _load(getattr(args, side), f"sgcert_{side}")
@@ -192,9 +213,14 @@ def kernel(args) -> dict:
             calls[f"damped_f_ms_{side}"] = partial(mods["cli"]._solve_damped_f, game, **options)
         damped[name] = _best(calls, per_second=1e3)
         print(name, damped[name], flush=True)
+    game, profile = (str(Path(args.after, "corpus", f"matching_pennies.{kind}.json"))
+                     for kind in ("game", "equilibrium"))
+    parse = _parse_us(trees, {"info": [game], "solve": [game], "search": [game, "--d", "2"],
+                              "certify": [game, profile], "label": [game, "--d", "2"]})
+    print(parse, flush=True)
     return {"kernel_us": table, "search_apex_label_point_us": apexes,
             "search_job_ms": search_jobs, "search_job_evaluations": evaluations,
-            "damped_f_ms": damped}
+            "damped_f_ms": damped, "parse_us": parse}
 
 
 def main(argv=None) -> int:
