@@ -3,8 +3,9 @@ profiles, and run the grid labelling machinery on files.
 
 Exit codes: 0 success (or verdict true), 1 verdict false, 2 input error,
 3 method-specific failure (no convergence, grid too large, a simplicial walk
-that steps off the grid or passes its step bound), 141 a report written to a
-stdout that its reader has closed (128 + SIGPIPE, as ``cat`` exits).
+that steps off the grid or passes its step bound), 141 a report or help
+written to a stdout that its reader has closed (128 + SIGPIPE, as ``cat``
+exits).
 Reports are JSON with floats at 12 significant digits; identical inputs
 and seeds produce byte-identical output.
 """
@@ -63,10 +64,13 @@ def _round_floats(obj):
     return obj
 
 
-def _emit(payload: dict) -> None:
-    """Write the report, the only output on stdout; flushed here, so that a
-    closed stdout raises inside :func:`main`."""
-    print(json.dumps(_round_floats(payload), indent=2, sort_keys=True), flush=True)
+def _emit(payload: dict | None = None) -> None:
+    """Write the report, the only output on stdout, or with no report only
+    flush what argparse wrote there; flushed here, so that a closed stdout
+    raises inside :func:`main`."""
+    if payload is not None:
+        print(json.dumps(_round_floats(payload), indent=2, sort_keys=True))
+    sys.stdout.flush()
 
 
 def _target_l(args, game) -> int | None:
@@ -308,8 +312,11 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
-    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
+        try:
+            args = parse_args(sys.argv[1:] if argv is None else list(argv))
+        finally:
+            _emit()  # argparse exits after its help without flushing it
         return args.func(args)
     except (GameValidationError, InvalidSimplexError) as exc:
         print(f"error: {exc}", file=sys.stderr)

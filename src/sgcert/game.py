@@ -257,17 +257,29 @@ def _table(
     ``rows_sum_to_one``, every row along the last axis sums to 1 within
     PROB_TOL_INPUT.  Otherwise a :class:`GameValidationError` naming
     ``what`` and the first faulty index."""
+    # numpy infers float64 or int64 only when every entry is a number or a
+    # boolean, and makes a boolean an exact 0 or 1, so only a table holding a
+    # 0 or 1 can hide one.  Any other table (a string, null, object, integer
+    # past int64, ragged or misshapen) is converted to float as given.
     try:
-        arr = np.array(data, dtype=float)  # a copy: the caller keeps ``data``
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise GameValidationError(f"{what} table is not a numeric array: {exc}") from exc
-    if arr.shape != shape:
-        expected = ", ".join(f"{axis}={k}" for axis, k in zip(axes, shape))
-        raise GameValidationError(
-            f"{what} table has shape {arr.shape}, expected ({expected})")
+        arr = np.array(data)  # a copy: the caller keeps ``data``
+        inferred = arr.shape == shape and arr.dtype in (np.float64, np.int64)
+    except (TypeError, ValueError, OverflowError):
+        inferred = False
+    if not inferred:
+        try:
+            arr = np.array(data, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise GameValidationError(f"{what} table is not a numeric array: {exc}") from exc
+        if arr.shape != shape:
+            expected = ", ".join(f"{axis}={k}" for axis, k in zip(axes, shape))
+            raise GameValidationError(
+                f"{what} table has shape {arr.shape}, expected ({expected})")
+    arr = arr.astype(float, copy=False)  # int64 to float64 rounds as float() does
     # numpy has converted the entries, so only the values it was given still
     # show which were not numbers
-    if not _NOT_NUMBERS.isdisjoint(map(type, _leaves(data, len(shape)))):
+    if ((not inferred or ((arr == 0) | (arr == 1)).any())
+            and not _NOT_NUMBERS.isdisjoint(map(type, _leaves(data, len(shape))))):
         k, x = next((k, x) for k, x in enumerate(_leaves(data, len(shape)))
                     if type(x) in _NOT_NUMBERS)
         raise GameValidationError(

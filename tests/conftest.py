@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -8,7 +10,8 @@ import pytest
 from sgcert import oracles
 from sgcert.game import StochasticGame, StrategyProfile, load_game, load_profile
 
-CORPUS_DIR = Path(__file__).resolve().parents[1] / "corpus"
+ROOT = Path(__file__).resolve().parents[1]
+CORPUS_DIR = ROOT / "corpus"
 MANIFEST = json.loads((CORPUS_DIR / "manifest.json").read_text())
 CORPUS_GAMES = sorted(e["name"] for e in MANIFEST["entries"])
 
@@ -85,3 +88,12 @@ def scale_instances(seed, shapes=SCALE_SHAPES, gammas=(0.0, 0.5, 0.9)):
         for gamma in gammas:
             game = oracles.random_game(rng, n, s, a, gamma)
             yield game, oracles.random_profile(game, rng)
+
+
+def bench_jobs():
+    """The benchmark's job lists, ``bench/jobs.py``."""
+    spec = importlib.util.spec_from_file_location("bench_jobs", ROOT / "bench" / "jobs.py")
+    # a module's dataclasses look the module up by name while they are built
+    jobs = sys.modules["bench_jobs"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(jobs)
+    return jobs

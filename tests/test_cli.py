@@ -1,5 +1,4 @@
 import argparse
-import importlib.util
 import json
 import math
 import os
@@ -16,6 +15,8 @@ from sgcert.cli import _solve_damped_f, main
 from sgcert.game import StrategyProfile, load_game, uniform_profile, validate_profile
 from sgcert.nash_map import apply_f
 from sgcert.oracles import random_game, random_profile
+
+from conftest import bench_jobs
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "corpus"
@@ -240,15 +241,6 @@ class TestSolve:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err == "error: grid size d must be >= 1\n"
-
-
-def bench_jobs():
-    """The benchmark's job lists, ``bench/jobs.py``."""
-    spec = importlib.util.spec_from_file_location("bench_jobs", ROOT / "bench" / "jobs.py")
-    # a module's dataclasses look the module up by name while they are built
-    jobs = sys.modules["bench_jobs"] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(jobs)
-    return jobs
 
 
 @pytest.mark.parametrize("name,d", bench_jobs().SEARCH_CORPUS)
@@ -769,12 +761,35 @@ def test_report_to_closed_stdout_exits_141_quietly(argv, unbuffered):
     """A report written to a pipe whose reader has closed it: exit 141
     (128 + SIGPIPE, as cat exits) and nothing on stderr, with stdout
     block-buffered or unbuffered."""
+    done = run_to_closed_stdout(argv, module_env(**unbuffered))
+    assert (done.returncode, done.stderr) == (141, b"")
+
+
+def run_to_closed_stdout(argv, env) -> subprocess.CompletedProcess:
+    """``python -m sgcert.cli argv`` writing to a pipe whose read end was
+    closed before the run started; stderr is captured."""
     read, write = os.pipe()
     os.close(read)
     try:
-        done = subprocess.run([sys.executable, "-m", "sgcert.cli", *argv], cwd=ROOT,
-                              env=module_env(**unbuffered), stdout=write,
-                              stderr=subprocess.PIPE, timeout=60)
+        return subprocess.run([sys.executable, "-m", "sgcert.cli", *argv], cwd=ROOT, env=env,
+                              stdout=write, stderr=subprocess.PIPE, timeout=60)
     finally:
         os.close(write)
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["info", "-h"], ["search", "-h"]], ids=" ".join)
+def test_help_to_closed_stdout_exits_141_quietly(capsys, monkeypatch, argv):
+    """argparse prints help into stdout's buffer and exits without a flush.
+    With stdout block-buffered (no PYTHONUNBUFFERED), main flushes it, so a
+    closed stdout exits 141 with nothing on stderr, not 120 with a message
+    from the flush at exit; an open one gets the help and exit 0, the bytes
+    an in-process run prints."""
+    monkeypatch.setenv("COLUMNS", "80")
+    env = module_env()
+    assert "PYTHONUNBUFFERED" not in env
+    done = run_to_closed_stdout(argv, env)
     assert (done.returncode, done.stderr) == (141, b"")
+    done = subprocess.run([sys.executable, "-m", "sgcert.cli", *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert (done.stdout, "", 0) == outcome(capsys, argv)

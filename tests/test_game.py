@@ -1,11 +1,17 @@
+import json
 import re
+from itertools import chain
+from math import prod
 
 import numpy as np
 import pytest
 
+from sgcert import game as game_module
 from sgcert.game import (
+    PROB_TOL_INPUT,
     GameValidationError,
     deviation_value,
+    load_game,
     marginal_reward,
     marginal_transition,
     opponent_marginals,
@@ -23,7 +29,7 @@ from sgcert.oracles import (
     truncated_value,
 )
 
-from conftest import SCALE_SHAPES, random_instances
+from conftest import CORPUS_DIR, MANIFEST, SCALE_SHAPES, bench_jobs, random_instances
 
 
 def single_state_game(rewards_by_player, gamma=0.0, r_max=None):
@@ -322,3 +328,162 @@ def test_opponent_marginals_consistency():
             p_back = np.einsum("sa,sat->st", pi.probs[i], p_ia)
             np.testing.assert_allclose(r_back, marginal_reward(game, pi, i), atol=1e-12)
             np.testing.assert_allclose(p_back, marginal_transition(game, pi), atol=1e-12)
+
+
+def reference_table(data, what, shape, axes, rows_sum_to_one=False):
+    """The table check without dtype inference: every table is converted to
+    float, then the type of every entry the caller gave is scanned."""
+    def where(index):
+        return ", ".join(f"{axis} {k}" for axis, k in zip(axes, index))
+
+    try:
+        arr = np.array(data, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise GameValidationError(f"{what} table is not a numeric array: {exc}") from exc
+    if arr.shape != shape:
+        expected = ", ".join(f"{axis}={k}" for axis, k in zip(axes, shape))
+        raise GameValidationError(f"{what} table has shape {arr.shape}, expected ({expected})")
+    leaves = data
+    for _ in range(len(shape) - 1):
+        leaves = chain.from_iterable(leaves)
+    for k, x in enumerate(leaves):
+        if type(x) in (bool, str, type(None)):
+            raise GameValidationError(f"{what} at {where(np.unravel_index(k, shape))} is "
+                                      f"{json.dumps(x, default=repr)}, not a number")
+    if not (arr.min() >= 0.0 and arr.max() < np.inf):
+        at = tuple(np.argwhere(~(np.isfinite(arr) & (arr >= 0.0)))[0])
+        fault = "negative" if arr[at] < 0 else "non-finite"
+        raise GameValidationError(f"{fault} {what} at {where(at)}")
+    if rows_sum_to_one:
+        sums = arr.sum(axis=-1)
+        bad = np.abs(sums - 1.0) > PROB_TOL_INPUT
+        if bad.any():
+            at = tuple(np.argwhere(bad)[0])
+            raise GameValidationError(
+                f"{what} row at {where(at)} sums to {float(sums[at])!r}, expected 1")
+    arr.flags.writeable = False
+    return arr
+
+
+def assert_table_as_reference(data, what, shape, axes, rows_sum_to_one=False):
+    """``game._table`` returns the reference's float64 bits, read-only and
+    in memory of its own, or raises the reference's message; ``data`` is
+    left as it was."""
+    def outcome(table):
+        try:
+            return table(data, what, shape, axes, rows_sum_to_one)
+        except GameValidationError as exc:
+            return str(exc)
+
+    before = repr(data)
+    want, got = outcome(reference_table), outcome(game_module._table)
+    assert repr(data) == before
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64 and got.shape == shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert not got.flags.writeable
+    assert not (isinstance(data, np.ndarray) and np.shares_memory(got, data))
+
+
+GAME_AXES = (("state", "joint action", "successor"), ("player", "state", "joint action"))
+
+
+def assert_game_doc_as_reference(doc):
+    """Both tables of a game document, and the profile tables of its
+    ``probs`` if given, checked against the reference."""
+    n, s_count = len(doc["players"]), len(doc["states"])
+    a_counts = [len(p["actions"]) for p in doc["players"]]
+    j_count = prod(a_counts)
+    assert_table_as_reference(doc["transitions"], "transition probability",
+                              (s_count, j_count, s_count), GAME_AXES[0], True)
+    assert_table_as_reference(doc["rewards"], "reward", (n, s_count, j_count), GAME_AXES[1])
+    for i, (rows, a_count) in enumerate(zip(doc.get("probs", ()), a_counts)):
+        assert_table_as_reference(rows, f"player {i} probability", (s_count, a_count),
+                                  ("state", "action"), True)
+
+
+class TestTableMatchesReference:
+    """Dtype inference spares most tables the per-entry type scan; every
+    table still comes out as the reference's convert-then-scan makes it."""
+
+    @pytest.mark.parametrize("entry", MANIFEST["entries"], ids=lambda e: e["name"])
+    def test_corpus_games_and_equilibria(self, entry):
+        doc = json.loads((CORPUS_DIR / entry["game"]).read_text())
+        probs = json.loads((CORPUS_DIR / entry["equilibrium"]).read_text())["probs"]
+        assert_game_doc_as_reference({**doc, "probs": probs})
+
+    def test_random_games_of_the_certify_scale_shapes(self):
+        jobs = bench_jobs()
+        rng = np.random.default_rng(19)
+        for shape in jobs.CERTIFY_JOBS:
+            # through JSON text, as a game file holds it
+            doc = json.loads(json.dumps(jobs.random_game_doc(rng, shape, jobs.CERTIFY_GAMMA)))
+            doc["probs"] = jobs.random_profile_doc(rng, shape)["probs"]
+            assert_game_doc_as_reference(doc)
+
+    # A (2, 3, 4) table of exact rows, and entries that are odd in a document:
+    # non-numbers numpy converts or refuses, integers past int64 and float
+    # range, the NaN and Infinity literals and a negative zero.
+    ROWS = [[[0.125, 0.25, 0.375, 0.25]] * 3] * 2
+    ODD = {"true": True, "false": False, "null": None, "str-number": "0.5", "str": "abc",
+           "object": {}, "list": [0.5], "1e400-int": 10**400, "2**63": 2**63,
+           "2**64-1": 2**64 - 1, "2**62+3": 2**62 + 3, "NaN": float("nan"),
+           "Infinity": float("inf"), "-Infinity": float("-inf"), "-0.0": -0.0, "0": 0,
+           "1": 1, "1.0": 1.0, "-1": -1}
+
+    @pytest.mark.parametrize("at", [0, 13, 23], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("value", ODD.values(), ids=ODD.keys())
+    def test_odd_entry(self, value, at):
+        table = json.loads(json.dumps(self.ROWS))
+        i, j, k = np.unravel_index(at, (2, 3, 4))
+        table[i][j][k] = value
+        table = json.loads(json.dumps(table))  # the NaN and Infinity literals
+        for rows_sum_to_one in (False, True):
+            assert_table_as_reference(table, "transition probability", (2, 3, 4),
+                                      GAME_AXES[0], rows_sum_to_one)
+
+    @pytest.mark.parametrize("table", [
+        [[[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0]]] * 2,
+        [[[3, 7, 2, 5]] * 3] * 2,
+        [[[2**53 + 1, 2**62 + 3, 2**63 - 1, 12345678901234567]] * 3] * 2,
+        [[[-2**63, 2, 3, 4]] * 3] * 2,
+        [[[0.5, 0.5, 0, 0]] * 3] * 2,
+        [[[True, False, False, False]] * 3] * 2,
+        [[[0.125, 0.25, 0.375, 0.25]] * 3, [[0.125, 0.25, 0.375]] * 3],
+        [[[0.125, 0.25, 0.375, 0.25]] * 3, [[0.125, 0.25, 0.375, 0.25, 0.0]] * 3],
+        [[[0.125, 0.25, 0.375, 0.25]] * 3, [[0.125, 0.25, 0.375, 0.25], [0.5]] * 2],
+        [[[0.125, 0.25, 0.375, 0.25]] * 3],
+        [[[0.125, 0.25, 0.375, 0.25]] * 4] * 2,
+        [[[0.125, 0.25, 0.375, 0.25]] * 3] * 2 + [[["0.5"] * 4] * 3],
+        [], 0.5, "abc", None,
+    ], ids=["0-1-ints", "ints", "int64-rounding", "int64-min", "0-1-floats", "bools",
+            "ragged-short", "ragged-long", "ragged-depth", "short", "long",
+            "long-with-strings", "empty", "number", "string", "null"])
+    def test_whole_table(self, table):
+        for rows_sum_to_one in (False, True):
+            assert_table_as_reference(table, "reward", (2, 3, 4), GAME_AXES[1], rows_sum_to_one)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.float32, np.bool_])
+    def test_arrays_are_copied(self, dtype):
+        table = np.array(self.ROWS) * 8
+        table[0, 0] = [1, 0, 0, 0]
+        assert_table_as_reference(table.astype(dtype), "reward", (2, 3, 4), GAME_AXES[1])
+
+
+def test_random_tables_skip_the_type_scan(monkeypatch, tmp_path):
+    """A game file of random floats holds no exact 0 or 1, so no true or
+    false can hide in it and its tables skip the per-entry type scan; the
+    exact 0s and 1s of dominant_chain's rows bring the scan back."""
+    calls = []
+    leaves = game_module._leaves
+    monkeypatch.setattr(game_module, "_leaves", lambda *a: calls.append(a) or leaves(*a))
+    jobs = bench_jobs()
+    path = tmp_path / "random.game.json"
+    with open(path, "w") as fh:  # as the benchmark writes its game files
+        json.dump(jobs.random_game_doc(np.random.default_rng(19), (2, 40, 4), 0.9), fh)
+    load_game(path)
+    assert calls == []
+    load_game(CORPUS_DIR / "dominant_chain.game.json")
+    assert len(calls) >= 1

@@ -25,7 +25,13 @@ Two measurements, each added to the output file under its own keys:
   ``solve-small`` workload, at its tolerance and seed 1; and microseconds
   per ``cli.main`` call on one command line of each command, with every
   ``cmd_*`` handler replaced by a no-op, so that the call reads its
-  arguments and does nothing else, in the parent and the change alike.
+  arguments and does nothing else, in the parent and the change alike; and,
+  for one seeded game of each shape of the ``certify-scale`` workload,
+  written as the benchmark writes its game files, milliseconds per
+  ``json.loads`` of the file's text (``json_loads_ms``, the same in both
+  trees) and per ``game.game_from_dict`` on the parsed document, the
+  validation of a ``load_game`` call (``game_from_dict_ms``), under
+  ``certify_load_ms``.
   Both trees are loaded into one process under two package names, and
   their timings alternate call by call, so that a slow phase of the host
   falls on both alike; a call's cost is the best of seven repeats.
@@ -160,8 +166,9 @@ def kernel(args) -> dict:
     on, every corpus job of the ``search`` workload (``SEARCH_CORPUS`` in
     the change's ``bench/jobs.py``), with the map calls of each job; and
     the damped loop on every damped corpus game of ``solve-small``
-    (``DAMPED_GAMES``, at ``DAMPED_TOL`` and seed 1); and the parse of one
-    command line of each command, ``search`` at grid size 2."""
+    (``DAMPED_GAMES``, at ``DAMPED_TOL`` and seed 1); the parse of one
+    command line of each command, ``search`` at grid size 2; and the two
+    halves of ``load_game`` on one game of each ``CERTIFY_JOBS`` shape."""
     import numpy as np
 
     trees = {side: _load(getattr(args, side), f"sgcert_{side}")
@@ -218,9 +225,21 @@ def kernel(args) -> dict:
     parse = _parse_us(trees, {"info": [game], "solve": [game], "search": [game, "--d", "2"],
                               "certify": [game, profile], "label": [game, "--d", "2"]})
     print(parse, flush=True)
+    load = {}
+    for shape in jobs.CERTIFY_JOBS:
+        # the text json.dump writes to a game file of the benchmark
+        text = json.dumps(jobs.random_game_doc(np.random.default_rng(19), shape,
+                                               jobs.CERTIFY_GAMMA))
+        doc = json.loads(text)
+        calls = {"json_loads_ms": partial(json.loads, text)}
+        for side, mods in trees.items():
+            calls[f"game_from_dict_ms_{side}"] = partial(mods["game"].game_from_dict, doc)
+        key = ",".join(map(str, shape))
+        load[key] = _best(calls, per_second=1e3)
+        print(key, load[key], flush=True)
     return {"kernel_us": table, "search_apex_label_point_us": apexes,
             "search_job_ms": search_jobs, "search_job_evaluations": evaluations,
-            "damped_f_ms": damped, "parse_us": parse}
+            "damped_f_ms": damped, "parse_us": parse, "certify_load_ms": load}
 
 
 def main(argv=None) -> int:
