@@ -29,9 +29,10 @@ Two measurements, each added to the output file under its own keys:
   for one seeded game of each shape of the ``certify-scale`` workload,
   written as the benchmark writes its game files, milliseconds per
   ``json.loads`` of the file's text (``json_loads_ms``, the same in both
-  trees) and per ``game.game_from_dict`` on the parsed document, the
-  validation of a ``load_game`` call (``game_from_dict_ms``), under
-  ``certify_load_ms``.
+  trees), per ``game.game_from_dict`` on the parsed document, the
+  validation of a ``load_game`` call (``game_from_dict_ms``), and per
+  ``certify_profile`` of that game at a seeded profile, the rest of a
+  ``certify`` job (``certify_profile_ms``), under ``certify_load_ms``.
   Both trees are loaded into one process under two package names, and
   their timings alternate call by call, so that a slow phase of the host
   falls on both alike; a call's cost is the best of seven repeats.
@@ -168,7 +169,8 @@ def kernel(args) -> dict:
     the damped loop on every damped corpus game of ``solve-small``
     (``DAMPED_GAMES``, at ``DAMPED_TOL`` and seed 1); the parse of one
     command line of each command, ``search`` at grid size 2; and the two
-    halves of ``load_game`` on one game of each ``CERTIFY_JOBS`` shape."""
+    halves of ``load_game``, and the certification after it, on one game of
+    each ``CERTIFY_JOBS`` shape."""
     import numpy as np
 
     trees = {side: _load(getattr(args, side), f"sgcert_{side}")
@@ -227,13 +229,16 @@ def kernel(args) -> dict:
     print(parse, flush=True)
     load = {}
     for shape in jobs.CERTIFY_JOBS:
+        rng = np.random.default_rng(19)
         # the text json.dump writes to a game file of the benchmark
-        text = json.dumps(jobs.random_game_doc(np.random.default_rng(19), shape,
-                                               jobs.CERTIFY_GAMMA))
-        doc = json.loads(text)
+        text = json.dumps(jobs.random_game_doc(rng, shape, jobs.CERTIFY_GAMMA))
+        doc, probs = json.loads(text), jobs.random_profile_doc(rng, shape)
         calls = {"json_loads_ms": partial(json.loads, text)}
         for side, mods in trees.items():
+            game = mods["game"].game_from_dict(doc)
             calls[f"game_from_dict_ms_{side}"] = partial(mods["game"].game_from_dict, doc)
+            calls[f"certify_profile_ms_{side}"] = partial(
+                mods["cli"].certify_profile, game, mods["game"].profile_from_dict(game, probs))
         key = ",".join(map(str, shape))
         load[key] = _best(calls, per_second=1e3)
         print(key, load[key], flush=True)
