@@ -32,7 +32,7 @@ for point in grid_points(game, d):
     nums = [arr[0].tolist() for arr in point.numerators]
     print(f"  {nums}  ->  player {lab.player}, action {lab.action}")
 
-sigma, cls, _ = find_stopping_simplex(game, d)
+sigma, cls, *_ = find_stopping_simplex(game, d)
 print(f"\nstopping simplex found: labels {list(cls.labels)}")
 print(f"covers all actions of player {cls.stopping_player} "
       f"in state {cls.stopping_state}")
@@ -50,7 +50,7 @@ print(f"\nevery vertex residual <= {check.bound:.2f} (guaranteed); "
 # Finer grids tighten the guarantee linearly in 1/d; the walk's cost grows
 # with its path, not with the grid (10^8 points at d = 10000).
 for d in (2, 4, 8, 16, 10000):
-    sigma, _, residuals = find_stopping_simplex(game, d)
+    sigma, _, residuals, *_ = find_stopping_simplex(game, d)
     check = stopping_residual_check(game, sigma)
     print(f"d={d:5d}: bound {check.bound:8.4f}  "
           f"best vertex residual {min(residuals):.6f}")

@@ -86,24 +86,28 @@ def best_response_values(
 
 
 def _policy_iteration(mdp: PlayerMDP) -> np.ndarray:
-    """Policy iteration with exact evaluation, started from the greedy policy
-    of the on-profile lookahead: evaluate the current deterministic policy by
-    a dense solve, switch a state's action only on strict improvement (ties
-    broken toward the lowest action index), stop when no state switches.
+    """Optimal values of the MDPs of ``mdp``, shaped ``(..., S)`` for any
+    leading axes, such as a group's player axis, by policy iteration with
+    exact evaluation, started from the greedy policy of the on-profile
+    lookahead: evaluate each current deterministic policy by a dense solve,
+    switch a state's action only on strict improvement (ties broken toward
+    the lowest action index), stop when no state of any MDP switches.
     Terminates because each switch strictly improves the evaluated value and
-    the policy set is finite.
+    the policy set is finite.  An MDP that has stopped keeps its policy, and
+    batched LAPACK factors each matrix alone, so its values keep the bits
+    of iterating it alone.
     """
-    s_count, a_count = mdp.q.shape
+    s_count, a_count = mdp.q.shape[-2:]
     eye = np.eye(s_count)
-    rows = np.arange(s_count)
-    policy = np.argmax(mdp.q, axis=1)
+    policy = np.argmax(mdp.q, axis=-1)[..., None]
     for _ in range(a_count**s_count + 1):
-        p = mdp.p_ia[rows, policy]
-        r = mdp.r_ia[rows, policy]
-        v = np.linalg.solve(eye - mdp.gamma * p, r)
-        q = mdp.r_ia + mdp.gamma * (mdp.p_ia @ v)
-        best = np.argmax(q, axis=1)
-        improved = q[rows, best] > q[rows, policy] + _PI_TIE_TOL
+        p = np.take_along_axis(mdp.p_ia, policy[..., None], axis=-2)[..., 0, :]
+        r = np.take_along_axis(mdp.r_ia, policy, axis=-1)
+        v = np.linalg.solve(eye - mdp.gamma * p, r)[..., 0]
+        q = mdp.r_ia + mdp.gamma * (mdp.p_ia @ v[..., None, :, None])[..., 0]
+        best = np.argmax(q, axis=-1)[..., None]
+        improved = (np.take_along_axis(q, best, axis=-1)
+                    > np.take_along_axis(q, policy, axis=-1) + _PI_TIE_TOL)
         if not improved.any():
             return v
         policy = np.where(improved, best, policy)
@@ -136,11 +140,17 @@ def certify_profile(
     the residual-implied theoretical bound.  When ``target_l`` is given, the
     certificate carries a verdict at precision 1/L and the grid size the full
     construction would require for that L.  Each player's
-    frozen-opponent MDP is evaluated once and serves the residual and the
-    regrets alike."""
-    mdps = evaluate_groups(game, pi.probs)
+    frozen-opponent MDP is evaluated once (:func:`certify_groups`)."""
+    return certify_groups(game, evaluate_groups(game, pi.probs), target_l)
+
+
+def certify_groups(game: StochasticGame, mdps: tuple, target_l: int | None = None) -> Certificate:
+    """The certificate of :func:`certify_profile` for the profile at which
+    the group MDPs ``mdps`` of :func:`~sgcert.nash_map.evaluate_groups`
+    were evaluated: that one evaluation serves the residual and the regrets
+    alike, with one policy iteration per player group."""
     eps = float(apply_gains(game, mdps)[1])
-    regrets = [_policy_iteration(m) - m.v for m in per_player(game, mdps)]
+    regrets = per_player(game, [_policy_iteration(m) - m.v for m in mdps])
     achieved = max(0.0, max(float(r.max()) for r in regrets))
     target, d_used = None, None
     if target_l is not None:
@@ -148,7 +158,7 @@ def certify_profile(
         d_used, target = choose_d(game, target_l), 1.0 / target_l
     return Certificate(
         residual=eps,
-        per_state_regret=tuple(regrets),
+        per_state_regret=regrets,
         epsilon_bound=residual_to_mpe_bound(game, eps),
         epsilon_achieved=achieved,
         lipschitz=lipschitz_constant(game),
@@ -170,8 +180,7 @@ def gain_to_regret_check(game: StochasticGame, pi: StrategyProfile) -> GainRegre
     every best-response regret <= (max gain) / (1 - gamma) + _REGRET_SLACK."""
     mdps = evaluate_groups(game, pi.probs)
     g = max(float(m.gains().max()) for m in mdps)
-    max_regret = max(float((_policy_iteration(m) - m.v).max())
-                     for m in per_player(game, mdps))
+    max_regret = max(float((_policy_iteration(m) - m.v).max()) for m in mdps)
     bound = g / (1.0 - game.gamma)
     return GainRegretReport(g, max_regret, bound, max_regret <= bound + _REGRET_SLACK)
 

@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .certify import Certificate, certify_profile, choose_d
+from .certify import Certificate, certify_groups, certify_profile, choose_d
 from .game import (
     GameValidationError,
     StrategyProfile,
@@ -37,9 +37,8 @@ from .oracles import grid_residual_argmin, random_profile
 from .simplicial import (
     GridProfile,
     InvalidSimplexError,
-    _vertex_keys,
-    find_stopping_simplex,
     label_point,
+    least_residual_vertex,
     point_from_dict,
     scan_grid,
     simplex_from_dict,
@@ -64,12 +63,12 @@ def _round_floats(obj):
     return obj
 
 
-def _emit(payload: dict | None = None) -> None:
-    """Write the report, the only output on stdout, or with no report only
-    flush what argparse wrote there; flushed here, so that a closed stdout
-    raises inside :func:`main`."""
-    if payload is not None:
-        print(json.dumps(_round_floats(payload), indent=2, sort_keys=True))
+def _emit(payload: dict | str) -> None:
+    """Write the report, or a parser's help text, the only output on stdout;
+    flushed here, so that a closed stdout raises inside :func:`main`."""
+    if isinstance(payload, dict):
+        payload = json.dumps(_round_floats(payload), indent=2, sort_keys=True) + "\n"
+    sys.stdout.write(payload)
     sys.stdout.flush()
 
 
@@ -135,10 +134,8 @@ def _solve_grid(game, d):
 
 
 def _solve_simplicial(game, d):
-    # the residuals the walk kept: no vertex is evaluated twice
-    sigma, _, residuals = find_stopping_simplex(game, d)
-    best = _vertex_keys(game, sigma)[int(np.argmin(residuals))]
-    return GridProfile.from_key(game, best, d).to_profile(game), "converged"
+    pi, mdps = least_residual_vertex(game, d)
+    return pi, "converged", mdps
 
 
 # The flags each solve method reads, with their defaults.  Every method also
@@ -179,8 +176,10 @@ def cmd_solve(args) -> int:
             raise GameValidationError(f"--seed must be nonnegative, got {seed}")
     game = load_game(args.game)
     target_l = _target_l(args, game)
-    pi, status = _SOLVERS[args.method](game, **options)
-    cert = certify_profile(game, pi, target_l)
+    pi, status, *walked = _SOLVERS[args.method](game, **options)
+    # the walk hands back its own evaluation of the profile
+    cert = (certify_groups(game, *walked, target_l) if walked
+            else certify_profile(game, pi, target_l))
     _emit(
         {
             "method": args.method,
@@ -247,6 +246,16 @@ COMMANDS = {"info": "print game dimensions and derived constants",
             "label": "label grid points or classify a simplex"}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that prints its help through :func:`_emit`.
+    argparse's own print drops a failed write, which would let help to a
+    closed, unbuffered stdout exit 0."""
+
+    def print_help(self, file=None):
+        """Help goes to stdout, the one place argparse's help action sends it."""
+        _emit(self.format_help())
+
+
 def _formatter():
     # argparse builds a formatter for every argument, and each asks the
     # terminal for its width: ask once, for the width HelpFormatter takes
@@ -282,12 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
     """The ``sgcert`` parser with all five commands.  It prints the root help
     and every message whose usage line lists the commands."""
     formatter = _formatter()
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sgcert", description="stochastic-game equilibrium evaluation and certification",
         formatter_class=formatter)
     sub = parser.add_subparsers(
         dest="command", required=True,
-        parser_class=partial(argparse.ArgumentParser, formatter_class=formatter))
+        parser_class=partial(_Parser, formatter_class=formatter))
     for name, line in COMMANDS.items():
         add_arguments(sub.add_parser(name, help=line), name)
     return parser
@@ -302,7 +311,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     receives ``argv[1:]`` verbatim, so its help and errors are the
     subparser's, byte for byte."""
     if argv and argv[0] in COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"sgcert {argv[0]}", formatter_class=_formatter())
+        parser = _Parser(prog=f"sgcert {argv[0]}", formatter_class=_formatter())
         add_arguments(parser, argv[0])
         args, leftover = parser.parse_known_args(argv[1:])
         if not leftover:
@@ -313,10 +322,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     try:
-        try:
-            args = parse_args(sys.argv[1:] if argv is None else list(argv))
-        finally:
-            _emit()  # argparse exits after its help without flushing it
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
     except (GameValidationError, InvalidSimplexError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -59,7 +59,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .game import StochasticGame, StrategyProfile, validate_profile
-from .nash_map import improve, lipschitz_constant
+from .nash_map import apply_gains, evaluate_groups, lipschitz_constant, per_player
 
 GRID_ENUM_GUARD = 10**7
 # Numerators and grid sizes up to 2**53 are exact as float64 and int64, so
@@ -281,16 +281,19 @@ def scan_grid(
     flat = chain.from_iterable(_grid_keys(game, d))
     while (nums := np.fromiter(islice(flat, step), int)).size:
         nums = nums.reshape(-1, width)
-        yield nums, *_evaluate(game, nums, d)
+        yield nums, *_evaluate(game, nums, d)[:2]
 
 
-def _evaluate(game: StochasticGame, nums, d: int) -> tuple[list[Label], np.ndarray]:
-    """Labels and residuals of the grid points with flattened numerators
-    ``nums``, shaped ``(points, F)``, from one application of the map."""
+def _evaluate(game: StochasticGame, nums, d: int) -> tuple[list[Label], np.ndarray, tuple]:
+    """Labels, residuals and group MDPs (:func:`~sgcert.nash_map.evaluate_groups`)
+    of the grid points with flattened numerators ``nums``, shaped
+    ``(points, F)``, or of one point, shaped ``(F,)``, whose MDPs then carry
+    no batch axis, from one application of the map."""
     flat = nums / d
-    nxt, res = improve(game, _unflatten((game.num_states, game.num_actions), flat))
-    disp = np.concatenate([f.reshape(len(nums), -1) for f in nxt], axis=1) - flat
-    return _label_rule(game, nums, disp), res
+    mdps = evaluate_groups(game, _unflatten((game.num_states, game.num_actions), flat))
+    nxt, res = apply_gains(game, mdps)
+    disp = np.concatenate([f.reshape(f.shape[:-2] + (-1,)) for f in nxt], axis=-1) - flat
+    return _label_rule(game, *np.atleast_2d(nums, disp)), res, mdps
 
 
 def _label_rule(game: StochasticGame, nums, disp) -> list[Label]:
@@ -402,7 +405,7 @@ def _evaluate_simplex(
 ) -> tuple[SimplexClass, list[float]]:
     """Classification and vertex residuals of a simplex, its vertices
     evaluated in one application of the map."""
-    labels, res = _evaluate(game, np.array(_vertex_keys(game, sigma)), sigma.d)
+    labels, res, _ = _evaluate(game, np.array(_vertex_keys(game, sigma)), sigma.d)
     return _classify_labels(game, tuple(labels)), res.tolist()
 
 
@@ -474,10 +477,10 @@ def in_cone(
 
 def find_stopping_simplex(
     game: StochasticGame, d: int
-) -> tuple[GridSimplex, SimplexClass, tuple[float, ...]]:
-    """A stopping simplex at grid size ``d``, its classification and the
-    residuals of its vertices ``w^0 .. w^|T|``, by the door-in/door-out walk
-    of van der Laan & Talman (1979).
+) -> tuple[GridSimplex, SimplexClass, tuple[float, ...], tuple, tuple]:
+    """A stopping simplex at grid size ``d``, its classification, and the
+    residuals, keys and group evaluations of its vertices ``w^0 .. w^|T|``,
+    by the door-in/door-out walk of van der Laan & Talman (1979).
 
     The walk starts at the apex :func:`starting_point` with T empty.  The
     current simplex has vertices ``w^0 .. w^t`` and the order ``pi`` of T,
@@ -496,18 +499,23 @@ def find_stopping_simplex(
       leaves the same way.
 
     Each vertex on the path is evaluated once, by :func:`_evaluate` on its
-    key, which gives its label and its residual together; the walk keeps
-    both, so the stopping simplex's residuals need no second evaluation.  A
-    step off the grid, which a proper labelling never asks for, or more
-    than ``WALK_STEP_BOUND`` steps raise ValueError.
+    key, which gives its label, its residual and its group evaluation
+    together; the walk keeps all three, so the stopping simplex's vertices
+    need no second evaluation.  Labels and residuals are kept for the whole
+    path.  An evaluation, some kilobytes of arrays, is kept only while its
+    vertex is in the current simplex, so at most |T| + 2 are alive however
+    long the walk; a vertex that re-enters the simplex after leaving it has
+    none (None).  A step off the grid, which a proper labelling never asks
+    for, or more than ``WALK_STEP_BOUND`` steps raise ValueError.
     """
     blocks = _blocks(game)
     apex = starting_point(game, d).key
-    labels, residuals = {}, {}
+    labels, residuals, evaluations = {}, {}, {}
 
     def evaluate(key: tuple[int, ...]) -> None:
-        """Label ``key`` and keep its residual, from one evaluation."""
-        (labels[key],), res = _evaluate(game, np.array([key]), d)
+        """Label ``key`` and keep its residual and evaluation, from one
+        evaluation."""
+        (labels[key],), res, evaluations[key] = _evaluate(game, np.array(key), d)
         residuals[key] = res.item()
 
     def vertex(key: tuple[int, ...], column: tuple[int, int]) -> tuple[int, ...]:
@@ -528,13 +536,16 @@ def find_stopping_simplex(
     evaluate(apex)
     keys, order, fresh = [apex], [], 0
     for _ in range(WALK_STEP_BOUND):
+        for key in evaluations.keys() - keys:  # vertices that left the simplex
+            del evaluations[key]
         k = labels[keys[fresh]]
         if k not in order:
             # T + {k} holds every action of k's block
             if sum(c[:2] == k[:2] for c in order) + 1 == game.num_actions[k.player]:
                 sigma = GridSimplex(GridProfile.from_key(game, keys[0], d), tuple(order))
                 return (sigma, _classify_labels(game, tuple(labels[key] for key in keys)),
-                        tuple(residuals[key] for key in keys))
+                        tuple(residuals[key] for key in keys), tuple(keys),
+                        tuple(map(evaluations.get, keys)))
             order.append(k)
             keys.append(vertex(keys[-1], _column(game, k)))
             fresh = len(order)
@@ -559,6 +570,19 @@ def find_stopping_simplex(
             keys.insert(0, vertex(keys[0], _column(game, order[0])[::-1]))
             fresh = 0
     raise ValueError(f"the walk took {WALK_STEP_BOUND} steps at d = {d} without stopping")
+
+
+def least_residual_vertex(game: StochasticGame, d: int) -> tuple[StrategyProfile, tuple]:
+    """The vertex of least residual, the first in vertex order on a tie, of
+    the walk's stopping simplex at grid size ``d``: its profile and its group
+    evaluation, ready for :func:`~sgcert.certify.certify_groups`.  The
+    evaluation is the walk's own, and the profile its strategy arrays; a
+    vertex whose evaluation the walk dropped is evaluated again, to the same
+    bits."""
+    _, _, residuals, keys, evaluations = find_stopping_simplex(game, d)
+    best = int(np.argmin(residuals))
+    mdps = evaluations[best] or _evaluate(game, np.array(keys[best]), d)[2]
+    return StrategyProfile(per_player(game, [m.pi for m in mdps])), mdps
 
 
 def stopping_residual_check(game: StochasticGame, sigma: GridSimplex) -> StoppingReport:

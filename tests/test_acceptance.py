@@ -134,7 +134,7 @@ def test_05_stopping_simplices_exist_and_are_accurate():
     start = time.perf_counter()
     for entry in corpus_entries():
         for d in (2, 4, 8, 16, 32):
-            sigma, cls, _ = find_stopping_simplex(entry.game, d)
+            sigma, cls, *_ = find_stopping_simplex(entry.game, d)
             assert cls.kind == "stopping", (entry.name, d)
             # the labels cover every action of the stopping block
             block = (cls.stopping_player, cls.stopping_state)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from sgcert.certify import (
+    _PI_TIE_TOL,
+    _policy_iteration,
     best_response_values,
     certify_profile,
     choose_d,
@@ -16,10 +18,16 @@ from sgcert.certify import (
 )
 from sgcert.cli import _emit
 from sgcert.game import opponent_marginals, uniform_profile, validate_profile, value_function
-from sgcert.nash_map import residual
-from sgcert.oracles import enumerate_deterministic_policies, random_game
+from sgcert.nash_map import evaluate_groups, residual
+from sgcert.oracles import enumerate_deterministic_policies, random_game, random_profile
 
-from conftest import CORPUS_GAMES, corpus_game, random_instances, scale_instances
+from conftest import (
+    CORPUS_GAMES,
+    corpus_entries,
+    corpus_game,
+    random_instances,
+    scale_instances,
+)
 
 
 class TestBestResponseValues:
@@ -55,6 +63,63 @@ class TestBestResponseValues:
                 v_star = best_response_values(game, pi, i)
                 v = value_function(game, pi, i)
                 assert np.all(v_star >= v - 1e-9)
+
+
+def policy_iteration_per_player(mdp):
+    """Policy iteration on one player's MDP, ``q`` shaped (S, A), as it ran
+    before it took a group's stacked MDPs: the reference of the group
+    iteration."""
+    s_count, a_count = mdp.q.shape
+    eye = np.eye(s_count)
+    rows = np.arange(s_count)
+    policy = np.argmax(mdp.q, axis=1)
+    for _ in range(a_count**s_count + 1):
+        p = mdp.p_ia[rows, policy]
+        r = mdp.r_ia[rows, policy]
+        v = np.linalg.solve(eye - mdp.gamma * p, r)
+        q = mdp.r_ia + mdp.gamma * (mdp.p_ia @ v)
+        best = np.argmax(q, axis=1)
+        improved = q[rows, best] > q[rows, policy] + _PI_TIE_TOL
+        if not improved.any():
+            return v
+        policy = np.where(improved, best, policy)
+    raise RuntimeError("policy iteration failed to terminate")
+
+
+# The four shapes of the benchmark's certify-scale workload, then a game
+# with one state, one with one player and one with three players.
+PI_SHAPES = ((2, 80, 4), (2, 40, 4), (3, 20, 3), (4, 10, 3), (2, 1, 2), (1, 3, 3), (3, 2, 2))
+
+
+def pi_instances():
+    """Every corpus game at its equilibrium, then a seeded random game and
+    profile of every shape of ``PI_SHAPES`` at every discount of
+    {0, 0.5, 0.9, 0.99}."""
+    out = [pytest.param(e.game, e.equilibrium, id=e.name) for e in corpus_entries()]
+    rng = np.random.default_rng(2003)
+    for shape in PI_SHAPES:
+        for gamma in (0.0, 0.5, 0.9, 0.99):
+            game = random_game(rng, *shape, gamma)
+            out.append(pytest.param(game, random_profile(game, rng), id=f"{shape}-{gamma}"))
+    return out
+
+
+@pytest.mark.parametrize("game,pi", pi_instances())
+def test_group_policy_iteration_keeps_the_bits(game, pi):
+    """One policy iteration per player group gives every player's values,
+    bit for bit, of iterating that player alone, and the certificate's
+    regrets are those values less the on-profile ones."""
+    mdps = evaluate_groups(game, pi.probs)
+    cert = certify_profile(game, pi)
+    for players, mdp in zip(game.player_groups, mdps):
+        got = _policy_iteration(mdp)
+        for k, i in enumerate(players):
+            want = policy_iteration_per_player(mdp[k])
+            assert got[k].view(np.uint64).tolist() == want.view(np.uint64).tolist(), i
+            regret = (want - mdp.v[k]).view(np.uint64).tolist()
+            assert cert.per_state_regret[i].view(np.uint64).tolist() == regret, i
+            assert best_response_values(game, pi, i).view(np.uint64).tolist() == (
+                want.view(np.uint64).tolist()), i
 
 
 class TestCertifyProfile:

@@ -245,24 +245,30 @@ class TestSolve:
 
 @pytest.mark.parametrize("name,d", bench_jobs().SEARCH_CORPUS)
 def test_search_evaluates_each_point_once(capsys, monkeypatch, name, d):
-    """A corpus job of the benchmark's search workload applies the map once
-    per grid point the walk labels: the least-residual vertex is picked from
-    the residuals the walk kept, not from a second evaluation."""
-    from sgcert import simplicial
+    """A corpus job of the benchmark's search workload evaluates each player
+    group's MDP once per grid point the walk labels, and nowhere else: the
+    least-residual vertex is picked from the residuals the walk kept and
+    certified from the walk's own evaluation of it."""
+    from sgcert import nash_map, simplicial
 
-    calls, points = [], set()
-    improve = simplicial.improve
+    evaluations, points = [], []
+    evaluate, label_rule = nash_map._evaluate, simplicial._label_rule
 
-    def counted(game, probs):
-        calls.append(probs)
-        points.update(map(tuple, np.concatenate(
-            [p.reshape(len(p), -1) for p in probs], axis=1).tolist()))
-        return improve(game, probs)
+    def counted_evaluate(game, probs, players):
+        evaluations.append(players)
+        return evaluate(game, probs, players)
 
-    monkeypatch.setattr(simplicial, "improve", counted)
-    code, out = run(capsys, "search", str(CORPUS / f"{name}.game.json"), "--d", str(d))
+    def counted_label_rule(game, nums, disp):
+        points.extend(map(tuple, nums.tolist()))
+        return label_rule(game, nums, disp)
+
+    monkeypatch.setattr(nash_map, "_evaluate", counted_evaluate)
+    monkeypatch.setattr(simplicial, "_label_rule", counted_label_rule)
+    path = CORPUS / f"{name}.game.json"
+    code, out = run(capsys, "search", str(path), "--d", str(d))
     assert code == 0 and json.loads(out)["status"] == "converged"
-    assert len(calls) == len(points)
+    assert len(points) == len(set(points)) >= 3
+    assert len(evaluations) == len(points) * len(load_game(path).player_groups)
 
 
 def damped_f_per_player(game, damping, max_iters, tol, seed):
@@ -437,7 +443,7 @@ class TestLabel:
         from sgcert.simplicial import find_stopping_simplex, simplex_to_dict
 
         game = load_game(PENNIES)
-        sigma, _, _ = find_stopping_simplex(game, 2)
+        sigma, *_ = find_stopping_simplex(game, 2)
         doc = tmp_path / "simplex.json"
         doc.write_text(json.dumps(simplex_to_dict(game, sigma)))
         code, out = run(capsys, "label", PENNIES, "--simplex", str(doc))
@@ -634,7 +640,7 @@ def test_simplex_mode_rejects_grid_point_flags(capsys, tmp_path, flag, value):
     from sgcert.simplicial import find_stopping_simplex, simplex_to_dict
 
     game = load_game(PENNIES)
-    sigma, _, _ = find_stopping_simplex(game, 2)
+    sigma, *_ = find_stopping_simplex(game, 2)
     simplex = write_doc(tmp_path / "s.json", simplex_to_dict(game, sigma))
     run_input_error(capsys, "label", PENNIES, "--simplex", simplex, flag, value)
     assert main(["label", "/nonexistent/game.json", "--simplex", simplex, flag, value]) == 2
@@ -777,16 +783,17 @@ def run_to_closed_stdout(argv, env) -> subprocess.CompletedProcess:
         os.close(write)
 
 
+@pytest.mark.parametrize("unbuffered", [{}, {"PYTHONUNBUFFERED": "1"}],
+                         ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [["-h"], ["info", "-h"], ["search", "-h"]], ids=" ".join)
-def test_help_to_closed_stdout_exits_141_quietly(capsys, monkeypatch, argv):
-    """argparse prints help into stdout's buffer and exits without a flush.
-    With stdout block-buffered (no PYTHONUNBUFFERED), main flushes it, so a
-    closed stdout exits 141 with nothing on stderr, not 120 with a message
-    from the flush at exit; an open one gets the help and exit 0, the bytes
-    an in-process run prints."""
+def test_help_to_closed_stdout_exits_141_quietly(capsys, monkeypatch, argv, unbuffered):
+    """Help is written and flushed by ``_emit``, not by argparse, which
+    drops a failed write and exits 0.  So help to a closed stdout exits 141
+    with nothing on stderr, with stdout block-buffered (not 120 with a
+    message from the flush at exit) or unbuffered (not 0); an open one gets
+    the help and exit 0, the bytes an in-process run prints."""
     monkeypatch.setenv("COLUMNS", "80")
-    env = module_env()
-    assert "PYTHONUNBUFFERED" not in env
+    env = module_env(**unbuffered)
     done = run_to_closed_stdout(argv, env)
     assert (done.returncode, done.stderr) == (141, b"")
     done = subprocess.run([sys.executable, "-m", "sgcert.cli", *argv], cwd=ROOT, env=env,

@@ -1,3 +1,4 @@
+import weakref
 from itertools import combinations, permutations, product
 from math import comb
 
@@ -5,9 +6,11 @@ import numpy as np
 import pytest
 
 from sgcert import nash_map, oracles, simplicial
+from sgcert.certify import certify_groups, certify_profile
 from sgcert.game import StrategyProfile, validate_game
-from sgcert.nash_map import apply_f, residual
+from sgcert.nash_map import apply_f, per_player, residual
 from sgcert.simplicial import (
+    GridProfile,
     GridSimplex,
     InvalidSimplexError,
     Label,
@@ -19,6 +22,7 @@ from sgcert.simplicial import (
     grid_profile_from_lists,
     in_cone,
     label_point,
+    least_residual_vertex,
     point_from_dict,
     q_column,
     scan_grid,
@@ -191,21 +195,22 @@ RESIDUAL_GAMES = residual_games()
 
 class TestFindStoppingSimplex:
     def test_toy_satisfies_residual_bound(self, toy):
-        sigma, cls, _ = find_stopping_simplex(toy, 8)
+        sigma, cls, *_ = find_stopping_simplex(toy, 8)
         report = stopping_residual_check(toy, sigma)
         assert report.bound == pytest.approx(18.5)
         assert report.passed
 
     def test_adjacent_to_uniform_in_matching_pennies(self, pennies):
-        sigma, cls, _ = find_stopping_simplex(pennies, 2)
+        sigma, cls, *_ = find_stopping_simplex(pennies, 2)
         uniform_key = point(pennies, [[[1, 1]], [[1, 1]]], 2).key
         vertex_keys = [v.key for v in simplex_vertices(pennies, sigma)]
         assert uniform_key in vertex_keys
 
     def test_deterministic(self, pennies):
+        # simplex, classification, residuals and keys; evaluations hold arrays
         first = find_stopping_simplex(pennies, 4)
         second = find_stopping_simplex(pennies, 4)
-        assert first == second
+        assert first[:4] == second[:4]
 
     def test_not_found_reported_honestly(self, toy, monkeypatch):
         # force every grid point onto one label: no simplex can then cover
@@ -236,7 +241,7 @@ class TestFindStoppingSimplex:
     def test_walk_stops_on_the_corpus(self, name):
         game = corpus_game(name)
         for d in (1, 2, 3, 4, 5, 8, 16):
-            sigma, cls, _ = find_stopping_simplex(game, d)
+            sigma, cls, *_ = find_stopping_simplex(game, d)
             assert cls.kind == "stopping", (name, d)
             assert stopping_residual_check(game, sigma).passed, (name, d)
 
@@ -261,7 +266,7 @@ class TestFindStoppingSimplex:
         evaluate = simplicial._evaluate
 
         def counting(game, nums, d):
-            labelled.extend(map(tuple, nums.tolist()))
+            labelled.extend(map(tuple, np.atleast_2d(nums).tolist()))
             return evaluate(game, nums, d)
 
         monkeypatch.setattr(simplicial, "_evaluate", counting)
@@ -278,18 +283,41 @@ class TestFindStoppingSimplex:
         evaluate = simplicial._evaluate
 
         def recording(game, nums, d):
-            labels, res = evaluate(game, nums, d)
-            walked.update(zip(map(tuple, nums.tolist()), res.tolist()))
-            return labels, res
+            labels, res, mdps = evaluate(game, nums, d)
+            walked.update(zip(map(tuple, np.atleast_2d(nums).tolist()),
+                              np.atleast_1d(res).tolist()))
+            return labels, res, mdps
 
         for d in (1, 2, 3, 4, 8, 16, 32):
             walked.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(simplicial, "_evaluate", recording)
-                sigma, _, residuals = find_stopping_simplex(game, d)
+                sigma, _, residuals, *_ = find_stopping_simplex(game, d)
             keys = simplicial._vertex_keys(game, sigma)
             assert residuals == tuple(walked[key] for key in keys), d
             assert residuals == stopping_residual_check(game, sigma).vertex_residuals, d
+
+    def test_walk_keeps_at_most_t_plus_two_evaluations(self, monkeypatch):
+        """A long walk keeps the group evaluation of a vertex only while the
+        vertex is in the current simplex: at most |T| + 2 are alive at any
+        evaluation, for the largest admissible index set T."""
+        game = corpus_game("coordination_pure")
+        largest_t = game.num_states * sum(a - 1 for a in game.num_actions)
+        alive, peak, made = [], 0, 0
+        evaluate = simplicial.evaluate_groups
+
+        def tracked(game, probs):
+            nonlocal alive, peak, made
+            mdps = evaluate(game, probs)
+            made += 1
+            alive = [ref for ref in alive if ref() is not None] + [weakref.ref(mdps[0])]
+            peak = max(peak, len(alive))
+            return mdps
+
+        monkeypatch.setattr(simplicial, "evaluate_groups", tracked)
+        find_stopping_simplex(game, 1024)
+        assert made == 1025
+        assert peak <= largest_t + 2
 
     def test_check_rejects_non_stopping(self, toy):
         base = point(toy, [[[2, 0]]], 2)
@@ -378,14 +406,14 @@ class TestTriangulation:
 
 class TestSerialization:
     def test_round_trip(self, pennies):
-        sigma, cls, _ = find_stopping_simplex(pennies, 2)
+        sigma, cls, *_ = find_stopping_simplex(pennies, 2)
         doc = simplex_to_dict(pennies, sigma)
         back = simplex_from_dict(pennies, doc)
         assert back == sigma
         assert [Label(*lab) for lab in doc["vertex_labels"]] == list(cls.labels)
 
     def test_rejects_bad_permutation(self, pennies):
-        sigma, _, _ = find_stopping_simplex(pennies, 2)
+        sigma, *_ = find_stopping_simplex(pennies, 2)
         doc = simplex_to_dict(pennies, sigma)
         doc["permutation"] = [5] * len(doc["permutation"])
         with pytest.raises(InvalidSimplexError):
@@ -542,10 +570,81 @@ class TestScanMatchesReference:
         """A simplex's vertices, evaluated together, have the residuals of
         each vertex evaluated alone, bit for bit."""
         game = corpus_game(name)
-        sigma, _, _ = find_stopping_simplex(game, 2)
+        sigma, *_ = find_stopping_simplex(game, 2)
         report = stopping_residual_check(game, sigma)
         assert report.vertex_residuals == tuple(
             residual(game, v.to_profile(game)) for v in simplex_vertices(game, sigma))
+
+
+def bits(arrays) -> list:
+    return [np.asarray(a).view(np.uint64).tolist() for a in arrays]
+
+
+def certificate_bits(cert) -> tuple:
+    """Every number of a certificate, each float as its bits."""
+    scalars = (cert.residual, cert.epsilon_bound, cert.epsilon_achieved, cert.lipschitz,
+               cert.is_eps_mpe_for)
+    return ([float(x).hex() for x in scalars], cert.d_used, cert.verdict,
+            bits(cert.per_state_regret))
+
+
+def walk_games():
+    """``RESIDUAL_GAMES`` and seeded random games with several states, three
+    players, one player and two or three player groups."""
+    rng = np.random.default_rng(23)
+    shapes = [(2, 2, 2, 0.5), (3, 1, 2, 0.9), (1, 3, 3, 0.5), (3, 2, 2, 0.9),
+              (2, 1, [2, 3], 0.5), (3, 1, [2, 3, 2], 0.0)]
+    return RESIDUAL_GAMES + [
+        pytest.param(oracles.random_game(rng, *shape), id=f"walk{k}-{shape}")
+        for k, shape in enumerate(shapes)]
+
+
+class TestLeastResidualVertex:
+    @pytest.mark.parametrize("game", walk_games())
+    def test_certificate_from_the_walk_is_certify_profile(self, game):
+        """For d = 1 .. 16, the walk's kept evaluations hold its vertices'
+        profiles, and the least-residual vertex's profile and certificate,
+        from the walk's own evaluation, are bit for bit those of
+        certify_profile on GridProfile.to_profile of that vertex."""
+        for d in range(1, 17):
+            sigma, _, residuals, keys, evaluations = find_stopping_simplex(game, d)
+            assert list(keys) == simplicial._vertex_keys(game, sigma)
+            profiles = [GridProfile.from_key(game, key, d).to_profile(game) for key in keys]
+            for mdps, profile in zip(evaluations, profiles):
+                if mdps is not None:
+                    assert bits(per_player(game, [m.pi for m in mdps])) == bits(profile.probs)
+            want = profiles[int(np.argmin(residuals))]
+            pi, mdps = least_residual_vertex(game, d)
+            assert bits(pi.probs) == bits(want.probs), d
+            assert certificate_bits(certify_groups(game, mdps, 10)) == certificate_bits(
+                certify_profile(game, want, 10)), d
+
+    @pytest.mark.parametrize("name,d", [("zero_sum_chain", 16), ("asymmetric_mixed", 32),
+                                        ("dominant_chain", 16)])
+    def test_a_dropped_evaluation_is_made_again(self, monkeypatch, name, d):
+        """A least-residual vertex whose evaluation the walk dropped is
+        evaluated again, once, to the bits of the walk's own evaluation."""
+        game = corpus_game(name)
+        kept_pi, kept = least_residual_vertex(game, d)
+        walk, made = simplicial.find_stopping_simplex, []
+        evaluate = simplicial._evaluate
+
+        def dropped(game, d):
+            *found, evaluations = walk(game, d)
+            return *found, (None,) * len(evaluations)
+
+        def counted(game, nums, d):
+            made.append(nums)
+            return evaluate(game, nums, d)
+
+        monkeypatch.setattr(simplicial, "find_stopping_simplex", dropped)
+        monkeypatch.setattr(simplicial, "_evaluate", counted)
+        pi, mdps = least_residual_vertex(game, d)
+        assert len(made) > 1 and made[-1].ndim == 1  # the walk's labels, then the vertex
+        assert mdps is not kept
+        assert bits(pi.probs) == bits(kept_pi.probs)
+        assert certificate_bits(certify_groups(game, mdps, 10)) == certificate_bits(
+            certify_groups(game, kept, 10))
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +751,7 @@ class TestIntegerSearchMatchesReference:
         finds one too, maybe another, within the residual bound."""
         game = make_game()
         assert oracles.first_stopping_simplex(game, d) is not None
-        sigma, cls, _ = find_stopping_simplex(game, d)
+        sigma, cls, *_ = find_stopping_simplex(game, d)
         assert cls == classify_simplex(game, sigma)
         assert cls.kind == "stopping"
         assert stopping_residual_check(game, sigma).passed

@@ -19,8 +19,9 @@ Two measurements, each added to the output file under its own keys:
   for every (n, S, A) of a small sweep; of ``label_point`` at the apex
   of every corpus job of the ``search`` workload; milliseconds per
   ``cli.main`` call on each of those jobs, the whole job with its stdout
-  kept in memory, and the calls of the improvement map that one such job
-  makes through ``simplicial``; and milliseconds per call of
+  kept in memory, and the group evaluations (``nash_map._evaluate`` calls,
+  one per player group of each point evaluated) that one such job makes,
+  the walk's labels and the certificate alike; and milliseconds per call of
   ``cli._solve_damped_f`` on every damped corpus game of the
   ``solve-small`` workload, at its tolerance and seed 1; and microseconds
   per ``cli.main`` call on one command line of each command, with every
@@ -133,15 +134,16 @@ def _quiet(main, argv) -> None:
 
 
 def _evaluations(mods: dict, argv) -> int:
-    """Calls of ``nash_map.improve`` that ``simplicial`` makes in one
-    ``cli.main(argv)`` run, its stdout written to memory."""
-    simplicial, improve = mods["simplicial"], mods["simplicial"].improve
+    """Calls of ``nash_map._evaluate``, one group evaluation each, in one
+    ``cli.main(argv)`` run, its stdout written to memory: every evaluation
+    of the run, the certificate's included."""
+    nash_map, evaluate = mods["nash_map"], mods["nash_map"]._evaluate
     calls = []
-    simplicial.improve = lambda *a: calls.append(1) or improve(*a)
+    nash_map._evaluate = lambda *a: calls.append(1) or evaluate(*a)
     try:
         _quiet(mods["cli"].main, argv)
     finally:
-        simplicial.improve = improve
+        nash_map._evaluate = evaluate
     return len(calls)
 
 
@@ -165,7 +167,7 @@ def _parse_us(trees: dict, argvs: dict) -> dict:
 def kernel(args) -> dict:
     """The sweep's table; ``label_point`` at the apex of, and ``cli.main``
     on, every corpus job of the ``search`` workload (``SEARCH_CORPUS`` in
-    the change's ``bench/jobs.py``), with the map calls of each job; and
+    the change's ``bench/jobs.py``), with the group evaluations of each job; and
     the damped loop on every damped corpus game of ``solve-small``
     (``DAMPED_GAMES``, at ``DAMPED_TOL`` and seed 1); the parse of one
     command line of each command, ``search`` at grid size 2; and the two
