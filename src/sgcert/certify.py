@@ -98,19 +98,20 @@ def _policy_iteration(mdp: PlayerMDP) -> np.ndarray:
     of iterating it alone.
     """
     s_count, a_count = mdp.q.shape[-2:]
-    eye = np.eye(s_count)
-    policy = np.argmax(mdp.q, axis=-1)[..., None]
+    eye, actions = np.eye(s_count), np.arange(a_count)
+    policy = np.argmax(mdp.q, axis=-1)
     for _ in range(a_count**s_count + 1):
-        p = np.take_along_axis(mdp.p_ia, policy[..., None], axis=-2)[..., 0, :]
-        r = np.take_along_axis(mdp.r_ia, policy, axis=-1)
+        # one True per state, so boolean indexing gathers the policy's
+        # entries flat in state order, and a reshape restores the axes
+        chosen = policy[..., None] == actions
+        p = mdp.p_ia[chosen].reshape(policy.shape + (s_count,))
+        r = mdp.r_ia[chosen].reshape(policy.shape + (1,))
         v = np.linalg.solve(eye - mdp.gamma * p, r)[..., 0]
         q = mdp.r_ia + mdp.gamma * (mdp.p_ia @ v[..., None, :, None])[..., 0]
-        best = np.argmax(q, axis=-1)[..., None]
-        improved = (np.take_along_axis(q, best, axis=-1)
-                    > np.take_along_axis(q, policy, axis=-1) + _PI_TIE_TOL)
+        improved = q.max(axis=-1) > q[chosen].reshape(policy.shape) + _PI_TIE_TOL
         if not improved.any():
             return v
-        policy = np.where(improved, best, policy)
+        policy = np.where(improved, np.argmax(q, axis=-1), policy)
     raise RuntimeError("policy iteration failed to terminate")  # pragma: no cover
 
 
@@ -141,15 +142,18 @@ def certify_profile(
     certificate carries a verdict at precision 1/L and the grid size the full
     construction would require for that L.  Each player's
     frozen-opponent MDP is evaluated once (:func:`certify_groups`)."""
-    return certify_groups(game, evaluate_groups(game, pi.probs), target_l)
+    mdps = evaluate_groups(game, pi.probs)
+    return certify_groups(game, mdps, target_l, residual=float(apply_gains(game, mdps)[1]))
 
 
-def certify_groups(game: StochasticGame, mdps: tuple, target_l: int | None = None) -> Certificate:
+def certify_groups(game: StochasticGame, mdps: tuple, target_l: int | None = None, *,
+                   residual: float) -> Certificate:
     """The certificate of :func:`certify_profile` for the profile at which
     the group MDPs ``mdps`` of :func:`~sgcert.nash_map.evaluate_groups`
-    were evaluated: that one evaluation serves the residual and the regrets
-    alike, with one policy iteration per player group."""
-    eps = float(apply_gains(game, mdps)[1])
+    were evaluated, whose residual ``residual`` the caller already holds
+    from that evaluation (as :func:`~sgcert.nash_map.apply_gains` gives
+    it): the evaluation serves the regrets, with one policy iteration per
+    player group, and the map is not applied again."""
     regrets = per_player(game, [_policy_iteration(m) - m.v for m in mdps])
     achieved = max(0.0, max(float(r.max()) for r in regrets))
     target, d_used = None, None
@@ -157,9 +161,9 @@ def certify_groups(game: StochasticGame, mdps: tuple, target_l: int | None = Non
         # choose_d first: it rejects an L whose 1/L is not a float
         d_used, target = choose_d(game, target_l), 1.0 / target_l
     return Certificate(
-        residual=eps,
+        residual=residual,
         per_state_regret=regrets,
-        epsilon_bound=residual_to_mpe_bound(game, eps),
+        epsilon_bound=residual_to_mpe_bound(game, residual),
         epsilon_achieved=achieved,
         lipschitz=lipschitz_constant(game),
         is_eps_mpe_for=target,

@@ -134,8 +134,8 @@ def _solve_grid(game, d):
 
 
 def _solve_simplicial(game, d):
-    pi, mdps = least_residual_vertex(game, d)
-    return pi, "converged", mdps
+    pi, mdps, res = least_residual_vertex(game, d)
+    return pi, "converged", mdps, res
 
 
 # The flags each solve method reads, with their defaults.  Every method also
@@ -178,7 +178,7 @@ def cmd_solve(args) -> int:
     target_l = _target_l(args, game)
     pi, status, *walked = _SOLVERS[args.method](game, **options)
     # the walk hands back its own evaluation of the profile
-    cert = (certify_groups(game, *walked, target_l) if walked
+    cert = (certify_groups(game, walked[0], target_l, residual=walked[1]) if walked
             else certify_profile(game, pi, target_l))
     _emit(
         {

@@ -31,7 +31,11 @@ stay per player (:func:`~sgcert.game.opponent_marginals`): each player
 contracts a different set of axes, and one ``einsum`` over transposed,
 stacked tables sums in another order, which changes the last bits for
 three or more actions or players.  Batched LAPACK factors each matrix
-alone, so every other step keeps the bits of one player at a time.
+alone, so every other step keeps the bits of one player at a time.  A
+player's tables depend only on the opponents' arrays, so an evaluation at
+a profile that differs from an evaluated one in one player's own arrays,
+as the simplicial walk's next vertex does, copies that player's tables
+from the earlier group stack and contracts only the others.
 :func:`player_mdp` is this evaluation on a group of one player;
 :func:`improve`, :func:`apply_f`, :func:`residual`, :func:`gain_table`
 and :func:`~sgcert.certify.certify_profile` all run through
@@ -118,16 +122,21 @@ class PlayerMDP:
         return g
 
 
-def _evaluate(game: StochasticGame, probs, players: tuple[int, ...]) -> PlayerMDP:
+def _evaluate(game: StochasticGame, probs, players: tuple[int, ...],
+              kept: PlayerMDP | None = None, moved: int | None = None) -> PlayerMDP:
     """The MDPs of ``players``, who share one action count, at profile arrays
     ``probs``, stacked along a leading player axis: frozen-opponent tables,
-    the Bellman inverse, the value and the one-step lookahead."""
+    the Bellman inverse, the value and the one-step lookahead.  ``kept`` is
+    this group's stack at a profile that differs from ``probs`` only in
+    player ``moved``'s own arrays: that player's tables, which depend only
+    on the opponents, are copied from it, not contracted again."""
     # np.array stacks equal shapes like np.stack, at a fraction of its cost
     own = np.array([probs[i] for i in players])
     if game.num_players == 1:
         r_ia, p_ia = game.reward_table, game.transition_table[None]
     else:
-        tables = [_opponent_marginals(game, probs, i) for i in players]
+        tables = [(kept.r_ia[k], kept.p_ia[k]) if kept is not None and i == moved
+                  else _opponent_marginals(game, probs, i) for k, i in enumerate(players)]
         r_ia = np.array([r for r, _ in tables])
         p_ia = np.array([p for _, p in tables])
     r_pi = np.einsum("...sa,...sa->...s", own, r_ia)
@@ -148,10 +157,14 @@ def player_mdp(game: StochasticGame, probs, player: int) -> PlayerMDP:
     return _evaluate(game, probs, (player,))[0]
 
 
-def evaluate_groups(game: StochasticGame, probs) -> tuple[PlayerMDP, ...]:
+def evaluate_groups(game: StochasticGame, probs, kept: tuple | None = None,
+                    moved: int | None = None) -> tuple[PlayerMDP, ...]:
     """The MDP of every group of :attr:`~sgcert.game.StochasticGame.player_groups`
-    at profile arrays ``probs``, in group order."""
-    return tuple(_evaluate(game, probs, players) for players in game.player_groups)
+    at profile arrays ``probs``, in group order.  ``kept`` is this tuple at
+    a profile that differs from ``probs`` only in player ``moved``'s own
+    arrays, whose tables :func:`_evaluate` then copies from it."""
+    return tuple(_evaluate(game, probs, players, kept and kept[g], moved)
+                 for g, players in enumerate(game.player_groups))
 
 
 def per_player(game: StochasticGame, stacks) -> tuple:

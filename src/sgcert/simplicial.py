@@ -284,13 +284,17 @@ def scan_grid(
         yield nums, *_evaluate(game, nums, d)[:2]
 
 
-def _evaluate(game: StochasticGame, nums, d: int) -> tuple[list[Label], np.ndarray, tuple]:
+def _evaluate(game: StochasticGame, nums, d: int, kept: tuple | None = None,
+              moved: int | None = None) -> tuple[list[Label], np.ndarray, tuple]:
     """Labels, residuals and group MDPs (:func:`~sgcert.nash_map.evaluate_groups`)
     of the grid points with flattened numerators ``nums``, shaped
     ``(points, F)``, or of one point, shaped ``(F,)``, whose MDPs then carry
-    no batch axis, from one application of the map."""
+    no batch axis, from one application of the map.  ``kept`` and ``moved``
+    pass a neighbour's group MDPs and the player it differs in to
+    :func:`~sgcert.nash_map.evaluate_groups`."""
     flat = nums / d
-    mdps = evaluate_groups(game, _unflatten((game.num_states, game.num_actions), flat))
+    mdps = evaluate_groups(game, _unflatten((game.num_states, game.num_actions), flat),
+                           kept, moved)
     nxt, res = apply_gains(game, mdps)
     disp = np.concatenate([f.reshape(f.shape[:-2] + (-1,)) for f in nxt], axis=-1) - flat
     return _label_rule(game, *np.atleast_2d(nums, disp)), res, mdps
@@ -501,30 +505,36 @@ def find_stopping_simplex(
     Each vertex on the path is evaluated once, by :func:`_evaluate` on its
     key, which gives its label, its residual and its group evaluation
     together; the walk keeps all three, so the stopping simplex's vertices
-    need no second evaluation.  Labels and residuals are kept for the whole
-    path.  An evaluation, some kilobytes of arrays, is kept only while its
-    vertex is in the current simplex, so at most |T| + 2 are alive however
-    long the walk; a vertex that re-enters the simplex after leaving it has
-    none (None).  A step off the grid, which a proper labelling never asks
+    need no second evaluation.  A vertex enters one Q column from a vertex
+    of the current simplex, and the column moves one player's own
+    strategy, so that player's frozen-opponent tables are copied from the
+    neighbour's kept evaluation, not contracted again; the apex and a
+    vertex entering from one whose evaluation was dropped are evaluated in
+    full.  Labels and residuals are kept for the whole path.  An
+    evaluation, some kilobytes of arrays, is kept only while its vertex is
+    in the current simplex, so at most |T| + 2 are alive however long the
+    walk; a vertex that re-enters the simplex after leaving it has none
+    (None).  A step off the grid, which a proper labelling never asks
     for, or more than ``WALK_STEP_BOUND`` steps raise ValueError.
     """
-    blocks = _blocks(game)
+    blocks, coords, _ = _layout((game.num_states, game.num_actions))
     apex = starting_point(game, d).key
     labels, residuals, evaluations = {}, {}, {}
 
-    def evaluate(key: tuple[int, ...]) -> None:
+    def evaluate(key: tuple[int, ...], kept=None, moved=None) -> None:
         """Label ``key`` and keep its residual and evaluation, from one
         evaluation."""
-        (labels[key],), res, evaluations[key] = _evaluate(game, np.array(key), d)
+        (labels[key],), res, evaluations[key] = _evaluate(game, np.array(key), d, kept, moved)
         residuals[key] = res.item()
 
     def vertex(key: tuple[int, ...], column: tuple[int, int]) -> tuple[int, ...]:
-        """The labelled vertex one column after ``key``."""
+        """The labelled vertex one column after ``key``, whose column moves
+        the player of its lowered coordinate."""
         nxt = _step(key, column)
         if nxt is None:
             raise ValueError(f"the walk stepped off the grid at d = {d}")
         if nxt not in labels:
-            evaluate(nxt)
+            evaluate(nxt, evaluations.get(key), coords[column[0]].player)
         return nxt
 
     def coefficient(base: tuple[int, ...], coord: Label) -> int:
@@ -572,17 +582,17 @@ def find_stopping_simplex(
     raise ValueError(f"the walk took {WALK_STEP_BOUND} steps at d = {d} without stopping")
 
 
-def least_residual_vertex(game: StochasticGame, d: int) -> tuple[StrategyProfile, tuple]:
+def least_residual_vertex(game: StochasticGame, d: int) -> tuple[StrategyProfile, tuple, float]:
     """The vertex of least residual, the first in vertex order on a tie, of
-    the walk's stopping simplex at grid size ``d``: its profile and its group
-    evaluation, ready for :func:`~sgcert.certify.certify_groups`.  The
-    evaluation is the walk's own, and the profile its strategy arrays; a
-    vertex whose evaluation the walk dropped is evaluated again, to the same
-    bits."""
+    the walk's stopping simplex at grid size ``d``: its profile, its group
+    evaluation and its residual, ready for
+    :func:`~sgcert.certify.certify_groups`.  The evaluation and the residual
+    are the walk's own, and the profile its strategy arrays; a vertex whose
+    evaluation the walk dropped is evaluated again, to the same bits."""
     _, _, residuals, keys, evaluations = find_stopping_simplex(game, d)
     best = int(np.argmin(residuals))
     mdps = evaluations[best] or _evaluate(game, np.array(keys[best]), d)[2]
-    return StrategyProfile(per_player(game, [m.pi for m in mdps])), mdps
+    return StrategyProfile(per_player(game, [m.pi for m in mdps])), mdps, residuals[best]
 
 
 def stopping_residual_check(game: StochasticGame, sigma: GridSimplex) -> StoppingReport:

@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from sgcert.certify import (
     _PI_TIE_TOL,
     _policy_iteration,
     best_response_values,
+    certify_groups,
     certify_profile,
     choose_d,
     epsilon_prime,
@@ -18,7 +20,7 @@ from sgcert.certify import (
 )
 from sgcert.cli import _emit
 from sgcert.game import opponent_marginals, uniform_profile, validate_profile, value_function
-from sgcert.nash_map import evaluate_groups, residual
+from sgcert.nash_map import PlayerMDP, evaluate_groups, residual
 from sgcert.oracles import enumerate_deterministic_policies, random_game, random_profile
 
 from conftest import (
@@ -122,6 +124,57 @@ def test_group_policy_iteration_keeps_the_bits(game, pi):
                 want.view(np.uint64).tolist()), i
 
 
+def policy_iteration_take_along(mdp):
+    """Group policy iteration, ``q`` shaped (..., S, A), as it ran before it
+    gathered the policy's entries with one boolean mask: four
+    ``take_along_axis`` gathers per iteration.  The reference of the masked
+    iteration."""
+    s_count, a_count = mdp.q.shape[-2:]
+    eye = np.eye(s_count)
+    policy = np.argmax(mdp.q, axis=-1)[..., None]
+    for _ in range(a_count**s_count + 1):
+        p = np.take_along_axis(mdp.p_ia, policy[..., None], axis=-2)[..., 0, :]
+        r = np.take_along_axis(mdp.r_ia, policy, axis=-1)
+        v = np.linalg.solve(eye - mdp.gamma * p, r)[..., 0]
+        q = mdp.r_ia + mdp.gamma * (mdp.p_ia @ v[..., None, :, None])[..., 0]
+        best = np.argmax(q, axis=-1)[..., None]
+        improved = (np.take_along_axis(q, best, axis=-1)
+                    > np.take_along_axis(q, policy, axis=-1) + _PI_TIE_TOL)
+        if not improved.any():
+            return v
+        policy = np.where(improved, best, policy)
+    raise RuntimeError("policy iteration failed to terminate")
+
+
+def random_mdp(rng, lead, s_count, a_count, gamma):
+    """An MDP stack with leading axes ``lead``: uniform rewards, transition
+    rows normalised from uniform positives, and a lookahead from a random
+    value.  Action 0 is duplicated in the last action where there are two or
+    more, so the lookahead ties exactly there."""
+    r_ia = rng.uniform(size=lead + (s_count, a_count))
+    p_ia = rng.uniform(0.05, 1.0, size=lead + (s_count, a_count, s_count))
+    p_ia /= p_ia.sum(axis=-1, keepdims=True)
+    if a_count > 1:
+        r_ia[..., -1], p_ia[..., -1, :] = r_ia[..., 0], p_ia[..., 0, :]
+    v = rng.uniform(size=lead + (s_count,))
+    q = r_ia + gamma * (p_ia @ v[..., None, :, None])[..., 0]
+    pi = np.full(lead + (s_count, a_count), 1.0 / a_count)
+    return PlayerMDP(gamma, pi, r_ia, p_ia, None, v, q)
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 4)], ids=["point", "group", "batch"])
+def test_masked_policy_iteration_keeps_the_bits(lead):
+    """The masked gathers pick the entries the ``take_along_axis`` gathers
+    picked, so the values keep every bit, ties in the lookahead included."""
+    rng = np.random.default_rng(2101)
+    for s_count, a_count in product((1, 2, 7, 20), (1, 2, 3, 4)):
+        for gamma in (0.0, 0.5, 0.99):
+            mdp = random_mdp(rng, lead, s_count, a_count, gamma)
+            got, want = _policy_iteration(mdp), policy_iteration_take_along(mdp)
+            assert got.shape == want.shape == lead + (s_count,)
+            assert got.tobytes() == want.tobytes(), (s_count, a_count, gamma)
+
+
 class TestCertifyProfile:
     def test_dominant_equilibrium_verdict(self):
         g = corpus_game("dominant")
@@ -167,6 +220,15 @@ class TestCertifyProfile:
                 expected = best_response_values(game, pi, i) - value_function(game, pi, i)
                 np.testing.assert_allclose(cert.per_state_regret[i], expected,
                                            rtol=0, atol=1e-12)
+
+
+def test_certify_groups_takes_the_residual_by_keyword(pennies):
+    """The residual has no default and no position: a third positional
+    argument is the target L, so a call without the residual fails."""
+    mdps = evaluate_groups(pennies, uniform_profile(pennies).probs)
+    with pytest.raises(TypeError):
+        certify_groups(pennies, mdps, 10)
+    assert certify_groups(pennies, mdps, 10, residual=0.25).residual == 0.25
 
 
 class TestBoundFormulas:

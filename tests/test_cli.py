@@ -254,9 +254,9 @@ def test_search_evaluates_each_point_once(capsys, monkeypatch, name, d):
     evaluations, points = [], []
     evaluate, label_rule = nash_map._evaluate, simplicial._label_rule
 
-    def counted_evaluate(game, probs, players):
+    def counted_evaluate(game, probs, players, *reuse):
         evaluations.append(players)
-        return evaluate(game, probs, players)
+        return evaluate(game, probs, players, *reuse)
 
     def counted_label_rule(game, nums, disp):
         points.extend(map(tuple, nums.tolist()))

@@ -265,9 +265,9 @@ class TestFindStoppingSimplex:
         labelled = []
         evaluate = simplicial._evaluate
 
-        def counting(game, nums, d):
+        def counting(game, nums, d, *reuse):
             labelled.extend(map(tuple, np.atleast_2d(nums).tolist()))
-            return evaluate(game, nums, d)
+            return evaluate(game, nums, d, *reuse)
 
         monkeypatch.setattr(simplicial, "_evaluate", counting)
         find_stopping_simplex(game, d)
@@ -282,8 +282,8 @@ class TestFindStoppingSimplex:
         walked = {}
         evaluate = simplicial._evaluate
 
-        def recording(game, nums, d):
-            labels, res, mdps = evaluate(game, nums, d)
+        def recording(game, nums, d, *reuse):
+            labels, res, mdps = evaluate(game, nums, d, *reuse)
             walked.update(zip(map(tuple, np.atleast_2d(nums).tolist()),
                               np.atleast_1d(res).tolist()))
             return labels, res, mdps
@@ -306,9 +306,9 @@ class TestFindStoppingSimplex:
         alive, peak, made = [], 0, 0
         evaluate = simplicial.evaluate_groups
 
-        def tracked(game, probs):
+        def tracked(game, probs, *reuse):
             nonlocal alive, peak, made
-            mdps = evaluate(game, probs)
+            mdps = evaluate(game, probs, *reuse)
             made += 1
             alive = [ref for ref in alive if ref() is not None] + [weakref.ref(mdps[0])]
             peak = max(peak, len(alive))
@@ -555,8 +555,8 @@ class TestScanMatchesReference:
         sizes = []
         evaluate = nash_map._evaluate
 
-        def recording(game, probs, players):
-            mdp = evaluate(game, probs, players)
+        def recording(game, probs, players, *reuse):
+            mdp = evaluate(game, probs, players, *reuse)
             sizes.append(mdp.p_ia.nbytes)
             return mdp
 
@@ -614,10 +614,10 @@ class TestLeastResidualVertex:
                 if mdps is not None:
                     assert bits(per_player(game, [m.pi for m in mdps])) == bits(profile.probs)
             want = profiles[int(np.argmin(residuals))]
-            pi, mdps = least_residual_vertex(game, d)
+            pi, mdps, res = least_residual_vertex(game, d)
             assert bits(pi.probs) == bits(want.probs), d
-            assert certificate_bits(certify_groups(game, mdps, 10)) == certificate_bits(
-                certify_profile(game, want, 10)), d
+            assert certificate_bits(certify_groups(game, mdps, 10, residual=res)) == (
+                certificate_bits(certify_profile(game, want, 10))), d
 
     @pytest.mark.parametrize("name,d", [("zero_sum_chain", 16), ("asymmetric_mixed", 32),
                                         ("dominant_chain", 16)])
@@ -625,7 +625,7 @@ class TestLeastResidualVertex:
         """A least-residual vertex whose evaluation the walk dropped is
         evaluated again, once, to the bits of the walk's own evaluation."""
         game = corpus_game(name)
-        kept_pi, kept = least_residual_vertex(game, d)
+        kept_pi, kept, kept_res = least_residual_vertex(game, d)
         walk, made = simplicial.find_stopping_simplex, []
         evaluate = simplicial._evaluate
 
@@ -633,18 +633,75 @@ class TestLeastResidualVertex:
             *found, evaluations = walk(game, d)
             return *found, (None,) * len(evaluations)
 
-        def counted(game, nums, d):
+        def counted(game, nums, d, *reuse):
             made.append(nums)
-            return evaluate(game, nums, d)
+            return evaluate(game, nums, d, *reuse)
 
         monkeypatch.setattr(simplicial, "find_stopping_simplex", dropped)
         monkeypatch.setattr(simplicial, "_evaluate", counted)
-        pi, mdps = least_residual_vertex(game, d)
+        pi, mdps, res = least_residual_vertex(game, d)
         assert len(made) > 1 and made[-1].ndim == 1  # the walk's labels, then the vertex
         assert mdps is not kept
         assert bits(pi.probs) == bits(kept_pi.probs)
-        assert certificate_bits(certify_groups(game, mdps, 10)) == certificate_bits(
-            certify_groups(game, kept, 10))
+        assert certificate_bits(certify_groups(game, mdps, 10, residual=res)) == certificate_bits(
+            certify_groups(game, kept, 10, residual=kept_res))
+
+
+def reuse_games():
+    """The corpus games and seeded random games of two to four players, two
+    with groups of different action counts."""
+    rng = np.random.default_rng(31)
+    shapes = [(2, 2, 3, 0.5), (3, 1, 2, 0.9), (4, 1, 2, 0.5), (2, 1, [2, 3], 0.5),
+              (3, 1, [2, 3, 2], 0.0), (4, 2, [3, 2, 2, 3], 0.9)]
+    return [pytest.param(corpus_game(name), id=name) for name in CORPUS_GAMES] + [
+        pytest.param(oracles.random_game(rng, *shape), id=f"reuse{k}-{shape}")
+        for k, shape in enumerate(shapes)]
+
+
+def mdp_bits(mdps) -> list:
+    """Every array of a tuple of group MDPs, as its shape and bytes."""
+    return [(m.gamma, [(a.shape, a.tobytes()) for a in (m.pi, m.r_ia, m.p_ia, m.w, m.v, m.q)])
+            for m in mdps]
+
+
+class TestWalkReusesTables:
+    @pytest.mark.parametrize("d", [4, 16])
+    @pytest.mark.parametrize("game", reuse_games())
+    def test_reuse_keeps_the_bits(self, monkeypatch, game, d):
+        """Every evaluation of the walk has the label, residual and group
+        MDPs of a fresh evaluation of its key, bit for bit; one made from a
+        neighbour's kept evaluation shares no memory with it and contracts
+        the marginals of every player but the moved one; the apex contracts
+        all n, and a one-player game none."""
+        n, contracted, reused = game.num_players, [], 0
+        evaluate, marginals = simplicial._evaluate, nash_map._opponent_marginals
+
+        def counted(game, probs, player):
+            contracted.append(player)
+            return marginals(game, probs, player)
+
+        def checked(game, nums, d, kept=None, moved=None):
+            nonlocal reused
+            contracted.clear()
+            labels, res, mdps = evaluate(game, nums, d, kept, moved)
+            players = [i for i in range(n) if n > 1 and (kept is None or i != moved)]
+            assert sorted(contracted) == players
+            fresh_labels, fresh_res, fresh = evaluate(game, nums, d)
+            assert labels == fresh_labels and res.tobytes() == fresh_res.tobytes()
+            assert mdp_bits(mdps) == mdp_bits(fresh)
+            if kept is not None:
+                reused += 1
+                for new, old in zip(mdps, kept):
+                    for field in ("pi", "r_ia", "p_ia", "w", "v", "q"):
+                        # a one-player game's tables are the game's own
+                        if n > 1 or field not in ("r_ia", "p_ia"):
+                            assert not np.shares_memory(getattr(new, field), getattr(old, field))
+            return labels, res, mdps
+
+        monkeypatch.setattr(nash_map, "_opponent_marginals", counted)
+        monkeypatch.setattr(simplicial, "_evaluate", checked)
+        find_stopping_simplex(game, d)
+        assert reused >= 1
 
 
 # ---------------------------------------------------------------------------

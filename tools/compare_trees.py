@@ -20,8 +20,10 @@ Two measurements, each added to the output file under its own keys:
   of every corpus job of the ``search`` workload; milliseconds per
   ``cli.main`` call on each of those jobs, the whole job with its stdout
   kept in memory, and the group evaluations (``nash_map._evaluate`` calls,
-  one per player group of each point evaluated) that one such job makes,
-  the walk's labels and the certificate alike; and milliseconds per call of
+  one per player group of each point evaluated) and the opponent-marginal
+  contractions (``game._opponent_marginals`` calls, under
+  ``search_job_marginals``) that one such job makes, the walk's labels and
+  the certificate alike; and milliseconds per call of
   ``cli._solve_damped_f`` on every damped corpus game of the
   ``solve-small`` workload, at its tolerance and seed 1; and microseconds
   per ``cli.main`` call on one command line of each command, with every
@@ -133,17 +135,26 @@ def _quiet(main, argv) -> None:
         main(argv)
 
 
-def _evaluations(mods: dict, argv) -> int:
-    """Calls of ``nash_map._evaluate``, one group evaluation each, in one
-    ``cli.main(argv)`` run, its stdout written to memory: every evaluation
-    of the run, the certificate's included."""
-    nash_map, evaluate = mods["nash_map"], mods["nash_map"]._evaluate
+def _calls(mods: dict, argv, name: str) -> int:
+    """Calls of the function ``nash_map.<name>``, wherever a module of the
+    tree binds it, in one ``cli.main(argv)`` run, its stdout written to
+    memory: every call of the run, the certificate's included.  The
+    counting hook passes every argument on, keyword or positional."""
+    function = getattr(mods["nash_map"], name)
+    bound = [module for module in mods.values() if getattr(module, name, None) is function]
     calls = []
-    nash_map._evaluate = lambda *a: calls.append(1) or evaluate(*a)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return function(*args, **kwargs)
+
+    for module in bound:
+        setattr(module, name, counted)
     try:
         _quiet(mods["cli"].main, argv)
     finally:
-        nash_map._evaluate = evaluate
+        for module in bound:
+            setattr(module, name, function)
     return len(calls)
 
 
@@ -198,10 +209,10 @@ def kernel(args) -> dict:
                 mods["simplicial"].label_point, game, apex)
         table[f"{n},{s},{a}"] = _best(calls)
         print(n, s, a, table[f"{n},{s},{a}"], flush=True)
-    apexes, search_jobs, evaluations = {}, {}, {}
+    apexes, search_jobs, evaluations, marginals = {}, {}, {}, {}
     for name, d in jobs.SEARCH_CORPUS:
         calls, job_calls, job = {}, {}, f"{name},{d}"
-        evaluations[job] = {}
+        evaluations[job], marginals[job] = {}, {}
         for side, mods in trees.items():
             path = Path(getattr(args, side), "corpus", f"{name}.game.json")
             game = mods["game"].load_game(path)
@@ -210,10 +221,13 @@ def kernel(args) -> dict:
             calls[f"label_point_us_{side}"] = partial(
                 mods["simplicial"].label_point, game, apex)
             job_calls[f"search_job_ms_{side}"] = partial(_quiet, mods["cli"].main, argv)
-            evaluations[job][f"search_job_evaluations_{side}"] = _evaluations(mods, argv)
+            evaluations[job][f"search_job_evaluations_{side}"] = _calls(mods, argv, "_evaluate")
+            marginals[job][f"search_job_marginals_{side}"] = _calls(
+                mods, argv, "_opponent_marginals")
         apexes[job] = _best(calls)
         search_jobs[job] = _best(job_calls, per_second=1e3)
-        print(name, d, apexes[job], search_jobs[job], evaluations[job], flush=True)
+        print(name, d, apexes[job], search_jobs[job], evaluations[job], marginals[job],
+              flush=True)
     damped = {}
     for name in jobs.DAMPED_GAMES:
         calls = {}
@@ -246,6 +260,7 @@ def kernel(args) -> dict:
         print(key, load[key], flush=True)
     return {"kernel_us": table, "search_apex_label_point_us": apexes,
             "search_job_ms": search_jobs, "search_job_evaluations": evaluations,
+            "search_job_marginals": marginals,
             "damped_f_ms": damped, "parse_us": parse, "certify_load_ms": load}
 
 
