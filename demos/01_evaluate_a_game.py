@@ -7,12 +7,12 @@ Run from the repository root:
 """
 
 from sgcert.game import (
-    deviation_value,
     uniform_profile,
     validate_game,
     validate_profile,
     value_function,
 )
+from sgcert.oracles import deviation_value
 
 # One controller, two states, two actions.  Action 0 keeps us in the current
 # state, action 1 hops to the other one.  State 1 pays better.

@@ -10,6 +10,7 @@ from pathlib import Path
 
 from sgcert.game import load_game, validate_profile
 from sgcert.nash_map import apply_f, gain_table, residual
+from sgcert.oracles import max_norm_distance
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -37,5 +38,5 @@ uniform = validate_profile(mp, [[[0.5, 0.5]], [[0.5, 0.5]]])
 print("\nmatching pennies, both uniform:")
 print("  residual =", residual(mp, uniform))
 out = apply_f(mp, uniform)
-assert out.max_norm_distance(uniform) == 0.0
+assert max_norm_distance(out, uniform) == 0.0
 print("  the improvement map leaves the equilibrium fixed")

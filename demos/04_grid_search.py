@@ -13,13 +13,8 @@ from pathlib import Path
 
 from sgcert.game import load_game
 from sgcert.nash_map import residual
-from sgcert.simplicial import (
-    find_stopping_simplex,
-    grid_points,
-    label_point,
-    simplex_vertices,
-    stopping_residual_check,
-)
+from sgcert.oracles import grid_points, stopping_residual_check
+from sgcert.simplicial import find_stopping_simplex, label_point, simplex_vertices
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 

@@ -35,11 +35,6 @@ from .nash_map import (
 # so numerically tied actions never alternate: the iteration stays finite and
 # ties break toward the lowest action index.
 _PI_TIE_TOL = 1e-12
-# Slack on the check regret <= (max gain) / (1 - gamma).  Both sides are
-# differences of values of size up to r_max / (1 - gamma) from dense solves
-# and carry rounding errors of a few ulps of those values, orders of magnitude
-# below this slack at desk scale; a true violation of the bound is far larger.
-_REGRET_SLACK = 1e-8
 
 
 @dataclass(frozen=True)
@@ -169,24 +164,6 @@ def certify_groups(game: StochasticGame, mdps: tuple, target_l: int | None = Non
         is_eps_mpe_for=target,
         d_used=d_used,
     )
-
-
-@dataclass(frozen=True)
-class GainRegretReport:
-    max_gain: float
-    max_regret: float
-    bound: float
-    passed: bool
-
-
-def gain_to_regret_check(game: StochasticGame, pi: StrategyProfile) -> GainRegretReport:
-    """Report-only check that regrets obey the one-shot gain bound:
-    every best-response regret <= (max gain) / (1 - gamma) + _REGRET_SLACK."""
-    mdps = evaluate_groups(game, pi.probs)
-    g = max(float(m.gains().max()) for m in mdps)
-    max_regret = max(float((_policy_iteration(m) - m.v).max()) for m in mdps)
-    bound = g / (1.0 - game.gamma)
-    return GainRegretReport(g, max_regret, bound, max_regret <= bound + _REGRET_SLACK)
 
 
 def choose_d(game: StochasticGame, l_target: int) -> int:

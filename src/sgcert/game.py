@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import chain, product
+from itertools import chain
 from math import prod
 
 import numpy as np
@@ -105,21 +105,6 @@ class StochasticGame:
         eye.flags.writeable = False
         return eye
 
-    def joint_index(self, joint: tuple[int, ...]) -> int:
-        """Row-major index of a joint action given per-player action indices."""
-        idx = 0
-        for a, count in zip(joint, self.num_actions):
-            idx = idx * count + a
-        return idx
-
-    def joint_actions(self):
-        """Iterate all joint actions as tuples, in joint-index order."""
-        return product(*(range(a) for a in self.num_actions))
-
-    @property
-    def value_upper_bound(self) -> float:
-        return self.r_max / (1.0 - self.gamma)
-
 
 @dataclass(frozen=True)
 class StrategyProfile:
@@ -128,17 +113,6 @@ class StrategyProfile:
     helpers below."""
 
     probs: tuple[np.ndarray, ...]
-
-    def copy_with(self, player: int, state: int, dist: np.ndarray) -> "StrategyProfile":
-        """New profile with one (player, state) distribution replaced."""
-        new = list(np.array(p) for p in self.probs)
-        new[player][state] = dist
-        return StrategyProfile(tuple(new))
-
-    def max_norm_distance(self, other: "StrategyProfile") -> float:
-        return max(
-            float(np.max(np.abs(a - b))) for a, b in zip(self.probs, other.probs)
-        )
 
 
 def validate_game(
@@ -320,21 +294,6 @@ def uniform_profile(game: StochasticGame) -> StrategyProfile:
     )
 
 
-def pure_profile(game: StochasticGame, choices) -> StrategyProfile:
-    """Deterministic profile; ``choices[i][s]`` is player i's action at s.
-
-    A single per-state sequence is broadcast to all players for convenience
-    only when the game has one player.
-    """
-    probs = []
-    for i, a_count in enumerate(game.num_actions):
-        rows = np.zeros((game.num_states, a_count))
-        for s in range(game.num_states):
-            rows[s, choices[i][s]] = 1.0
-        probs.append(rows)
-    return validate_profile(game, probs)
-
-
 # One einsum letter per player's action axis ("s" and "t" name states).
 _ACTION_AXES = "abcdefghijklmnopqruvwxyz"
 
@@ -394,25 +353,6 @@ def value_function(
     p = marginal_transition(game, pi)
     r = marginal_reward(game, pi, player)
     return np.linalg.solve(game.eye - game.gamma * p, r)
-
-
-def deviation_value(
-    game: StochasticGame, pi: StrategyProfile, player: int, state: int, action: int
-) -> float:
-    """Value at ``state`` when the player commits to a pure action there.
-
-    The player's distributions at all other states, and all other players'
-    strategies, are unchanged; the modification is stationary.
-    """
-    check_player(game, player)
-    if not 0 <= state < game.num_states:
-        raise IndexError(f"state {state} out of range")
-    if not 0 <= action < game.num_actions[player]:
-        raise IndexError(f"action {action} out of range for player {player}")
-    point = np.zeros(game.num_actions[player])
-    point[action] = 1.0
-    modified = pi.copy_with(player, state, point)
-    return float(value_function(game, modified, player)[state])
 
 
 def opponent_marginals(

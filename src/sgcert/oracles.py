@@ -1,12 +1,20 @@
 """Independent brute-force references for validating the main modules.
 
-Everything here recomputes a quantity by a route deliberately different
-from the library's primary path: explicit joint-action enumeration instead
-of tensor contraction, truncated power series instead of a linear solve,
-deterministic-policy enumeration instead of policy iteration, support
-enumeration instead of the improvement map, enumeration of every simplex
-of the triangulation instead of the door-in/door-out walk, and minimax
-value iteration for zero-sum cross-checks.  Desk scale only.
+Most of what is here recomputes a quantity by a route deliberately
+different from the library's primary path: explicit joint-action
+enumeration instead of tensor contraction, truncated power series instead
+of a linear solve, deterministic-policy enumeration instead of policy
+iteration, support enumeration instead of the improvement map, enumeration
+of every simplex of the triangulation instead of the door-in/door-out walk,
+and minimax value iteration for zero-sum cross-checks.  The definitional
+references go by the definition itself: a one-shot deviation value by
+re-solving the modified profile, every grid point in order, the max-norm
+distance of two profiles.
+
+The paper's bound checks (:func:`stopping_residual_check`,
+:func:`gain_to_regret_check`) are not independent: they run on the
+library's own evaluation and test that its numbers obey the paper's
+inequalities.  Desk scale only.
 """
 
 from __future__ import annotations
@@ -17,32 +25,60 @@ from typing import Iterator
 
 import numpy as np
 
+from .certify import _policy_iteration
 from .game import (
     StochasticGame,
     StrategyProfile,
+    check_player,
     marginal_reward,
     marginal_transition,
     opponent_marginals,
     validate_game,
     validate_profile,
+    value_function,
 )
-from .nash_map import apply_f
+from .nash_map import apply_f, evaluate_groups, lipschitz_constant
 from .simplicial import (
     GridProfile,
     GridSimplex,
+    InvalidSimplexError,
     Label,
     SimplexClass,
     _blocks,
     _classify_labels,
     _column,
     _cone_floor,
+    _evaluate,
+    _grid_keys,
     _step,
-    grid_points,
+    _vertex_keys,
     scan_grid,
     starting_point,
 )
 
 DET_POLICY_GUARD = 10**5
+# Slack on the stopping-simplex residual bound for the rounding of the
+# vertex residuals, which are at most 1 and carry errors of a few ulps.
+_BOUND_SLACK = 1e-8
+# Slack on the check regret <= (max gain) / (1 - gamma).  Both sides are
+# differences of values of size up to r_max / (1 - gamma) from dense solves
+# and carry rounding errors of a few ulps of those values, orders of magnitude
+# below this slack at desk scale; a true violation of the bound is far larger.
+_REGRET_SLACK = 1e-8
+
+
+def _joint_actions(game: StochasticGame) -> Iterator[tuple[int, ...]]:
+    """Every joint action as a tuple of per-player action indices, in
+    joint-index order."""
+    return product(*(range(a) for a in game.num_actions))
+
+
+def _joint_index(game: StochasticGame, joint: tuple[int, ...]) -> int:
+    """Row-major index of a joint action given per-player action indices."""
+    idx = 0
+    for a, count in zip(joint, game.num_actions):
+        idx = idx * count + a
+    return idx
 
 
 def enumerate_joint_expectation(
@@ -51,11 +87,11 @@ def enumerate_joint_expectation(
     """Expected per-state reward by explicit sum over all joint actions."""
     out = np.zeros(game.num_states)
     for s in range(game.num_states):
-        for joint in game.joint_actions():
+        for joint in _joint_actions(game):
             w = 1.0
             for i, a in enumerate(joint):
                 w *= pi.probs[i][s, a]
-            out[s] += w * game.rewards[player, s, game.joint_index(joint)]
+            out[s] += w * game.rewards[player, s, _joint_index(game, joint)]
     return out
 
 
@@ -65,12 +101,36 @@ def enumerate_marginal_transition(
     """State transition matrix by explicit sum over all joint actions."""
     out = np.zeros((game.num_states, game.num_states))
     for s in range(game.num_states):
-        for joint in game.joint_actions():
+        for joint in _joint_actions(game):
             w = 1.0
             for i, a in enumerate(joint):
                 w *= pi.probs[i][s, a]
-            out[s] += w * game.transition[s, game.joint_index(joint)]
+            out[s] += w * game.transition[s, _joint_index(game, joint)]
     return out
+
+
+def deviation_value(
+    game: StochasticGame, pi: StrategyProfile, player: int, state: int, action: int
+) -> float:
+    """Value at ``state`` when the player commits to a pure action there, by
+    re-solving the modified profile: the definition of a one-shot deviation.
+
+    The player's distributions at all other states, and all other players'
+    strategies, are unchanged; the modification is stationary.
+    """
+    check_player(game, player)
+    if not 0 <= state < game.num_states:
+        raise IndexError(f"state {state} out of range")
+    if not 0 <= action < game.num_actions[player]:
+        raise IndexError(f"action {action} out of range for player {player}")
+    probs = [np.array(p) for p in pi.probs]
+    probs[player][state] = np.eye(game.num_actions[player])[action]
+    return float(value_function(game, StrategyProfile(tuple(probs)), player)[state])
+
+
+def max_norm_distance(p: StrategyProfile, q: StrategyProfile) -> float:
+    """Largest absolute difference of two profiles' probabilities."""
+    return max(float(np.max(np.abs(a - b))) for a, b in zip(p.probs, q.probs))
 
 
 def truncated_value(
@@ -173,10 +233,10 @@ def finite_difference_lipschitz(
     for _ in range(samples):
         p1 = random_profile(game, rng)
         p2 = random_profile(game, rng)
-        delta = p1.max_norm_distance(p2)
+        delta = max_norm_distance(p1, p2)
         if delta == 0.0:
             continue
-        num = apply_f(game, p1).max_norm_distance(apply_f(game, p2))
+        num = max_norm_distance(apply_f(game, p1), apply_f(game, p2))
         worst = max(worst, num / delta)
     return worst
 
@@ -201,9 +261,56 @@ def grid_residual_argmin(game: StochasticGame, d: int):
 
 
 # ---------------------------------------------------------------------------
+# The paper's bound checks, on the library's own evaluation.
+
+@dataclass(frozen=True)
+class StoppingReport:
+    bound: float
+    vertex_residuals: tuple[float, ...]
+    passed: bool
+
+
+def stopping_residual_check(game: StochasticGame, sigma: GridSimplex) -> StoppingReport:
+    """Check every vertex of a stopping simplex against the residual bound
+    A_max^2 * (lambda + 1) / d, at the simplex's grid size d.  The vertices
+    are evaluated together, in the vertex order of the simplex."""
+    labels, res, _ = _evaluate(game, np.array(_vertex_keys(game, sigma)), sigma.d)
+    cls = _classify_labels(game, tuple(labels))
+    if cls.kind != "stopping":
+        raise InvalidSimplexError(f"simplex is {cls.kind}, not stopping")
+    bound = game.a_max**2 * (lipschitz_constant(game) + 1.0) / sigma.d
+    residuals = tuple(res.tolist())
+    return StoppingReport(bound, residuals, all(r <= bound + _BOUND_SLACK for r in residuals))
+
+
+@dataclass(frozen=True)
+class GainRegretReport:
+    max_gain: float
+    max_regret: float
+    bound: float
+    passed: bool
+
+
+def gain_to_regret_check(game: StochasticGame, pi: StrategyProfile) -> GainRegretReport:
+    """Report-only check that regrets obey the one-shot gain bound:
+    every best-response regret <= (max gain) / (1 - gamma) + _REGRET_SLACK."""
+    mdps = evaluate_groups(game, pi.probs)
+    g = max(float(m.gains().max()) for m in mdps)
+    max_regret = max(float((_policy_iteration(m) - m.v).max()) for m in mdps)
+    bound = g / (1.0 - game.gamma)
+    return GainRegretReport(g, max_regret, bound, max_regret <= bound + _REGRET_SLACK)
+
+
+# ---------------------------------------------------------------------------
 # Exhaustive search of the triangulation: every simplex of every cone region,
 # in a fixed order, until one is stopping.  The library finds stopping
 # simplices by a walk that labels only its path; this labels the whole grid.
+
+def grid_points(game: StochasticGame, d: int) -> Iterator[GridProfile]:
+    """All grid profiles, lexicographic in the flattened numerators."""
+    for key in _grid_keys(game, d):
+        yield GridProfile.from_key(game, key, d)
+
 
 def index_sets(game: StochasticGame) -> list[tuple[Label, ...]]:
     """All admissible index sets, ordered by size then lexicographically.

@@ -48,9 +48,8 @@ reference in :mod:`sgcert.oracles`.
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from itertools import chain, combinations, islice, pairwise, product
 from math import comb
@@ -59,7 +58,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .game import StochasticGame, StrategyProfile, validate_profile
-from .nash_map import apply_gains, evaluate_groups, lipschitz_constant, per_player
+from .nash_map import apply_gains, evaluate_groups, per_player
 
 GRID_ENUM_GUARD = 10**7
 # Numerators and grid sizes up to 2**53 are exact as float64 and int64, so
@@ -80,9 +79,6 @@ WALK_STEP_BOUND = 10**6
 # in exact arithmetic resolves to the lexicographically least coordinate, not
 # to whichever side rounding favoured.
 _LABEL_TIE_TOL = 1e-12
-# Slack on the stopping-simplex residual bound for the rounding of the
-# vertex residuals, which are at most 1 and carry errors of a few ulps.
-_BOUND_SLACK = 1e-8
 # Grid points are evaluated in chunks whose largest array stays within this
 # many bytes: large enough that per-call overhead vanishes, small enough that
 # memory does not grow with the grid.
@@ -126,13 +122,6 @@ class GridProfile:
     def to_profile(self, game: StochasticGame) -> StrategyProfile:
         return validate_profile(game, _unflatten(self.shape, np.array(self.key) / self.d))
 
-    def shifted(self, delta: tuple[np.ndarray, ...]) -> "GridProfile":
-        step = np.concatenate([arr.ravel() for arr in delta]).tolist()
-        return replace(self, key=tuple(map(operator.add, self.key, step)))
-
-    def is_valid(self) -> bool:
-        return min(self.key) >= 0
-
 
 @dataclass(frozen=True)
 class GridSimplex:
@@ -151,10 +140,6 @@ class GridSimplex:
         """The index set T, sorted."""
         return tuple(sorted(self.order))
 
-    @property
-    def dimension(self) -> int:
-        return len(self.order)
-
 
 @dataclass(frozen=True)
 class SimplexClass:
@@ -164,13 +149,6 @@ class SimplexClass:
     labels: tuple[Label, ...]
     stopping_player: int | None = None
     stopping_state: int | None = None
-
-
-@dataclass(frozen=True)
-class StoppingReport:
-    bound: float
-    vertex_residuals: tuple[float, ...]
-    passed: bool
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -253,12 +231,6 @@ def _unflatten(shape: tuple[int, tuple[int, ...]], flat) -> tuple[np.ndarray, ..
     )
 
 
-def grid_points(game: StochasticGame, d: int) -> Iterator[GridProfile]:
-    """All grid profiles, lexicographic in the flattened numerators."""
-    for key in _grid_keys(game, d):
-        yield GridProfile.from_key(game, key, d)
-
-
 def _chunk_points(game: StochasticGame) -> int:
     """Grid points per chunk.  A chunk's largest arrays are its flattened
     numerators, (points, S * sum A_i), and the frozen-opponent transitions
@@ -333,20 +305,6 @@ def _step(key: tuple[int, ...], column: tuple[int, int]) -> tuple[int, ...] | No
     return tuple(nxt)
 
 
-def q_column(game: StochasticGame, coord: Label) -> tuple[np.ndarray, ...]:
-    """Displacement of one Q column on the numerators: -1 at the coordinate's
-    action, +1 at the cyclically next action in the same (player, state)."""
-    i, s, a = coord
-    if not (0 <= i < game.num_players and 0 <= s < game.num_states
-            and 0 <= a < game.num_actions[i]):
-        raise IndexError(f"invalid coordinate {coord}")
-    delta = [0] * (game.num_states * sum(game.num_actions))
-    low, high = _column(game, coord)
-    delta[low] -= 1
-    delta[high] += 1
-    return _unflatten((game.num_states, game.num_actions), delta)
-
-
 def label_point(game: StochasticGame, point: GridProfile) -> Label:
     """Label of a grid point: the lexicographically least coordinate with
     positive probability whose displacement f(pi) - pi attains the global
@@ -404,19 +362,12 @@ def _classify_labels(game: StochasticGame, labels: tuple[Label, ...]) -> Simplex
     return SimplexClass("completely-labelled", labels)
 
 
-def _evaluate_simplex(
-    game: StochasticGame, sigma: GridSimplex
-) -> tuple[SimplexClass, list[float]]:
-    """Classification and vertex residuals of a simplex, its vertices
-    evaluated in one application of the map."""
-    labels, res, _ = _evaluate(game, np.array(_vertex_keys(game, sigma)), sigma.d)
-    return _classify_labels(game, tuple(labels)), res.tolist()
-
-
 def classify_simplex(game: StochasticGame, sigma: GridSimplex) -> SimplexClass:
     """Classify by vertex labels: duplicated labels mean incomplete; distinct
-    labels covering every action of some (player, state) mean stopping."""
-    return _evaluate_simplex(game, sigma)[0]
+    labels covering every action of some (player, state) mean stopping.  The
+    vertices are evaluated in one application of the map."""
+    labels = _evaluate(game, np.array(_vertex_keys(game, sigma)), sigma.d)[0]
+    return _classify_labels(game, tuple(labels))
 
 
 def starting_point(game: StochasticGame, d: int) -> GridProfile:
@@ -593,18 +544,6 @@ def least_residual_vertex(game: StochasticGame, d: int) -> tuple[StrategyProfile
     best = int(np.argmin(residuals))
     mdps = evaluations[best] or _evaluate(game, np.array(keys[best]), d)[2]
     return StrategyProfile(per_player(game, [m.pi for m in mdps])), mdps, residuals[best]
-
-
-def stopping_residual_check(game: StochasticGame, sigma: GridSimplex) -> StoppingReport:
-    """Check every vertex of a stopping simplex against the residual bound
-    A_max^2 * (lambda + 1) / d, at the simplex's grid size d."""
-    cls, residuals = _evaluate_simplex(game, sigma)
-    if cls.kind != "stopping":
-        raise InvalidSimplexError(f"simplex is {cls.kind}, not stopping")
-    bound = game.a_max**2 * (lipschitz_constant(game) + 1.0) / sigma.d
-    return StoppingReport(
-        bound, tuple(residuals), all(r <= bound + _BOUND_SLACK for r in residuals)
-    )
 
 
 # ---------------------------------------------------------------------------

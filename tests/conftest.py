@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sgcert import oracles
-from sgcert.game import StochasticGame, StrategyProfile, load_game, load_profile
+from sgcert.game import StochasticGame, StrategyProfile, load_game, load_profile, validate_profile
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS_DIR = ROOT / "corpus"
@@ -43,6 +43,13 @@ def corpus_entries() -> list[CorpusEntry]:
 
 def corpus_entry(name) -> CorpusEntry:
     return next(e for e in corpus_entries() if e.name == name)
+
+
+def pure_profile(game, choices) -> StrategyProfile:
+    """The deterministic profile in which player i plays action
+    ``choices[i][s]`` at state s."""
+    return validate_profile(game, [np.eye(a_count)[list(rows)]
+                                   for a_count, rows in zip(game.num_actions, choices)])
 
 
 def single_state_entries() -> list[CorpusEntry]:

@@ -10,7 +10,6 @@ import pytest
 from sgcert.certify import (
     best_response_values,
     choose_d,
-    gain_to_regret_check,
     residual_to_gain_bound,
     residual_to_mpe_bound,
 )
@@ -21,13 +20,16 @@ from sgcert.oracles import (
     enumerate_deterministic_policies,
     enumerate_joint_expectation,
     enumerate_marginal_transition,
+    gain_to_regret_check,
     grid_residual_argmin,
+    max_norm_distance,
     random_game,
     random_profile,
     shapley_values,
+    stopping_residual_check,
     truncated_value,
 )
-from sgcert.simplicial import find_stopping_simplex, stopping_residual_check
+from sgcert.simplicial import find_stopping_simplex
 
 from conftest import CORPUS_DIR, corpus_entries, corpus_entry, corpus_game
 
@@ -54,7 +56,7 @@ def test_01_corpus_equilibria_certify():
         point, res = grid_residual_argmin(entry.game, d)
         assert res <= 1e-12
         got = point.to_profile(entry.game)
-        assert got.max_norm_distance(entry.equilibrium) <= 1e-12
+        assert max_norm_distance(got, entry.equilibrium) <= 1e-12
     report("corpus equilibria certify", time.perf_counter() - start, 10)
 
 
@@ -71,10 +73,10 @@ def test_02_improvement_map_is_lipschitz():
         for _ in range(1000):
             p1 = random_profile(game, rng)
             p2 = random_profile(game, rng)
-            delta = p1.max_norm_distance(p2)
+            delta = max_norm_distance(p1, p2)
             if delta == 0.0:
                 continue
-            num = apply_f(game, p1).max_norm_distance(apply_f(game, p2))
+            num = max_norm_distance(apply_f(game, p1), apply_f(game, p2))
             assert num <= lam * delta
     report("improvement map within Lipschitz constant",
            time.perf_counter() - start, 60)
@@ -89,7 +91,7 @@ def test_03_perturbation_inequalities():
         game = random_game(rng, 2, 2, 2, (0.0, 0.5, 0.9)[k % 3])
         p1 = random_profile(game, rng)
         p2 = random_profile(game, rng)
-        delta = p1.max_norm_distance(p2)
+        delta = max_norm_distance(p1, p2)
         eye = np.eye(game.num_states)
         q1 = np.linalg.inv(eye - game.gamma * marginal_transition(game, p1))
         q2 = np.linalg.inv(eye - game.gamma * marginal_transition(game, p2))

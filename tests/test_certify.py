@@ -14,14 +14,18 @@ from sgcert.certify import (
     certify_profile,
     choose_d,
     epsilon_prime,
-    gain_to_regret_check,
     residual_to_gain_bound,
     residual_to_mpe_bound,
 )
 from sgcert.cli import _emit
 from sgcert.game import opponent_marginals, uniform_profile, validate_profile, value_function
 from sgcert.nash_map import PlayerMDP, evaluate_groups, residual
-from sgcert.oracles import enumerate_deterministic_policies, random_game, random_profile
+from sgcert.oracles import (
+    enumerate_deterministic_policies,
+    gain_to_regret_check,
+    random_game,
+    random_profile,
+)
 
 from conftest import (
     CORPUS_GAMES,

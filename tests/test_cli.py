@@ -14,7 +14,7 @@ from sgcert.certify import choose_d
 from sgcert.cli import _solve_damped_f, main
 from sgcert.game import StrategyProfile, load_game, uniform_profile, validate_profile
 from sgcert.nash_map import apply_f
-from sgcert.oracles import random_game, random_profile
+from sgcert.oracles import max_norm_distance, random_game, random_profile
 
 from conftest import bench_jobs
 
@@ -281,7 +281,7 @@ def damped_f_per_player(game, damping, max_iters, tol, seed):
     status = "no-convergence"
     for _ in range(max_iters):
         nxt = apply_f(game, pi)
-        if nxt.max_norm_distance(pi) <= tol:
+        if max_norm_distance(nxt, pi) <= tol:
             status = "converged"
             break
         blended = [(1.0 - damping) * a + damping * b for a, b in zip(pi.probs, nxt.probs)]
@@ -457,7 +457,7 @@ class TestLabel:
 
         game = load_game(CHAIN)
         sigma = next(s for s in oracles.enumerate_simplices(game, 2)
-                     if s.dimension == 4)
+                     if len(s.order) == 4)
         doc = simplicial.simplex_to_dict(game, sigma)
         labelled = []
         label_rule = simplicial._label_rule

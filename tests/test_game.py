@@ -10,12 +10,10 @@ from sgcert import game as game_module
 from sgcert.game import (
     PROB_TOL_INPUT,
     GameValidationError,
-    deviation_value,
     load_game,
     marginal_reward,
     marginal_transition,
     opponent_marginals,
-    pure_profile,
     uniform_profile,
     validate_game,
     validate_profile,
@@ -24,12 +22,21 @@ from sgcert.game import (
 from sgcert.certify import best_response_values
 from sgcert.nash_map import player_mdp
 from sgcert.oracles import (
+    deviation_value,
     enumerate_joint_expectation,
     enumerate_marginal_transition,
+    max_norm_distance,
     truncated_value,
 )
 
-from conftest import CORPUS_DIR, MANIFEST, SCALE_SHAPES, bench_jobs, random_instances
+from conftest import (
+    CORPUS_DIR,
+    MANIFEST,
+    SCALE_SHAPES,
+    bench_jobs,
+    pure_profile,
+    random_instances,
+)
 
 
 def single_state_game(rewards_by_player, gamma=0.0, r_max=None):
@@ -220,7 +227,7 @@ class TestValueFunction:
             for i in range(game.num_players):
                 v = value_function(game, pi, i)
                 assert np.all(v >= -1e-12)
-                assert np.all(v <= game.value_upper_bound + 1e-9)
+                assert np.all(v <= game.r_max / (1 - game.gamma) + 1e-9)
 
 
 class TestDeviationValue:
@@ -241,7 +248,9 @@ class TestDeviationValue:
                     for a in range(game.num_actions[i]):
                         point = np.zeros(game.num_actions[i])
                         point[a] = 1.0
-                        modified = pi.copy_with(i, s, point)
+                        probs = [np.array(p) for p in pi.probs]
+                        probs[i][s] = point
+                        modified = validate_profile(game, probs)
                         expected = value_function(game, modified, i)[s]
                         got = deviation_value(game, pi, i, s, a)
                         assert got == pytest.approx(expected, abs=1e-12)
@@ -292,7 +301,7 @@ class TestBellmanInverseFacts:
             game = random_game(rng, 2, 2, 2, 0.5)
             pi1 = random_profile(game, rng)
             pi2 = random_profile(game, rng)
-            delta = pi1.max_norm_distance(pi2)
+            delta = max_norm_distance(pi1, pi2)
             bound = game.num_players * game.a_max * game.r_max * delta
             for i in range(game.num_players):
                 diff = np.abs(
@@ -307,7 +316,7 @@ class TestBellmanInverseFacts:
             game = random_game(rng, 2, 2, 2, 0.9)
             pi1 = random_profile(game, rng)
             pi2 = random_profile(game, rng)
-            delta = pi1.max_norm_distance(pi2)
+            delta = max_norm_distance(pi1, pi2)
             eye = np.eye(game.num_states)
             q1 = np.linalg.inv(eye - game.gamma * marginal_transition(game, pi1))
             q2 = np.linalg.inv(eye - game.gamma * marginal_transition(game, pi2))

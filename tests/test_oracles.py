@@ -10,11 +10,11 @@ from sgcert.game import (
     value_function,
 )
 from sgcert.nash_map import apply_f, lipschitz_constant, residual
-from sgcert.simplicial import grid_points
 from sgcert.oracles import (
     enumerate_deterministic_policies,
     enumerate_joint_expectation,
     finite_difference_lipschitz,
+    grid_points,
     grid_residual_argmin,
     matrix_game_value,
     random_game,

@@ -1,4 +1,5 @@
 import weakref
+from dataclasses import replace
 from itertools import combinations, permutations, product
 from math import comb
 
@@ -18,20 +19,18 @@ from sgcert.simplicial import (
     classify_simplex,
     find_stopping_simplex,
     grid_point_count,
-    grid_points,
     grid_profile_from_lists,
     in_cone,
     label_point,
     least_residual_vertex,
     point_from_dict,
-    q_column,
     scan_grid,
     simplex_from_dict,
     simplex_to_dict,
     simplex_vertices,
     starting_point,
-    stopping_residual_check,
 )
+from sgcert.oracles import grid_points, stopping_residual_check
 
 from conftest import CORPUS_GAMES, corpus_game, single_state_entries
 
@@ -69,27 +68,31 @@ class TestGridPoints:
             list(grid_points(toy, 0))
 
 
+def column_delta(game, coord):
+    """The displacement of one Q column on the flattened numerators, as
+    :func:`simplicial._step` applies it at the positions of
+    :func:`simplicial._column`."""
+    ones = (1,) * (game.num_states * sum(game.num_actions))
+    return np.subtract(simplicial._step(ones, simplicial._column(game, coord)), ones)
+
+
 class TestQColumn:
     def test_two_action_pattern(self, toy):
-        c0 = q_column(toy, Label(0, 0, 0))
-        c1 = q_column(toy, Label(0, 0, 1))
-        assert c0[0].tolist() == [[-1, 1]]
-        assert c1[0].tolist() == [[1, -1]]
+        assert column_delta(toy, Label(0, 0, 0)).tolist() == [-1, 1]
+        assert column_delta(toy, Label(0, 0, 1)).tolist() == [1, -1]
 
     def test_columns_sum_to_zero(self, pennies):
         for i in range(2):
             for a in range(2):
-                delta = q_column(pennies, Label(i, 0, a))
-                assert all(arr.sum() == 0 for arr in delta)
+                delta = column_delta(pennies, Label(i, 0, a))
+                assert all(arr.sum() == 0 for arr in simplicial._unflatten(
+                    (pennies.num_states, pennies.num_actions), delta))
 
     def test_preserves_grid_sums(self, pennies):
         p = point(pennies, [[[1, 1]], [[1, 1]]], 2)
-        shifted = p.shifted(q_column(pennies, Label(0, 0, 0)))
-        assert all(arr.sum(axis=1).tolist() == [2] for arr in shifted.numerators)
-
-    def test_invalid_coordinate(self, toy):
-        with pytest.raises(IndexError):
-            q_column(toy, Label(0, 0, 5))
+        key = simplicial._step(p.key, simplicial._column(pennies, Label(0, 0, 0)))
+        moved = GridProfile.from_key(pennies, key, 2)
+        assert all(arr.sum(axis=1).tolist() == [2] for arr in moved.numerators)
 
 
 class TestLabelPoint:
@@ -388,7 +391,7 @@ class TestTriangulation:
                         continue
                     simplex_count += 1
                     for v in vertices:
-                        assert v.is_valid()
+                        assert is_valid(v)
                         assert in_cone(game, v, apex, t_set)
                         vertex_keys.add(v.key)
             if simplex_count:
@@ -398,9 +401,9 @@ class TestTriangulation:
     def test_cone_membership_uses_integer_coefficients(self, pennies):
         apex = starting_point(pennies, 2)
         t_set = (Label(0, 0, 1),)
-        member = apex.shifted(q_column(pennies, Label(0, 0, 1)))
+        member = shifted(apex, reference_column(pennies, Label(0, 0, 1)))
         assert in_cone(pennies, member, apex, t_set)
-        other = apex.shifted(q_column(pennies, Label(1, 0, 1)))
+        other = shifted(apex, reference_column(pennies, Label(1, 0, 1)))
         assert not in_cone(pennies, other, apex, t_set)
 
 
@@ -733,12 +736,24 @@ def reference_in_cone(game, pt, apex, index_set):
     return bool(np.allclose(cols @ lam, diff, atol=1e-9))
 
 
+def shifted(pt, delta):
+    """The point ``pt`` moved by per-player arrays ``delta``, on or off the
+    grid."""
+    step = _flat(delta).astype(int).tolist()
+    return replace(pt, key=tuple(k + x for k, x in zip(pt.key, step)))
+
+
+def is_valid(pt):
+    """Whether the point ``pt`` has no negative numerator."""
+    return min(pt.key) >= 0
+
+
 def reference_vertices(game, sigma):
     """Vertices of the simplex, or None if one leaves the grid."""
     vertices = [sigma.base]
     for coord in sigma.order:
-        nxt = vertices[-1].shifted(reference_column(game, coord))
-        if not nxt.is_valid():
+        nxt = shifted(vertices[-1], reference_column(game, coord))
+        if not is_valid(nxt):
             return None
         vertices.append(nxt)
     return vertices
@@ -830,9 +845,8 @@ class TestIntegerSearchMatchesReference:
             for s in range(game.num_states):
                 block = [Label(i, s, a) for a in range(a_count)]
                 for coord in block:
-                    for got, want in zip(q_column(game, coord),
-                                         reference_column(game, coord)):
-                        assert got.tolist() == want.tolist()
+                    assert column_delta(game, coord).tolist() == _flat(
+                        reference_column(game, coord)).tolist()
                 bad_sets = [tuple(block), (block[0], block[0]),
                             (Label(i, s, a_count),)]
                 for bad in bad_sets:
