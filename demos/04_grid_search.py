@@ -14,7 +14,7 @@ from pathlib import Path
 from sgcert.game import load_game
 from sgcert.nash_map import residual
 from sgcert.oracles import grid_points, stopping_residual_check
-from sgcert.simplicial import find_stopping_simplex, label_point, simplex_vertices
+from sgcert.simplicial import classify_simplex, find_stopping_simplex, label_point, simplex_vertices
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -27,7 +27,8 @@ for point in grid_points(game, d):
     nums = [arr[0].tolist() for arr in point.numerators]
     print(f"  {nums}  ->  player {lab.player}, action {lab.action}")
 
-sigma, cls, *_ = find_stopping_simplex(game, d)
+sigma = find_stopping_simplex(game, d).sigma
+cls = classify_simplex(game, sigma)
 print(f"\nstopping simplex found: labels {list(cls.labels)}")
 print(f"covers all actions of player {cls.stopping_player} "
       f"in state {cls.stopping_state}")
@@ -45,7 +46,7 @@ print(f"\nevery vertex residual <= {check.bound:.2f} (guaranteed); "
 # Finer grids tighten the guarantee linearly in 1/d; the walk's cost grows
 # with its path, not with the grid (10^8 points at d = 10000).
 for d in (2, 4, 8, 16, 10000):
-    sigma, _, residuals, *_ = find_stopping_simplex(game, d)
-    check = stopping_residual_check(game, sigma)
+    walk = find_stopping_simplex(game, d)
+    check = stopping_residual_check(game, walk.sigma)
     print(f"d={d:5d}: bound {check.bound:8.4f}  "
-          f"best vertex residual {min(residuals):.6f}")
+          f"best vertex residual {min(walk.residuals):.6f}")

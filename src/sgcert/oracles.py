@@ -6,10 +6,11 @@ enumeration instead of tensor contraction, truncated power series instead
 of a linear solve, deterministic-policy enumeration instead of policy
 iteration, support enumeration instead of the improvement map, enumeration
 of every simplex of the triangulation instead of the door-in/door-out walk,
-and minimax value iteration for zero-sum cross-checks.  The definitional
-references go by the definition itself: a one-shot deviation value by
-re-solving the modified profile, every grid point in order, the max-norm
-distance of two profiles.
+the walk's End-of-the-Line graph from that enumeration and the labels
+instead of its pivot rule, and minimax value iteration for zero-sum
+cross-checks.  The definitional references go by the definition itself: a
+one-shot deviation value by re-solving the modified profile, every grid
+point in order, the max-norm distance of two profiles.
 
 The paper's bound checks (:func:`stopping_residual_check`,
 :func:`gain_to_regret_check`) are not independent: they run on the
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations, product
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -378,14 +379,85 @@ def first_stopping_simplex(
     by :func:`scan_grid`, behind its size guard; the label table, filled in
     scan order, then supplies the bases, so the grid is enumerated once.
     """
-    labels = {}
-    for nums, chunk_labels, _ in scan_grid(game, d):
-        labels.update(zip(map(tuple, nums.tolist()), chunk_labels))
+    labels = _grid_labels(game, d)
     for base, order, keys in _simplices(game, d, labels):
         cls = _classify_labels(game, tuple(labels[key] for key in keys))
         if cls.kind == "stopping":
             return GridSimplex(GridProfile.from_key(game, base, d), order), cls
     return None
+
+
+def _grid_labels(game: StochasticGame, d: int) -> dict[tuple[int, ...], Label]:
+    """The label of every grid point by its key, from one :func:`scan_grid`
+    labelling, in scan order."""
+    labels = {}
+    for nums, chunk_labels, _ in scan_grid(game, d):
+        labels.update(zip(map(tuple, nums.tolist()), chunk_labels))
+    return labels
+
+
+# ---------------------------------------------------------------------------
+# The End-of-the-Line graph (Papadimitriou, 1994) of the walk, built from the
+# exhaustive enumeration and the labels alone, with no pivot rule: the
+# structure behind the paper's PPAD membership.
+
+class DoorGraph(NamedTuple):
+    """The door graph at one grid size.  A node is a simplex of the region
+    of T whose labels include T, named by its vertex set (a frozenset of
+    keys).  A door is a region R and the vertex set of a simplex with |R|
+    vertices whose labels are exactly R; the nodes that have a door are its
+    sides, and two nodes are adjacent when they are the two sides of one
+    door.  ``apex`` is the node of the starting point, ``stopping`` the
+    nodes whose labels fill a (player, state) block, and ``unmatched`` the
+    doors that do not have exactly two sides."""
+
+    apex: frozenset
+    adjacent: dict[frozenset, list[frozenset]]
+    stopping: frozenset
+    unmatched: list
+
+
+def door_graph(game: StochasticGame, d: int) -> DoorGraph:
+    """The door graph of the triangulation at grid size ``d``, rooted at the
+    default apex :func:`~sgcert.simplicial.starting_point`.
+
+    A node of the region of T has the doors of that region: its facets
+    whose labels are exactly T (none for the apex, whose region is a
+    point).  A node whose labels are T + {k}, k not in T, has one more door
+    when T + {k} is admissible: the region of T + {k} with its own vertex
+    set, which is the facet of one node of that region.  When T + {k}
+    fills k's block the node is stopping and has no door up.  So the apex
+    and every stopping node should have degree 1 and every other node
+    degree 2, and the graph is a set of paths and cycles."""
+    labels = _grid_labels(game, d)
+    sides: dict[tuple, list[frozenset]] = {}
+    adjacent: dict[frozenset, list[frozenset]] = {}
+    stopping = set()
+    for _, order, keys in _simplices(game, d, labels):
+        region, found = frozenset(order), [labels[key] for key in keys]
+        if not region <= set(found):
+            continue
+        node = frozenset(keys)
+        adjacent[node] = []
+        doors = [(region, node - {key}) for j, key in enumerate(keys)
+                 if region and set(found[:j] + found[j + 1:]) == region]
+        for k in set(found) - region:  # at most one: T + {k} has |T| + 1 labels
+            up = region | {k}
+            if sum(c[:2] == k[:2] for c in up) == game.num_actions[k.player]:
+                stopping.add(node)
+            else:
+                doors.append((up, node))
+        for door in doors:
+            sides.setdefault(door, []).append(node)
+    unmatched = []
+    for door, ends in sides.items():
+        if len(ends) == 2:
+            adjacent[ends[0]].append(ends[1])
+            adjacent[ends[1]].append(ends[0])
+        else:
+            unmatched.append(door)
+    return DoorGraph(frozenset({starting_point(game, d).key}), adjacent,
+                     frozenset(stopping), unmatched)
 
 
 # ---------------------------------------------------------------------------

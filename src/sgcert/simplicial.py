@@ -37,6 +37,8 @@ one vertex of the current simplex and labels the vertex that entered; the
 region's dimension rises when the new label joins T and falls when the
 walk reaches the boundary of its region.  Only the points on the path are
 labelled, so the walk's cost and memory grow with the path, not the grid.
+The walk hands back one :class:`Walk` record, read by field; it does not
+classify its simplex, which :func:`classify_simplex` does from fresh labels.
 
 Whole grids are evaluated by one chunked scan (:func:`scan_grid`): the
 flattened numerators of the grid, a chunk at a time, each chunk through
@@ -430,12 +432,23 @@ def in_cone(
     return floor <= set(index_set)
 
 
-def find_stopping_simplex(
-    game: StochasticGame, d: int
-) -> tuple[GridSimplex, SimplexClass, tuple[float, ...], tuple, tuple]:
-    """A stopping simplex at grid size ``d``, its classification, and the
-    residuals, keys and group evaluations of its vertices ``w^0 .. w^|T|``,
-    by the door-in/door-out walk of van der Laan & Talman (1979).
+class Walk(NamedTuple):
+    """What the walk hands back: its stopping simplex, and the residuals,
+    keys and group evaluations of the simplex's vertices ``w^0 .. w^|T|``,
+    in vertex order.  An evaluation the walk dropped is None.  The walk
+    does not classify its simplex; :func:`classify_simplex` labels the
+    vertices afresh."""
+
+    sigma: GridSimplex
+    residuals: tuple[float, ...]
+    keys: tuple[tuple[int, ...], ...]
+    evaluations: tuple
+
+
+def find_stopping_simplex(game: StochasticGame, d: int) -> Walk:
+    """A stopping simplex at grid size ``d``, with the residuals, keys and
+    group evaluations of its vertices (:class:`Walk`), by the
+    door-in/door-out walk of van der Laan & Talman (1979).
 
     The walk starts at the apex :func:`starting_point` with T empty.  The
     current simplex has vertices ``w^0 .. w^t`` and the order ``pi`` of T,
@@ -504,9 +517,8 @@ def find_stopping_simplex(
             # T + {k} holds every action of k's block
             if sum(c[:2] == k[:2] for c in order) + 1 == game.num_actions[k.player]:
                 sigma = GridSimplex(GridProfile.from_key(game, keys[0], d), tuple(order))
-                return (sigma, _classify_labels(game, tuple(labels[key] for key in keys)),
-                        tuple(residuals[key] for key in keys), tuple(keys),
-                        tuple(map(evaluations.get, keys)))
+                return Walk(sigma, tuple(residuals[key] for key in keys), tuple(keys),
+                            tuple(map(evaluations.get, keys)))
             order.append(k)
             keys.append(vertex(keys[-1], _column(game, k)))
             fresh = len(order)
@@ -538,12 +550,13 @@ def least_residual_vertex(game: StochasticGame, d: int) -> tuple[StrategyProfile
     the walk's stopping simplex at grid size ``d``: its profile, its group
     evaluation and its residual, ready for
     :func:`~sgcert.certify.certify_groups`.  The evaluation and the residual
-    are the walk's own, and the profile its strategy arrays; a vertex whose
-    evaluation the walk dropped is evaluated again, to the same bits."""
-    _, _, residuals, keys, evaluations = find_stopping_simplex(game, d)
-    best = int(np.argmin(residuals))
-    mdps = evaluations[best] or _evaluate(game, np.array(keys[best]), d)[2]
-    return StrategyProfile(per_player(game, [m.pi for m in mdps])), mdps, residuals[best]
+    are the walk's own, read from its :class:`Walk` record by field, and
+    the profile its strategy arrays; a vertex whose evaluation the walk
+    dropped is evaluated again, to the same bits."""
+    walk = find_stopping_simplex(game, d)
+    best = int(np.argmin(walk.residuals))
+    mdps = walk.evaluations[best] or _evaluate(game, np.array(walk.keys[best]), d)[2]
+    return StrategyProfile(per_player(game, [m.pi for m in mdps])), mdps, walk.residuals[best]
 
 
 # ---------------------------------------------------------------------------

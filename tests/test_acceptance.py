@@ -29,7 +29,7 @@ from sgcert.oracles import (
     stopping_residual_check,
     truncated_value,
 )
-from sgcert.simplicial import find_stopping_simplex
+from sgcert.simplicial import classify_simplex, find_stopping_simplex
 
 from conftest import CORPUS_DIR, corpus_entries, corpus_entry, corpus_game
 
@@ -136,7 +136,8 @@ def test_05_stopping_simplices_exist_and_are_accurate():
     start = time.perf_counter()
     for entry in corpus_entries():
         for d in (2, 4, 8, 16, 32):
-            sigma, cls, *_ = find_stopping_simplex(entry.game, d)
+            sigma = find_stopping_simplex(entry.game, d).sigma
+            cls = classify_simplex(entry.game, sigma)
             assert cls.kind == "stopping", (entry.name, d)
             # the labels cover every action of the stopping block
             block = (cls.stopping_player, cls.stopping_state)

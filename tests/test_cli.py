@@ -162,6 +162,24 @@ def test_target_l_grid_size_agrees(capsys, target):
     assert json.loads(out)["certificate"]["d"] == want
 
 
+@pytest.mark.parametrize("argv,epsilon", [
+    (["certify", DOMINANT, PENNIES_EQ], 1.0),
+    (["solve", PENNIES, "--method", "grid", "--d", "3"], 2 / 9),
+    (["search", PENNIES, "--d", "3"], 2 / 9),
+])
+def test_false_verdict_exits_1(capsys, argv, epsilon):
+    """A certificate whose regret misses 1/L is a result, not an error: the
+    report on stdout with verdict false, exit 1 and nothing on stderr."""
+    code = main([*argv, "--target-L", "100"])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    cert = report.get("certificate", report)
+    assert code == 1
+    assert cert["verdict"] is False
+    assert cert["epsilon_achieved"] == pytest.approx(epsilon, abs=1e-11)
+    assert captured.err == ""
+
+
 class TestSolve:
     def test_damped_f_on_dominant_game(self, capsys):
         code, out = run(
@@ -443,7 +461,7 @@ class TestLabel:
         from sgcert.simplicial import find_stopping_simplex, simplex_to_dict
 
         game = load_game(PENNIES)
-        sigma, *_ = find_stopping_simplex(game, 2)
+        sigma = find_stopping_simplex(game, 2).sigma
         doc = tmp_path / "simplex.json"
         doc.write_text(json.dumps(simplex_to_dict(game, sigma)))
         code, out = run(capsys, "label", PENNIES, "--simplex", str(doc))
@@ -494,6 +512,10 @@ WRONGLY_TYPED_FIELDS = [
     ("states", [{"x": 1}]),
     ("players", [{"actions": [None, None]}, {"actions": ["b0", "b1"]}]),
     ("players", [{"actions": ["a0", "a1"]}, {"actions": ["a0", "a0"]}]),
+    # a game needs a state, a player, and an action for every player
+    ("states", []),
+    ("players", []),
+    ("players", [{"actions": []}, {"actions": ["h", "t"]}]),
 ]
 
 
@@ -640,7 +662,7 @@ def test_simplex_mode_rejects_grid_point_flags(capsys, tmp_path, flag, value):
     from sgcert.simplicial import find_stopping_simplex, simplex_to_dict
 
     game = load_game(PENNIES)
-    sigma, *_ = find_stopping_simplex(game, 2)
+    sigma = find_stopping_simplex(game, 2).sigma
     simplex = write_doc(tmp_path / "s.json", simplex_to_dict(game, sigma))
     run_input_error(capsys, "label", PENNIES, "--simplex", simplex, flag, value)
     assert main(["label", "/nonexistent/game.json", "--simplex", simplex, flag, value]) == 2

@@ -242,7 +242,11 @@ class TestDeviationValue:
         assert deviation_value(toy, pi, 0, 0, 1) == pytest.approx(0.0)
 
     def test_definitional_identity(self):
+        """The deviation value is the value of the modified profile, here
+        solved from the joint-action enumeration of its reward and
+        transition, not from the contraction the oracle goes through."""
         for game, pi in random_instances(29, 6):
+            eye = np.eye(game.num_states)
             for i in range(game.num_players):
                 for s in range(game.num_states):
                     for a in range(game.num_actions[i]):
@@ -251,7 +255,9 @@ class TestDeviationValue:
                         probs = [np.array(p) for p in pi.probs]
                         probs[i][s] = point
                         modified = validate_profile(game, probs)
-                        expected = value_function(game, modified, i)[s]
+                        expected = np.linalg.solve(
+                            eye - game.gamma * enumerate_marginal_transition(game, modified),
+                            enumerate_joint_expectation(game, modified, i))[s]
                         got = deviation_value(game, pi, i, s, a)
                         assert got == pytest.approx(expected, abs=1e-12)
 

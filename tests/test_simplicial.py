@@ -198,22 +198,22 @@ RESIDUAL_GAMES = residual_games()
 
 class TestFindStoppingSimplex:
     def test_toy_satisfies_residual_bound(self, toy):
-        sigma, cls, *_ = find_stopping_simplex(toy, 8)
+        sigma = find_stopping_simplex(toy, 8).sigma
         report = stopping_residual_check(toy, sigma)
         assert report.bound == pytest.approx(18.5)
         assert report.passed
 
     def test_adjacent_to_uniform_in_matching_pennies(self, pennies):
-        sigma, cls, *_ = find_stopping_simplex(pennies, 2)
+        sigma = find_stopping_simplex(pennies, 2).sigma
         uniform_key = point(pennies, [[[1, 1]], [[1, 1]]], 2).key
         vertex_keys = [v.key for v in simplex_vertices(pennies, sigma)]
         assert uniform_key in vertex_keys
 
     def test_deterministic(self, pennies):
-        # simplex, classification, residuals and keys; evaluations hold arrays
+        # simplex, residuals and keys; evaluations hold arrays
         first = find_stopping_simplex(pennies, 4)
         second = find_stopping_simplex(pennies, 4)
-        assert first[:4] == second[:4]
+        assert first._replace(evaluations=None) == second._replace(evaluations=None)
 
     def test_not_found_reported_honestly(self, toy, monkeypatch):
         # force every grid point onto one label: no simplex can then cover
@@ -244,8 +244,8 @@ class TestFindStoppingSimplex:
     def test_walk_stops_on_the_corpus(self, name):
         game = corpus_game(name)
         for d in (1, 2, 3, 4, 5, 8, 16):
-            sigma, cls, *_ = find_stopping_simplex(game, d)
-            assert cls.kind == "stopping", (name, d)
+            sigma = find_stopping_simplex(game, d).sigma
+            assert classify_simplex(game, sigma).kind == "stopping", (name, d)
             assert stopping_residual_check(game, sigma).passed, (name, d)
 
     def test_walk_never_enumerates_the_grid(self, monkeypatch):
@@ -255,7 +255,9 @@ class TestFindStoppingSimplex:
         monkeypatch.setattr(simplicial, "_grid_keys", refuse)
         for name, d in (("matching_pennies", 4), ("zero_sum_chain", 32),
                         ("asymmetric_mixed", 64)):
-            assert find_stopping_simplex(corpus_game(name), d)[1].kind == "stopping"
+            game = corpus_game(name)
+            sigma = find_stopping_simplex(game, d).sigma
+            assert classify_simplex(game, sigma).kind == "stopping"
 
     @pytest.mark.parametrize("name,d,count,points", [
         ("zero_sum_chain", 32, 65, 1_185_921),
@@ -295,10 +297,10 @@ class TestFindStoppingSimplex:
             walked.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(simplicial, "_evaluate", recording)
-                sigma, _, residuals, *_ = find_stopping_simplex(game, d)
-            keys = simplicial._vertex_keys(game, sigma)
-            assert residuals == tuple(walked[key] for key in keys), d
-            assert residuals == stopping_residual_check(game, sigma).vertex_residuals, d
+                walk = find_stopping_simplex(game, d)
+            keys = simplicial._vertex_keys(game, walk.sigma)
+            assert walk.residuals == tuple(walked[key] for key in keys), d
+            assert walk.residuals == stopping_residual_check(game, walk.sigma).vertex_residuals, d
 
     def test_walk_keeps_at_most_t_plus_two_evaluations(self, monkeypatch):
         """A long walk keeps the group evaluation of a vertex only while the
@@ -409,14 +411,15 @@ class TestTriangulation:
 
 class TestSerialization:
     def test_round_trip(self, pennies):
-        sigma, cls, *_ = find_stopping_simplex(pennies, 2)
+        sigma = find_stopping_simplex(pennies, 2).sigma
         doc = simplex_to_dict(pennies, sigma)
         back = simplex_from_dict(pennies, doc)
         assert back == sigma
-        assert [Label(*lab) for lab in doc["vertex_labels"]] == list(cls.labels)
+        assert [Label(*lab) for lab in doc["vertex_labels"]] == [
+            label_point(pennies, v) for v in simplex_vertices(pennies, sigma)]
 
     def test_rejects_bad_permutation(self, pennies):
-        sigma, *_ = find_stopping_simplex(pennies, 2)
+        sigma = find_stopping_simplex(pennies, 2).sigma
         doc = simplex_to_dict(pennies, sigma)
         doc["permutation"] = [5] * len(doc["permutation"])
         with pytest.raises(InvalidSimplexError):
@@ -573,7 +576,7 @@ class TestScanMatchesReference:
         """A simplex's vertices, evaluated together, have the residuals of
         each vertex evaluated alone, bit for bit."""
         game = corpus_game(name)
-        sigma, *_ = find_stopping_simplex(game, 2)
+        sigma = find_stopping_simplex(game, 2).sigma
         report = stopping_residual_check(game, sigma)
         assert report.vertex_residuals == tuple(
             residual(game, v.to_profile(game)) for v in simplex_vertices(game, sigma))
@@ -610,13 +613,13 @@ class TestLeastResidualVertex:
         from the walk's own evaluation, are bit for bit those of
         certify_profile on GridProfile.to_profile of that vertex."""
         for d in range(1, 17):
-            sigma, _, residuals, keys, evaluations = find_stopping_simplex(game, d)
-            assert list(keys) == simplicial._vertex_keys(game, sigma)
-            profiles = [GridProfile.from_key(game, key, d).to_profile(game) for key in keys]
-            for mdps, profile in zip(evaluations, profiles):
+            walk = find_stopping_simplex(game, d)
+            assert list(walk.keys) == simplicial._vertex_keys(game, walk.sigma)
+            profiles = [GridProfile.from_key(game, key, d).to_profile(game) for key in walk.keys]
+            for mdps, profile in zip(walk.evaluations, profiles):
                 if mdps is not None:
                     assert bits(per_player(game, [m.pi for m in mdps])) == bits(profile.probs)
-            want = profiles[int(np.argmin(residuals))]
+            want = profiles[int(np.argmin(walk.residuals))]
             pi, mdps, res = least_residual_vertex(game, d)
             assert bits(pi.probs) == bits(want.probs), d
             assert certificate_bits(certify_groups(game, mdps, 10, residual=res)) == (
@@ -633,8 +636,8 @@ class TestLeastResidualVertex:
         evaluate = simplicial._evaluate
 
         def dropped(game, d):
-            *found, evaluations = walk(game, d)
-            return *found, (None,) * len(evaluations)
+            found = walk(game, d)
+            return found._replace(evaluations=(None,) * len(found.evaluations))
 
         def counted(game, nums, d, *reuse):
             made.append(nums)
@@ -823,9 +826,8 @@ class TestIntegerSearchMatchesReference:
         finds one too, maybe another, within the residual bound."""
         game = make_game()
         assert oracles.first_stopping_simplex(game, d) is not None
-        sigma, cls, *_ = find_stopping_simplex(game, d)
-        assert cls == classify_simplex(game, sigma)
-        assert cls.kind == "stopping"
+        sigma = find_stopping_simplex(game, d).sigma
+        assert classify_simplex(game, sigma).kind == "stopping"
         assert stopping_residual_check(game, sigma).passed
 
     def test_cone_membership(self, make_game, d):
@@ -852,6 +854,54 @@ class TestIntegerSearchMatchesReference:
                 for bad in bad_sets:
                     with pytest.raises(InvalidSimplexError):
                         in_cone(game, apex, apex, bad)
+
+
+# ---------------------------------------------------------------------------
+# The End-of-the-Line graph, built by oracles.door_graph from the exhaustive
+# enumeration and one labelling of the grid, with no pivot rule: the walk
+# must follow its path from the apex.
+
+def door_graph_cases():
+    """The corpus games at d = 1 .. 6 and seeded random games at d = 1 .. 4,
+    one case per game."""
+    rng = np.random.default_rng(11)
+    shapes = [(2, 1, 3, 0.5), (3, 1, 2, 0.9), (1, 2, 3, 0.5), (2, 2, 2, 0.9),
+              (2, 1, [2, 3], 0.0)]
+    return [pytest.param(corpus_game(name), range(1, 7), id=name) for name in CORPUS_GAMES] + [
+        pytest.param(oracles.random_game(rng, *shape), range(1, 5), id=f"graph{k}-{shape}")
+        for k, shape in enumerate(shapes)]
+
+
+def path_end(graph):
+    """The node at the far end of the apex's path."""
+    before, node = None, graph.apex
+    for _ in graph.adjacent:
+        ahead = [other for other in graph.adjacent[node] if other != before]
+        if not ahead:
+            return node
+        before, node = node, ahead[0]
+    raise AssertionError("the apex's path does not end")
+
+
+@pytest.mark.parametrize("game,sizes", door_graph_cases())
+class TestDoorGraph:
+    def test_doors_pair_up_into_paths(self, game, sizes):
+        """Every door has two sides; the apex and the stopping nodes have
+        degree 1 and every other node degree 2.  Path ends come in pairs,
+        and the apex is one, so the stopping nodes are odd in number."""
+        for d in sizes:
+            graph = oracles.door_graph(game, d)
+            assert graph.unmatched == [], d
+            for node, others in graph.adjacent.items():
+                ends = node == graph.apex or node in graph.stopping
+                assert len(others) == (1 if ends else 2), (d, sorted(node))
+            assert len(graph.stopping) % 2 == 1, d
+
+    def test_walk_ends_where_the_apex_path_ends(self, game, sizes):
+        """The walk stops at the node at the far end of the apex's path."""
+        for d in sizes:
+            assert path_end(oracles.door_graph(game, d)) == set(
+                find_stopping_simplex(game, d).keys), d
 
 
 # ---------------------------------------------------------------------------
