@@ -33,7 +33,6 @@ from .game import (
     validate_profile,
 )
 from .nash_map import DenominatorError, apply_f, lipschitz_constant, per_player
-from .oracles import grid_residual_argmin, random_profile
 from .simplicial import (
     GridProfile,
     InvalidSimplexError,
@@ -103,6 +102,7 @@ def cmd_info(args) -> int:
 
 def _solve_damped_f(game, damping, max_iters, tol, seed):
     if seed is not None:
+        from .oracles import random_profile  # only when asked: not on start-up
         pi = random_profile(game, np.random.default_rng(seed))
     else:
         pi = uniform_profile(game)
@@ -129,6 +129,7 @@ def _solve_damped_f(game, damping, max_iters, tol, seed):
 
 
 def _solve_grid(game, d):
+    from .oracles import grid_residual_argmin  # only when asked: not on start-up
     point, _ = grid_residual_argmin(game, d)
     return point.to_profile(game), "converged"
 

@@ -46,6 +46,15 @@ on the simplex (:func:`~sgcert.game.check_row_drift`), and every rank-one
 denominator must be positive (:class:`DenominatorError` otherwise).  The
 input arrays are trusted to be valid profiles; the map's output is a
 distribution by construction, so it is not validated again.
+
+A game with gamma = 0 is a one-shot game at each state: M = I, so the
+evaluation skips the solve, the inverse and the lookahead, and the gains
+skip the denominator, which is exactly 1 there.  Solving and inverting I
+on IEEE arithmetic multiply by 0 and 1 and add zeros, so every result has
+the bits of the full path, up to the sign of a zero that the clamp and
+``argmax`` do not tell apart.  The drift check still runs; the
+denominator check could not fail there, since a NaN in the profile fails
+the drift check first.
 """
 
 from __future__ import annotations
@@ -94,6 +103,9 @@ class PlayerMDP:
         w: ``(I - gamma * P_pi)^-1`` for the on-profile transitions P_pi.
         v: on-profile value, the solution of ``(I - gamma * P_pi) v = r_pi``.
         q: one-step lookahead, ``q[..., s, a] = r_ia[..., s, a] + gamma * p_ia[..., s, a] @ v``.
+
+    At gamma = 0, M = I: ``w`` is the identity, ``v`` is ``r_pi``, ``q`` is
+    ``r_ia`` (with the batch axes) and every gain denominator is exactly 1.
     """
 
     gamma: float
@@ -111,12 +123,16 @@ class PlayerMDP:
 
     def gains(self) -> np.ndarray:
         """Clamped one-shot deviation gains ``D[..., s, a]``; see :func:`gain_table`."""
-        w_ss = self.w.diagonal(0, -2, -1)[..., None]
-        denom = w_ss - self.gamma * np.einsum("...sat,...ts->...sa", self.p_ia, self.w)
-        # one reduction: the minimum is NaN if any entry is, failing the test
-        if not denom.min() > 0:
-            raise DenominatorError("rank-one update denominator is not positive")
-        g = w_ss * (self.q - self.v[..., None]) / denom
+        if self.gamma == 0.0:
+            # w_ss = 1 and the denominator is exactly 1, so 1 * y / 1 = y
+            g = self.q - self.v[..., None]
+        else:
+            w_ss = self.w.diagonal(0, -2, -1)[..., None]
+            denom = w_ss - self.gamma * np.einsum("...sat,...ts->...sa", self.p_ia, self.w)
+            # one reduction: the minimum is NaN if any entry is, failing the test
+            if not denom.min() > 0:
+                raise DenominatorError("rank-one update denominator is not positive")
+            g = w_ss * (self.q - self.v[..., None]) / denom
         g[g < GAIN_CLAMP] = 0.0
         g.flags.writeable = False
         return g
@@ -142,6 +158,12 @@ def _evaluate(game: StochasticGame, probs, players: tuple[int, ...],
     r_pi = np.einsum("...sa,...sa->...s", own, r_ia)
     p_pi = np.einsum("...sa,...sat->...st", own, p_ia)
     check_row_drift(p_pi)
+    if game.gamma == 0.0:
+        # M = I: solving and inverting I, and adding 0 * lookahead, are exact
+        # no-ops, up to the sign of a zero
+        w = np.broadcast_to(game.eye, p_pi.shape).copy()
+        return PlayerMDP(game.gamma, own, r_ia, p_ia, w, r_pi,
+                         np.broadcast_to(r_ia, own.shape).copy())
     m = game.eye - game.gamma * p_pi
     # v by a backward-stable solve, as in value_function, not as w @ r_pi
     v = np.linalg.solve(m, r_pi[..., None])[..., 0]

@@ -1,3 +1,5 @@
+import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from sgcert.game import (
     GameValidationError,
+    game_from_dict,
     uniform_profile,
     validate_profile,
     value_function,
@@ -29,6 +32,7 @@ from sgcert.nash_map import (
 from sgcert.oracles import deviation_value, max_norm_distance, random_game, random_profile
 
 from conftest import (
+    CORPUS_DIR,
     CORPUS_GAMES,
     SCALE_SHAPES,
     corpus_entries,
@@ -207,6 +211,11 @@ def reference_games():
               for n, s, a in shapes for gamma in (0.0, 0.9)]
     games += [(f"mixed{a}", random_game(rng, len(a), 3, list(a), 0.5))
               for a in ((2, 3), (2, 3, 2))]
+    # one-shot games: mixed action counts, and a discount of -0.0 as a
+    # document may give it
+    games.append(("mixed(2, 3, 2)-g0.0", random_game(rng, 3, 3, [2, 3, 2], 0.0)))
+    doc = json.loads((CORPUS_DIR / "zero_sum_chain.game.json").read_text())
+    games.append(("zero_sum_chain-g-0.0", game_from_dict({**doc, "gamma": -0.0})))
     return games
 
 
@@ -246,15 +255,45 @@ class TestKernelMatchesReference:
             assert residual(game, validate_profile(game, probs)) == res
 
     def test_groups_of_equal_action_counts(self):
-        game = dict(REFERENCE_GAMES)["mixed(2, 3, 2)"]
-        assert game.player_groups == ((0, 2), (1,))
-        assert dict(REFERENCE_GAMES)["4x2x2-g0.0"].player_groups == ((0, 1, 2, 3),)
+        games = dict(REFERENCE_GAMES)
+        assert games["mixed(2, 3, 2)"].player_groups == ((0, 2), (1,))
+        assert games["mixed(2, 3, 2)-g0.0"].player_groups == ((0, 2), (1,))
+        assert games["4x2x2-g0.0"].player_groups == ((0, 1, 2, 3),)
+        assert math.copysign(1.0, games["zero_sum_chain-g-0.0"].gamma) == -1.0
 
 
-def off_simplex_input():
+class TestOneShotGames:
+    """At gamma = 0 the Bellman matrix is the identity: the kernel neither
+    solves nor inverts it, and gives the bits of the reference, which does."""
+
+    @pytest.mark.parametrize("gamma", [0.0, -0.0, 0.5])
+    def test_solves_only_when_discounted(self, monkeypatch, gamma):
+        game = random_game(np.random.default_rng(71), 3, 3, [2, 3, 2], gamma)
+        probs = random_profile(game, np.random.default_rng(73)).probs
+        calls = {"solve": 0, "inv": 0}
+        for name in calls:
+            def counted(*args, linalg=getattr(np.linalg, name), name=name):
+                calls[name] += 1
+                return linalg(*args)
+            monkeypatch.setattr(np.linalg, name, counted)
+        evaluate_groups(game, probs)
+        groups = len(game.player_groups) if gamma else 0
+        assert calls == {"solve": groups, "inv": groups}
+
+    def test_off_simplex_profile_has_no_denominator(self):
+        game, probs = off_simplex_input(gamma=0.0)
+        gains = reference_gains(game.gamma, *reference_player_mdp(game, probs, 0))
+        nxt, res = reference_apply_gains(probs, [gains])
+        got_nxt, got_res = improve(game, probs)
+        assert np.array_equal(player_mdp(game, probs, 0).gains(), gains)
+        assert np.array_equal(got_nxt[0], nxt[0]) and got_res == res
+
+
+def off_simplex_input(gamma=0.9):
     """A one-player game and an own strategy off the simplex whose rows sum
-    to 1, so that it passes the drift check and reaches the gain denominator."""
-    game = random_game(np.random.default_rng(1), 1, 2, 2, 0.9)
+    to 1, so that it passes the drift check and, for gamma > 0, reaches the
+    gain denominator."""
+    game = random_game(np.random.default_rng(1), 1, 2, 2, gamma)
     return game, (np.array([[4.0, -3.0], [4.0, -3.0]]),)
 
 

@@ -9,6 +9,7 @@ import ast
 import importlib
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +38,16 @@ def test_damped_loop_calls_the_map_by_module_name():
     from sgcert import cli, nash_map
 
     assert cli.apply_f is nash_map.apply_f
+
+
+def test_commands_start_without_the_oracles():
+    """``import sgcert.cli`` leaves ``sgcert.oracles`` unloaded: only the grid
+    solver and a seeded damped start import it, when they run."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, sgcert.cli; print('sgcert.oracles' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
 
 LIBRARY = sorted((ROOT / "src" / "sgcert").glob("*.py"))

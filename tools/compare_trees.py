@@ -25,7 +25,10 @@ Two measurements, each added to the output file under its own keys:
   ``search_job_marginals``) that one such job makes, the walk's labels and
   the certificate alike; and milliseconds per call of
   ``cli._solve_damped_f`` on every damped corpus game of the
-  ``solve-small`` workload, at its tolerance and seed 1; and microseconds
+  ``solve-small`` workload, at its tolerance and seed 1, the cycling game
+  at its iteration cap included, with the iterations of each
+  (``nash_map.apply_f`` calls in the same ``solve`` run through
+  ``cli.main``, under ``damped_f_iterations``); and microseconds
   per ``cli.main`` call on one command line of each command, with every
   ``cmd_*`` handler replaced by a no-op, so that the call reads its
   arguments and does nothing else, in the parent and the change alike; and,
@@ -179,8 +182,9 @@ def kernel(args) -> dict:
     """The sweep's table; ``label_point`` at the apex of, and ``cli.main``
     on, every corpus job of the ``search`` workload (``SEARCH_CORPUS`` in
     the change's ``bench/jobs.py``), with the group evaluations of each job; and
-    the damped loop on every damped corpus game of ``solve-small``
-    (``DAMPED_GAMES``, at ``DAMPED_TOL`` and seed 1); the parse of one
+    the damped loop, with its iterations, on every damped corpus game of
+    ``solve-small`` (``DAMPED_GAMES``, at ``DAMPED_TOL`` and seed 1, and
+    ``CYCLING_GAME`` capped at ``CYCLING_MAX_ITERS``); the parse of one
     command line of each command, ``search`` at grid size 2; and the two
     halves of ``load_game``, and the certification after it, on one game of
     each ``CERTIFY_JOBS`` shape."""
@@ -228,16 +232,22 @@ def kernel(args) -> dict:
         search_jobs[job] = _best(job_calls, per_second=1e3)
         print(name, d, apexes[job], search_jobs[job], evaluations[job], marginals[job],
               flush=True)
-    damped = {}
-    for name in jobs.DAMPED_GAMES:
-        calls = {}
+    damped, iterations = {}, {}
+    capped = {jobs.CYCLING_GAME: ["--max-iters", jobs.CYCLING_MAX_ITERS]}
+    for name in (*jobs.DAMPED_GAMES, jobs.CYCLING_GAME):
+        calls, iterations[name] = {}, {}
         for side, mods in trees.items():
-            game = mods["game"].load_game(Path(getattr(args, side), "corpus", f"{name}.game.json"))
-            options = {**mods["cli"].SOLVE_FLAGS["damped-f"], "tol": float(jobs.DAMPED_TOL),
-                       "seed": 1}
-            calls[f"damped_f_ms_{side}"] = partial(mods["cli"]._solve_damped_f, game, **options)
+            path = Path(getattr(args, side), "corpus", f"{name}.game.json")
+            argv = ["solve", str(path), "--tol", jobs.DAMPED_TOL, "--seed", "1",
+                    *capped.get(name, [])]
+            # the loop's options as the command line gives them
+            options = mods["cli"]._solve_options(mods["cli"].parse_args(argv))
+            calls[f"damped_f_ms_{side}"] = partial(
+                mods["cli"]._solve_damped_f, mods["game"].load_game(path), **options)
+            # the loop calls apply_f once per iteration, and nothing else does
+            iterations[name][f"damped_f_iterations_{side}"] = _calls(mods, argv, "apply_f")
         damped[name] = _best(calls, per_second=1e3)
-        print(name, damped[name], flush=True)
+        print(name, damped[name], iterations[name], flush=True)
     game, profile = (str(Path(args.after, "corpus", f"matching_pennies.{kind}.json"))
                      for kind in ("game", "equilibrium"))
     parse = _parse_us(trees, {"info": [game], "solve": [game], "search": [game, "--d", "2"],
@@ -261,7 +271,8 @@ def kernel(args) -> dict:
     return {"kernel_us": table, "search_apex_label_point_us": apexes,
             "search_job_ms": search_jobs, "search_job_evaluations": evaluations,
             "search_job_marginals": marginals,
-            "damped_f_ms": damped, "parse_us": parse, "certify_load_ms": load}
+            "damped_f_ms": damped, "damped_f_iterations": iterations, "parse_us": parse,
+            "certify_load_ms": load}
 
 
 def main(argv=None) -> int:
