@@ -52,9 +52,13 @@ evaluation skips the solve, the inverse and the lookahead, and the gains
 skip the denominator, which is exactly 1 there.  Solving and inverting I
 on IEEE arithmetic multiply by 0 and 1 and add zeros, so every result has
 the bits of the full path, up to the sign of a zero that the clamp and
-``argmax`` do not tell apart.  The drift check still runs; the
-denominator check could not fail there, since a NaN in the profile fails
-the drift check first.
+``argmax`` do not tell apart.  W and q are fresh arrays with the
+evaluation's axes, each filled by one assignment of I and of the reward
+table.  ``np.broadcast_to(...).copy()`` would give the same bits, but
+``broadcast_to`` builds an ``nditer`` in Python, about 4 microseconds a
+call at these sizes, several times the fill.  The drift check still runs;
+the denominator check could not fail there, since a NaN in the profile
+fails the drift check first.
 """
 
 from __future__ import annotations
@@ -106,6 +110,10 @@ class PlayerMDP:
 
     At gamma = 0, M = I: ``w`` is the identity, ``v`` is ``r_pi``, ``q`` is
     ``r_ia`` (with the batch axes) and every gain denominator is exactly 1.
+    ``w`` and ``q`` are then fresh arrays, each filled by one assignment,
+    not copies of ``np.broadcast_to`` views: ``broadcast_to`` builds an
+    ``nditer`` in Python, about 4 microseconds a call at these sizes.
+    Neither shares memory with the game's tables or with ``r_ia``.
     """
 
     gamma: float
@@ -160,10 +168,10 @@ def _evaluate(game: StochasticGame, probs, players: tuple[int, ...],
     check_row_drift(p_pi)
     if game.gamma == 0.0:
         # M = I: solving and inverting I, and adding 0 * lookahead, are exact
-        # no-ops, up to the sign of a zero
-        w = np.broadcast_to(game.eye, p_pi.shape).copy()
-        return PlayerMDP(game.gamma, own, r_ia, p_ia, w, r_pi,
-                         np.broadcast_to(r_ia, own.shape).copy())
+        # no-ops, up to the sign of a zero; one fill each, not broadcast_to
+        w, q = np.empty(p_pi.shape), np.empty(own.shape)
+        w[...], q[...] = game.eye, r_ia
+        return PlayerMDP(game.gamma, own, r_ia, p_ia, w, r_pi, q)
     m = game.eye - game.gamma * p_pi
     # v by a backward-stable solve, as in value_function, not as w @ r_pi
     v = np.linalg.solve(m, r_pi[..., None])[..., 0]

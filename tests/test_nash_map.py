@@ -280,6 +280,36 @@ class TestOneShotGames:
         groups = len(game.player_groups) if gamma else 0
         assert calls == {"solve": groups, "inv": groups}
 
+    @pytest.mark.parametrize("batch", [(), (4,), (2, 3)], ids=["axes0", "axes1", "axes2"])
+    @pytest.mark.parametrize("n,a", [(1, 4), (3, [2, 3, 2])], ids=["1x3x4", "mixed(2, 3, 2)"])
+    @pytest.mark.parametrize("gamma", [0.0, -0.0], ids=["g0.0", "g-0.0"])
+    def test_w_and_q_are_fresh_fills(self, monkeypatch, gamma, n, a, batch):
+        """W and q are new float64 arrays with the evaluation's axes, filled
+        from I and r_ia without ``np.broadcast_to``, and share no memory with
+        the game or the group's tables."""
+        game = random_game(np.random.default_rng(79), n, 3, a, gamma)
+        rng = np.random.default_rng(83)
+        pis = [random_profile(game, rng) for _ in range(int(np.prod(batch)))]
+        probs = tuple(np.stack([pi.probs[i] for pi in pis]).reshape(batch + pis[0].probs[i].shape)
+                      for i in range(n))
+        calls = []
+
+        def counted(*args, broadcast_to=np.broadcast_to, **kwargs):
+            calls.append(1)
+            return broadcast_to(*args, **kwargs)
+
+        monkeypatch.setattr(np, "broadcast_to", counted)
+        mdps = evaluate_groups(game, probs)
+        assert calls == []
+        for m in mdps:
+            p_pi = np.einsum("...sa,...sat->...st", m.pi, m.p_ia)
+            assert m.w.shape == p_pi.shape and m.q.shape == m.pi.shape
+            for got, want in ((m.w, game.eye), (m.q, m.r_ia)):
+                assert got.dtype == np.float64 and got.flags.c_contiguous
+                assert np.array_equal(got, np.broadcast_to(want, got.shape))
+                for table in (game.eye, game.reward_table, m.r_ia):
+                    assert not np.shares_memory(got, table)
+
     def test_off_simplex_profile_has_no_denominator(self):
         game, probs = off_simplex_input(gamma=0.0)
         gains = reference_gains(game.gamma, *reference_player_mdp(game, probs, 0))

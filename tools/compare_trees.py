@@ -16,20 +16,21 @@ Two measurements, each added to the output file under its own keys:
 * ``kernel``: microseconds per call of ``nash_map.improve`` and
   ``nash_map.player_mdp`` on one random profile, and of
   ``simplicial.label_point`` at the grid point ``starting_point(game, 8)``,
-  for every (n, S, A) of a small sweep; of ``label_point`` at the apex
-  of every corpus job of the ``search`` workload; milliseconds per
-  ``cli.main`` call on each of those jobs, the whole job with its stdout
-  kept in memory, and the group evaluations (``nash_map._evaluate`` calls,
-  one per player group of each point evaluated) and the opponent-marginal
-  contractions (``game._opponent_marginals`` calls, under
-  ``search_job_marginals``) that one such job makes, the walk's labels and
-  the certificate alike; and milliseconds per call of
-  ``cli._solve_damped_f`` on every damped corpus game of the
-  ``solve-small`` workload, at its tolerance and seed 1, the cycling game
-  at its iteration cap included, with the iterations of each
-  (``nash_map.apply_f`` calls in the same ``solve`` run through
-  ``cli.main``, under ``damped_f_iterations``); and microseconds
-  per ``cli.main`` call on one command line of each command, with every
+  for every (n, S, A) of a small sweep at gamma = 0, the one-shot path,
+  and at gamma = 0.9, under ``kernel_us`` keys ``"n,S,A,gamma"``; of
+  ``label_point`` at the apex of every corpus job of the ``search``
+  workload; milliseconds per ``cli.main`` call on each of those jobs, the
+  whole job with its stdout kept in memory, and the group evaluations
+  (``nash_map._evaluate`` calls, one per player group of each point
+  evaluated) and the opponent-marginal contractions
+  (``game._opponent_marginals`` calls, under ``search_job_marginals``)
+  that one such job makes, the walk's labels and the certificate alike;
+  and milliseconds per call of ``cli._solve_damped_f`` on every damped
+  corpus game of the ``solve-small`` workload, at its tolerance and seed
+  1, the cycling game at its iteration cap included, with the iterations
+  of each (``nash_map.apply_f`` calls in the same ``solve`` run through
+  ``cli.main``, under ``damped_f_iterations``); and microseconds per
+  ``cli.main`` call on one command line of each command, with every
   ``cmd_*`` handler replaced by a no-op, so that the call reads its
   arguments and does nothing else, in the parent and the change alike; and,
   for one seeded game of each shape of the ``certify-scale`` workload,
@@ -70,7 +71,7 @@ from pathlib import Path
 # Pin BLAS before numpy is imported, here and in the benchmark runs.
 BLAS_PIN = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 os.environ.update(BLAS_PIN)
-SWEEP = {"n": (1, 2, 3, 4), "S": (1, 2, 8, 32), "A": (2, 3, 4)}
+SWEEP = {"n": (1, 2, 3, 4), "S": (1, 2, 8, 32), "A": (2, 3, 4), "gamma": (0.0, 0.9)}
 
 
 class RunFailed(Exception):
@@ -179,15 +180,15 @@ def _parse_us(trees: dict, argvs: dict) -> dict:
 
 
 def kernel(args) -> dict:
-    """The sweep's table; ``label_point`` at the apex of, and ``cli.main``
-    on, every corpus job of the ``search`` workload (``SEARCH_CORPUS`` in
-    the change's ``bench/jobs.py``), with the group evaluations of each job; and
-    the damped loop, with its iterations, on every damped corpus game of
-    ``solve-small`` (``DAMPED_GAMES``, at ``DAMPED_TOL`` and seed 1, and
-    ``CYCLING_GAME`` capped at ``CYCLING_MAX_ITERS``); the parse of one
-    command line of each command, ``search`` at grid size 2; and the two
-    halves of ``load_game``, and the certification after it, on one game of
-    each ``CERTIFY_JOBS`` shape."""
+    """The sweep's table, at both discounts; ``label_point`` at the apex
+    of, and ``cli.main`` on, every corpus job of the ``search`` workload
+    (``SEARCH_CORPUS`` in the change's ``bench/jobs.py``), with the group
+    evaluations of each job; and the damped loop, with its iterations, on
+    every damped corpus game of ``solve-small`` (``DAMPED_GAMES``, at
+    ``DAMPED_TOL`` and seed 1, and ``CYCLING_GAME`` capped at
+    ``CYCLING_MAX_ITERS``); the parse of one command line of each command,
+    ``search`` at grid size 2; and the two halves of ``load_game``, and the
+    certification after it, on one game of each ``CERTIFY_JOBS`` shape."""
     import numpy as np
 
     trees = {side: _load(getattr(args, side), f"sgcert_{side}")
@@ -198,12 +199,13 @@ def kernel(args) -> dict:
     spec.loader.exec_module(sys.modules["bench_jobs"])
     jobs = sys.modules["bench_jobs"]
     table = {}
-    for n, s, a in product(*SWEEP.values()):
+    for n, s, a, gamma in product(*SWEEP.values()):
         calls = {}
         for side, mods in trees.items():
-            # the same seed gives the same game and profile in both trees
+            # the same seed gives the same game and profile in both trees,
+            # and the same tables at either discount
             rng = np.random.default_rng(1000 * n + 10 * s + a)
-            game = mods["oracles"].random_game(rng, n, s, a, 0.9)
+            game = mods["oracles"].random_game(rng, n, s, a, gamma)
             probs = mods["oracles"].random_profile(game, rng).probs
             apex = mods["simplicial"].starting_point(game, 8)
             calls[f"improve_us_{side}"] = partial(mods["nash_map"].improve, game, probs)
@@ -211,8 +213,9 @@ def kernel(args) -> dict:
                 mods["nash_map"].player_mdp, game, probs, 0)
             calls[f"label_point_us_{side}"] = partial(
                 mods["simplicial"].label_point, game, apex)
-        table[f"{n},{s},{a}"] = _best(calls)
-        print(n, s, a, table[f"{n},{s},{a}"], flush=True)
+        key = f"{n},{s},{a},{gamma}"
+        table[key] = _best(calls)
+        print(key, table[key], flush=True)
     apexes, search_jobs, evaluations, marginals = {}, {}, {}, {}
     for name, d in jobs.SEARCH_CORPUS:
         calls, job_calls, job = {}, {}, f"{name},{d}"
