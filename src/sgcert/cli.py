@@ -7,13 +7,15 @@ that steps off the grid or passes its step bound), 141 a report or help
 written to a stdout that its reader has closed (128 + SIGPIPE, as ``cat``
 exits).
 Reports are JSON with floats at 12 significant digits; identical inputs
-and seeds produce byte-identical output.
+and seeds produce byte-identical output.  A report that would hold an
+infinity or a NaN is not written: the run is an input error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import sys
@@ -52,8 +54,14 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
 def _round_floats(obj):
-    """12-significant-digit float formatting for reproducible reports."""
+    """12-significant-digit float formatting for reproducible reports.  JSON
+    has no infinity or NaN, so a report holding one, from a game whose
+    numbers overflow a float, is an input error."""
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise GameValidationError(
+                f"the report would hold {obj}, not a JSON number: the game's "
+                "rewards and discount overflow a float")
         return float(f"{obj:.12g}")
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}

@@ -7,8 +7,10 @@ row-major over players in declared player order: for action counts
 a1 * A2 * ... * An + ... + a(n-1) * An + an.
 
 Strategy profiles are behavioral: one probability vector over the player's
-actions per (player, state).  All evaluation here is exact, via dense linear
-solves of the Bellman system (I - gamma * P_pi) V = r_pi.
+actions per (player, state).  This module solves nothing: it gives each
+player's frozen-opponent tables (:func:`opponent_marginals`) and the
+row-drift check to the one evaluation in :mod:`sgcert.nash_map`, whose
+exact Bellman solve gives every value, :func:`value_function` included.
 """
 
 from __future__ import annotations
@@ -298,28 +300,6 @@ def uniform_profile(game: StochasticGame) -> StrategyProfile:
 _ACTION_AXES = "abcdefghijklmnopqruvwxyz"
 
 
-def _expect(game: StochasticGame, probs, table: np.ndarray) -> np.ndarray:
-    """Expectation over the joint action of ``table``, one player's
-    ``reward_table`` row or the ``transition_table`` of the game, with every
-    player drawing its action from ``probs[j]``, shaped ``(..., S, A_j)``;
-    the result carries those leading batch axes, then the state axis."""
-    n = game.num_players
-    return np.einsum(_einsum_spec(n, None, table.ndim > n + 1), table, *probs)
-
-
-@cache
-def _einsum_spec(n: int, keep: int | None, next_state: bool) -> str:
-    """Subscripts of the expectation of a table of ``n`` players over every
-    player's action except ``keep``'s, which stays as the last action axis.
-    One plain ``einsum`` over all states (path planning costs more than it
-    saves at these sizes)."""
-    axes = _ACTION_AXES[:n]
-    rest = "t" if next_state else ""
-    batch = "..." if n > (keep is not None) else ""
-    inputs = ["s" + axes + rest] + [batch + "s" + axes[j] for j in range(n) if j != keep]
-    return ",".join(inputs) + "->" + batch + "s" + ("" if keep is None else axes[keep]) + rest
-
-
 def check_row_drift(p: np.ndarray) -> None:
     """Reject a derived transition matrix whose rows left the simplex."""
     # written negated so that a NaN row, which fails every comparison, is caught
@@ -327,32 +307,14 @@ def check_row_drift(p: np.ndarray) -> None:
         raise GameValidationError("marginal transition row drifted off the simplex")
 
 
-def marginal_reward(
-    game: StochasticGame, pi: StrategyProfile, player: int
-) -> np.ndarray:
-    """Expected one-step reward of a player at each state under the profile."""
-    check_player(game, player)
-    return _expect(game, pi.probs, game.reward_table[player])
-
-
-def marginal_transition(game: StochasticGame, pi: StrategyProfile) -> np.ndarray:
-    """S x S state transition matrix induced by the profile."""
-    p = _expect(game, pi.probs, game.transition_table)
-    check_row_drift(p)
-    return p
-
-
 def value_function(
     game: StochasticGame, pi: StrategyProfile, player: int
 ) -> np.ndarray:
-    """Exact discounted value of a player at every state.
+    """Exact discounted value of a player at every state: the value ``v`` of
+    the frozen-opponent evaluation (:func:`~sgcert.nash_map.player_mdp`)."""
+    from .nash_map import player_mdp  # nash_map imports this module
 
-    Solves the dense Bellman system; always nonsingular since gamma < 1.
-    """
-    check_player(game, player)
-    p = marginal_transition(game, pi)
-    r = marginal_reward(game, pi, player)
-    return np.linalg.solve(game.eye - game.gamma * p, r)
+    return player_mdp(game, pi.probs, player).v
 
 
 def opponent_marginals(
@@ -383,9 +345,15 @@ def _opponent_marginals(game: StochasticGame, probs, player: int):
 @cache
 def _marginal_plan(n: int, player: int) -> tuple[str, str, tuple[int, ...]]:
     """The reward and transition subscripts of :func:`opponent_marginals` for
-    ``player`` of ``n`` players, and the opponents whose arrays they take."""
-    others = tuple(j for j in range(n) if j != player)
-    return _einsum_spec(n, player, False), _einsum_spec(n, player, True), others
+    ``player`` of ``n`` players, and the opponents whose arrays they take:
+    the expectation of the table over every opponent's action axis, the
+    player's own staying as the last action axis.  One plain ``einsum`` over
+    all states (path planning costs more than it saves at these sizes)."""
+    axes, others = _ACTION_AXES[:n], tuple(j for j in range(n) if j != player)
+    batch = "..." if others else ""
+    operands = "".join(f",{batch}s{axes[j]}" for j in others)
+    result = f"->{batch}s{axes[player]}"
+    return f"s{axes}{operands}{result}", f"s{axes}t{operands}{result}t", others
 
 
 def check_player(game: StochasticGame, player: int) -> None:

@@ -39,7 +39,8 @@ from the earlier group stack and contracts only the others.
 :func:`player_mdp` is this evaluation on a group of one player;
 :func:`improve`, :func:`apply_f`, :func:`residual`, :func:`gain_table`
 and :func:`~sgcert.certify.certify_profile` all run through
-:func:`evaluate_groups`.
+:func:`evaluate_groups`, and :func:`~sgcert.game.value_function` through
+:func:`player_mdp`.
 
 Every evaluation keeps two checks: the on-profile transition rows must stay
 on the simplex (:func:`~sgcert.game.check_row_drift`), and every rank-one
@@ -173,7 +174,7 @@ def _evaluate(game: StochasticGame, probs, players: tuple[int, ...],
         w[...], q[...] = game.eye, r_ia
         return PlayerMDP(game.gamma, own, r_ia, p_ia, w, r_pi, q)
     m = game.eye - game.gamma * p_pi
-    # v by a backward-stable solve, as in value_function, not as w @ r_pi
+    # v by a backward-stable solve, not as w @ r_pi
     v = np.linalg.solve(m, r_pi[..., None])[..., 0]
     w = np.linalg.inv(m)
     q = r_ia + game.gamma * (p_ia @ v[..., None, :, None])[..., 0]

@@ -2,7 +2,10 @@
 
 Most of what is here recomputes a quantity by a route deliberately
 different from the library's primary path: explicit joint-action
-enumeration instead of tensor contraction, truncated power series instead
+enumeration instead of tensor contraction (the reward and transition of
+:func:`truncated_value`, :func:`deviation_value` and
+:func:`enumerate_deterministic_policies` too, so that none of them shares
+the library's frozen-opponent tables), truncated power series instead
 of a linear solve, deterministic-policy enumeration instead of policy
 iteration, support enumeration instead of the improvement map, enumeration
 of every simplex of the triangulation instead of the door-in/door-out walk,
@@ -31,12 +34,8 @@ from .game import (
     StochasticGame,
     StrategyProfile,
     check_player,
-    marginal_reward,
-    marginal_transition,
-    opponent_marginals,
     validate_game,
     validate_profile,
-    value_function,
 )
 from .nash_map import apply_f, evaluate_groups, lipschitz_constant
 from .simplicial import (
@@ -126,7 +125,10 @@ def deviation_value(
         raise IndexError(f"action {action} out of range for player {player}")
     probs = [np.array(p) for p in pi.probs]
     probs[player][state] = np.eye(game.num_actions[player])[action]
-    return float(value_function(game, StrategyProfile(tuple(probs)), player)[state])
+    modified = StrategyProfile(tuple(probs))
+    p = enumerate_marginal_transition(game, modified)
+    r = enumerate_joint_expectation(game, modified, player)
+    return float(np.linalg.solve(np.eye(game.num_states) - game.gamma * p, r)[state])
 
 
 def max_norm_distance(p: StrategyProfile, q: StrategyProfile) -> float:
@@ -141,10 +143,11 @@ def truncated_value(
 
     Differs from the exact value by at most gamma^horizon * r_max / (1-gamma).
     """
+    check_player(game, player)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    r = marginal_reward(game, pi, player)
-    p = marginal_transition(game, pi)
+    r = enumerate_joint_expectation(game, pi, player)
+    p = enumerate_marginal_transition(game, pi)
     total = np.zeros(game.num_states)
     term = r.copy()
     for _ in range(horizon):
@@ -158,11 +161,19 @@ def enumerate_deterministic_policies(
     guard: int = DET_POLICY_GUARD,
 ) -> np.ndarray:
     """Entrywise-best value over all deterministic stationary policies of one
-    player against frozen opponents, each evaluated by an exact solve."""
+    player against frozen opponents, each evaluated by an exact solve.  The
+    frozen-opponent tables come from joint-action enumeration, one pure
+    action of the player at a time: column ``a`` of ``r_ia`` and ``p_ia``
+    is the profile with the player committed to ``a`` at every state."""
+    check_player(game, player)
     a_count = game.num_actions[player]
     if a_count**game.num_states > guard:
         raise ValueError("policy count exceeds enumeration guard")
-    r_ia, p_ia = opponent_marginals(game, pi_others.probs, player)
+    others = pi_others.probs
+    pure = [StrategyProfile(others[:player] + (np.eye(a_count)[[a] * game.num_states],)
+                            + others[player + 1:]) for a in range(a_count)]
+    r_ia = np.stack([enumerate_joint_expectation(game, q, player) for q in pure], axis=1)
+    p_ia = np.stack([enumerate_marginal_transition(game, q) for q in pure], axis=1)
     eye = np.eye(game.num_states)
     rows = np.arange(game.num_states)
     best = np.full(game.num_states, -np.inf)

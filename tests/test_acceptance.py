@@ -14,8 +14,8 @@ from sgcert.certify import (
     residual_to_mpe_bound,
 )
 from sgcert.cli import main as cli_main
-from sgcert.game import marginal_reward, marginal_transition, value_function
-from sgcert.nash_map import apply_f, gain_table, lipschitz_constant, residual
+from sgcert.game import value_function
+from sgcert.nash_map import apply_f, gain_table, lipschitz_constant, player_mdp, residual
 from sgcert.oracles import (
     enumerate_deterministic_policies,
     enumerate_joint_expectation,
@@ -93,15 +93,15 @@ def test_03_perturbation_inequalities():
         p2 = random_profile(game, rng)
         delta = max_norm_distance(p1, p2)
         eye = np.eye(game.num_states)
-        q1 = np.linalg.inv(eye - game.gamma * marginal_transition(game, p1))
-        q2 = np.linalg.inv(eye - game.gamma * marginal_transition(game, p2))
+        q1 = np.linalg.inv(eye - game.gamma * enumerate_marginal_transition(game, p1))
+        q2 = np.linalg.inv(eye - game.gamma * enumerate_marginal_transition(game, p2))
         inv_bound = (game.num_players * game.num_states * game.a_max * delta
                      / (1.0 - game.gamma) ** 2)
         assert np.max(np.abs(q1 - q2)) <= inv_bound + 1e-12
         r_bound = game.num_players * game.a_max * game.r_max * delta
         for i in range(game.num_players):
-            diff = np.abs(marginal_reward(game, p1, i)
-                          - marginal_reward(game, p2, i))
+            diff = np.abs(enumerate_joint_expectation(game, p1, i)
+                          - enumerate_joint_expectation(game, p2, i))
             assert np.all(diff <= r_bound + 1e-12)
             v_diff = np.abs(value_function(game, p1, i)
                             - value_function(game, p2, i))
@@ -150,21 +150,23 @@ def test_05_stopping_simplices_exist_and_are_accurate():
 
 
 def test_06_independent_oracles_agree():
-    """Vectorized marginals, solves, and best responses match brute-force
-    enumeration on a shared random stream."""
+    """The kernel's on-profile tables (its frozen-opponent tables contracted
+    with the player's own strategy), solves, and best responses match
+    brute-force enumeration on a shared random stream."""
     start = time.perf_counter()
     rng = np.random.default_rng(206)
     for k in range(100):
         n, s, a = ((2, 2, 2), (3, 1, 2), (2, 1, 3))[k % 3]
         game = random_game(rng, n, s, a, (0.0, 0.5, 0.9)[k % 3])
         pi = random_profile(game, rng)
-        np.testing.assert_allclose(
-            marginal_transition(game, pi),
-            enumerate_marginal_transition(game, pi), atol=1e-10,
-        )
         for i in range(game.num_players):
+            mdp = player_mdp(game, pi.probs, i)
             np.testing.assert_allclose(
-                marginal_reward(game, pi, i),
+                np.einsum("sa,sat->st", mdp.pi, mdp.p_ia),
+                enumerate_marginal_transition(game, pi), atol=1e-10,
+            )
+            np.testing.assert_allclose(
+                np.einsum("sa,sa->s", mdp.pi, mdp.r_ia),
                 enumerate_joint_expectation(game, pi, i), atol=1e-10,
             )
             np.testing.assert_allclose(

@@ -655,6 +655,24 @@ def test_integer_past_float_range_is_input_error(capsys, tmp_path, where, value)
                     write_doc(tmp_path / "p.json", profile))
 
 
+@pytest.mark.parametrize("argv", [["info"], ["certify", "PROFILE"], ["search", "--d", "2"]],
+                         ids=["info", "certify", "search"])
+def test_report_past_float_range_is_input_error(capsys, tmp_path, argv):
+    """Rewards near the float limit at gamma = 0.99 overflow the Lipschitz
+    constant to infinity, and the search's epsilon bound to 0 * inf = NaN.
+    JSON has neither, so the run exits 2 in one line and writes no report."""
+    doc = pennies_doc()
+    doc["rewards"] = [[[1e306 * x for x in row] for row in player] for player in doc["rewards"]]
+    del doc["r_max"]
+    doc["gamma"] = 0.99
+    game = write_doc(tmp_path / "g.json", doc)
+    profile = write_doc(tmp_path / "p.json", {"probs": [[[0.5, 0.5]], [[0.5, 0.5]]]})
+    command, *rest = argv
+    err = run_input_error(capsys, command, game,
+                          *(profile if arg == "PROFILE" else arg for arg in rest))
+    assert "not a JSON number" in err
+
+
 @pytest.mark.parametrize("flag,value", [("--d", "7"), ("--point", "/nonexistent/point.json")])
 def test_simplex_mode_rejects_grid_point_flags(capsys, tmp_path, flag, value):
     """``label --simplex`` reads its grid size and points from the document:

@@ -11,8 +11,6 @@ from sgcert.game import (
     PROB_TOL_INPUT,
     GameValidationError,
     load_game,
-    marginal_reward,
-    marginal_transition,
     opponent_marginals,
     uniform_profile,
     validate_game,
@@ -139,31 +137,40 @@ class TestValidation:
         assert str(err.value) == message
 
 
+def on_profile(game, pi, player):
+    """The kernel's on-profile reward and transitions of ``player``: the
+    frozen-opponent tables of its evaluation contracted with its own
+    strategy."""
+    mdp = player_mdp(game, pi.probs, player)
+    return (np.einsum("sa,sa->s", mdp.pi, mdp.r_ia),
+            np.einsum("sa,sat->st", mdp.pi, mdp.p_ia))
+
+
 class TestMarginals:
     def test_identity_pattern_uniform_is_half(self):
         # reward 1 when the two players' actions match, else 0
         g = single_state_game([[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0]])
         pi = uniform_profile(g)
-        assert marginal_reward(g, pi, 0)[0] == pytest.approx(0.5)
+        assert on_profile(g, pi, 0)[0][0] == pytest.approx(0.5)
 
     def test_pure_profile_reads_the_table(self):
         g = single_state_game([[0.3, 0.6, 0.1, 0.9], [0.2, 0.4, 0.8, 0.5]])
         pi = pure_profile(g, [[0], [1]])
-        assert marginal_reward(g, pi, 0)[0] == pytest.approx(0.6)
-        assert marginal_reward(g, pi, 1)[0] == pytest.approx(0.4)
+        assert on_profile(g, pi, 0)[0][0] == pytest.approx(0.6)
+        assert on_profile(g, pi, 1)[0][0] == pytest.approx(0.4)
 
     def test_matches_joint_enumeration(self):
         for game, pi in random_instances(11, 10):
             for i in range(game.num_players):
                 expected = enumerate_joint_expectation(game, pi, i)
                 np.testing.assert_allclose(
-                    marginal_reward(game, pi, i), expected, atol=1e-10
+                    on_profile(game, pi, i)[0], expected, atol=1e-10
                 )
 
     def test_transition_identity_under_self_loops(self):
         g = single_state_game([[1.0, 0.0, 0.0, 1.0]])
         pi = uniform_profile(g)
-        np.testing.assert_allclose(marginal_transition(g, pi), np.eye(1))
+        np.testing.assert_allclose(on_profile(g, pi, 0)[1], np.eye(1))
 
     def test_transition_pure_profile_selects_row(self):
         transition = [
@@ -174,17 +181,17 @@ class TestMarginals:
             ["s0", "s1"], [["a0", "a1"]], transition, [[[1, 0], [0, 1]]], 0.5
         )
         pi = pure_profile(g, [[1, 0]])
-        p = marginal_transition(g, pi)
+        p = on_profile(g, pi, 0)[1]
         np.testing.assert_allclose(p[0], [0.6, 0.4])
         np.testing.assert_allclose(p[1], [0.5, 0.5])
 
     def test_transition_matches_enumeration(self):
         for game, pi in random_instances(13, 10):
-            np.testing.assert_allclose(
-                marginal_transition(game, pi),
-                enumerate_marginal_transition(game, pi),
-                atol=1e-10,
-            )
+            expected = enumerate_marginal_transition(game, pi)
+            for i in range(game.num_players):
+                np.testing.assert_allclose(
+                    on_profile(game, pi, i)[1], expected, atol=1e-10
+                )
 
 
 class TestValueFunction:
@@ -196,7 +203,7 @@ class TestValueFunction:
     def test_gamma_zero_is_marginal_reward(self):
         for game, pi in random_instances(17, 6, gammas=(0.0,)):
             np.testing.assert_allclose(
-                value_function(game, pi, 0), marginal_reward(game, pi, 0)
+                value_function(game, pi, 0), enumerate_joint_expectation(game, pi, 0)
             )
 
     def test_matches_long_truncation(self):
@@ -217,8 +224,8 @@ class TestValueFunction:
         for game, pi in random_instances(19, 20):
             for i in range(game.num_players):
                 v = value_function(game, pi, i)
-                p = marginal_transition(game, pi)
-                r = marginal_reward(game, pi, i)
+                p = enumerate_marginal_transition(game, pi)
+                r = enumerate_joint_expectation(game, pi, i)
                 lhs = (np.eye(game.num_states) - game.gamma * p) @ v
                 np.testing.assert_allclose(lhs, r, atol=1e-9)
 
@@ -242,14 +249,14 @@ class TestDeviationValue:
         assert deviation_value(toy, pi, 0, 0, 1) == pytest.approx(0.0)
 
     def test_definitional_identity(self):
-        """The deviation value is the value of the modified profile, here
-        solved from the joint-action enumeration of its reward and
-        transition, not from the contraction the oracle goes through.  Two
+        """The deviation value is the value of the modified profile: the
+        oracle solves it from the joint-action enumeration of its reward and
+        transition, and it must agree with the kernel's value of that
+        profile, which comes from the frozen-opponent contraction.  Two
         discounts against three shapes give every shape both, so a game of
         two states meets gamma > 0, where a deviation moves the other
         state's value too."""
         for game, pi in random_instances(29, 6, gammas=(0.0, 0.9)):
-            eye = np.eye(game.num_states)
             for i in range(game.num_players):
                 for s in range(game.num_states):
                     for a in range(game.num_actions[i]):
@@ -258,9 +265,7 @@ class TestDeviationValue:
                         probs = [np.array(p) for p in pi.probs]
                         probs[i][s] = point
                         modified = validate_profile(game, probs)
-                        expected = np.linalg.solve(
-                            eye - game.gamma * enumerate_marginal_transition(game, modified),
-                            enumerate_joint_expectation(game, modified, i))[s]
+                        expected = value_function(game, modified, i)[s]
                         got = deviation_value(game, pi, i, s, a)
                         assert got == pytest.approx(expected, abs=1e-12)
 
@@ -281,7 +286,6 @@ def test_public_entry_points_check_player(request, name):
     calls = (
         lambda i: opponent_marginals(game, pi.probs, i),
         lambda i: player_mdp(game, pi.probs, i),
-        lambda i: marginal_reward(game, pi, i),
         lambda i: value_function(game, pi, i),
         lambda i: best_response_values(game, pi, i),
     )
@@ -296,7 +300,7 @@ class TestBellmanInverseFacts:
 
     def test_row_sums_and_entry_bounds(self):
         for game, pi in random_instances(31, 30):
-            p = marginal_transition(game, pi)
+            p = enumerate_marginal_transition(game, pi)
             q = np.linalg.inv(np.eye(game.num_states) - game.gamma * p)
             bound = 1.0 / (1.0 - game.gamma)
             np.testing.assert_allclose(q.sum(axis=1), bound, atol=1e-9)
@@ -314,7 +318,8 @@ class TestBellmanInverseFacts:
             bound = game.num_players * game.a_max * game.r_max * delta
             for i in range(game.num_players):
                 diff = np.abs(
-                    marginal_reward(game, pi1, i) - marginal_reward(game, pi2, i)
+                    enumerate_joint_expectation(game, pi1, i)
+                    - enumerate_joint_expectation(game, pi2, i)
                 )
                 assert np.all(diff <= bound + 1e-12)
 
@@ -327,8 +332,8 @@ class TestBellmanInverseFacts:
             pi2 = random_profile(game, rng)
             delta = max_norm_distance(pi1, pi2)
             eye = np.eye(game.num_states)
-            q1 = np.linalg.inv(eye - game.gamma * marginal_transition(game, pi1))
-            q2 = np.linalg.inv(eye - game.gamma * marginal_transition(game, pi2))
+            q1 = np.linalg.inv(eye - game.gamma * enumerate_marginal_transition(game, pi1))
+            q2 = np.linalg.inv(eye - game.gamma * enumerate_marginal_transition(game, pi2))
             bound = (
                 game.num_players * game.num_states * game.a_max * delta
                 / (1.0 - game.gamma) ** 2
@@ -344,8 +349,10 @@ def test_opponent_marginals_consistency():
             r_ia, p_ia = opponent_marginals(game, pi.probs, i)
             r_back = np.einsum("sa,sa->s", pi.probs[i], r_ia)
             p_back = np.einsum("sa,sat->st", pi.probs[i], p_ia)
-            np.testing.assert_allclose(r_back, marginal_reward(game, pi, i), atol=1e-12)
-            np.testing.assert_allclose(p_back, marginal_transition(game, pi), atol=1e-12)
+            np.testing.assert_allclose(
+                r_back, enumerate_joint_expectation(game, pi, i), atol=1e-12)
+            np.testing.assert_allclose(
+                p_back, enumerate_marginal_transition(game, pi), atol=1e-12)
 
 
 def reference_table(data, what, shape, axes, rows_sum_to_one=False):

@@ -3,7 +3,8 @@
 The benchmark (bench/) traces library functions by name, from outside.
 A refactor that renames or moves one of them must fail here, not only in
 the benchmark's own self-test.  And one function reads every input file,
-and one writes every report."""
+one writes every report, and the library solves its linear systems in two
+places only."""
 
 import ast
 import importlib
@@ -114,6 +115,24 @@ def test_only_emit_writes_to_stdout():
     assert set().union(*(owners(path, writes_to_stdout) for path in LIBRARY)) == {"cli._emit"}
 
 
+def solves_a_linear_system(node) -> bool:
+    """A call of ``linalg.solve`` or ``linalg.inv``, as ``np.linalg`` or any
+    other spelling that ends in ``linalg``."""
+    name = called_name(node)
+    return name in ("solve", "inv") and ast.unparse(node.func).endswith(f"linalg.{name}")
+
+
+def test_one_bellman_route():
+    """Every value comes from one evaluation: outside the oracles, which
+    solve on their own routes on purpose, the frozen-opponent evaluation
+    (nash_map._evaluate) and policy iteration on its MDPs
+    (certify._policy_iteration) are the only functions in the library that
+    solve or invert a linear system."""
+    found = set().union(*(owners(path, solves_a_linear_system)
+                          for path in LIBRARY if path.stem != "oracles"))
+    assert found == {"nash_map._evaluate", "certify._policy_iteration"}
+
+
 # Definitions that no library code names, kept on purpose.  ROADMAP item 8
 # moves the trace-pinned ones out of the library once bench/layers.py
 # traces the functions that call them instead.
@@ -211,13 +230,9 @@ print(json.dumps({{"metrics": {{"wall_s": {{"value": 0.1}}}}}}))
 """
 
 
-@pytest.mark.parametrize("fault, reason", [("sys.exit(1)", "exited 1"),
-                                           ("print('{'); sys.exit(0)",
-                                            "printed no JSON report")])
-def test_compare_pairs_keeps_finished_pairs_when_a_run_fails(tmp_path, fault, reason):
-    """A failed run ends ``pairs`` with exit 1 and one line naming the tree,
-    the workload and the seed, and the pairs finished before it stay in the
-    output file."""
+def fake_trees(tmp_path, fault: str) -> dict:
+    """A before and an after tree whose ``bench/run.py`` is ``FAKE_RUN``, the
+    after tree's running ``fault`` at seed 2."""
     trees = {}
     for side, run in (("before", FAKE_RUN.format(fault="pass")),
                       ("after", FAKE_RUN.format(fault=fault))):
@@ -225,12 +240,28 @@ def test_compare_pairs_keeps_finished_pairs_when_a_run_fails(tmp_path, fault, re
         (trees[side] / "bench").mkdir(parents=True)
         (trees[side] / "bench" / "run.py").write_text(run)
         (trees[side] / "BENCHMARK.json").write_text('{"run_seconds": 1}')
-    out = tmp_path / "bench.json"
-    done = subprocess.run(
+    return trees
+
+
+def compare_pairs(trees, out, *seeds):
+    """``compare_trees.py pairs`` on the ``search`` workload at ``seeds``."""
+    return subprocess.run(
         [sys.executable, str(ROOT / "tools" / "compare_trees.py"), "pairs",
          "--before", str(trees["before"]), "--after", str(trees["after"]), "--out", str(out),
-         "--workload", "search", "--seeds", "1", "2", "3"],
+         "--workload", "search", "--seeds", *map(str, seeds)],
         capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("fault, reason", [("sys.exit(1)", "exited 1"),
+                                           ("print('{'); sys.exit(0)",
+                                            "printed no JSON report")])
+def test_compare_pairs_keeps_finished_pairs_when_a_run_fails(tmp_path, fault, reason):
+    """A failed run ends ``pairs`` with exit 1 and one line naming the tree,
+    the workload and the seed, and the pairs finished before it stay in the
+    output file."""
+    trees = fake_trees(tmp_path, fault)
+    out = tmp_path / "bench.json"
+    done = compare_pairs(trees, out, 1, 2, 3)
     assert done.returncode == 1
     assert done.stderr.count("\n") == 1
     assert done.stderr.startswith(f"error: bench/run.py in the after tree ({trees['after']}), "
@@ -239,3 +270,15 @@ def test_compare_pairs_keeps_finished_pairs_when_a_run_fails(tmp_path, fault, re
     finished = json.loads(out.read_text())["pairs"]["search"]
     assert [(pair["seed"], pair["first"]) for pair in finished] == [(1, "before")]
     assert finished[0]["after"] == {"metrics": {"wall_s": {"value": 0.1}}}
+
+
+def test_compare_pairs_appends_to_earlier_runs(tmp_path):
+    """A second ``pairs`` command on a workload adds its pairs after those
+    of the first in the output file, instead of replacing them."""
+    trees = fake_trees(tmp_path, "pass")
+    out = tmp_path / "bench.json"
+    assert compare_pairs(trees, out, 1, 2).returncode == 0
+    assert compare_pairs(trees, out, 3, 4).returncode == 0
+    kept = json.loads(out.read_text())["pairs"]["search"]
+    assert [(pair["seed"], pair["first"]) for pair in kept] == [
+        (1, "before"), (2, "after"), (3, "before"), (4, "after")]

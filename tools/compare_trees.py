@@ -5,10 +5,12 @@ Two measurements, each added to the output file under its own keys:
 * ``pairs``: ``bench/run.py`` on one workload, run in each tree in turn for
   every seed given, alternating which tree runs first, for the
   ``run_seconds`` that the tree's ``BENCHMARK.json`` sets.  Each run's final
-  JSON line is kept as it was printed, and each pair is written to the
-  output file as soon as it is complete.  A run that fails, or whose last
-  line is not a JSON report, ends the command with exit 1 and one line
-  naming the tree, the workload and the seed; the pairs before it stay.
+  JSON line is kept as it was printed, and each pair is appended to the
+  workload's list in the output file as soon as it is complete, after the
+  pairs that earlier ``pairs`` commands wrote there.  A run that fails, or
+  whose last line is not a JSON report, ends the command with exit 1 and
+  one line naming the tree, the workload and the seed; the pairs before it
+  stay.
 
       python3 tools/compare_trees.py pairs --before ../parent --after . \\
           --workload solve-small --seeds 601 602 603 --out BENCH_6.json
@@ -300,8 +302,7 @@ def main(argv=None) -> int:
         doc.update(kernel(args))
         save()
         return 0
-    runs = []
-    doc.setdefault("pairs", {})[args.workload] = runs
+    runs = doc.setdefault("pairs", {}).setdefault(args.workload, [])
     try:
         for pair in pairs(args):
             # saved at once, so that a failed run keeps the pairs before it
