@@ -8,7 +8,7 @@ is.
 
 from pathlib import Path
 
-from sgcert.game import load_game, validate_profile
+from sgcert.game import StrategyProfile, load_game, validate_profile
 from sgcert.nash_map import apply_f, gain_table, residual
 from sgcert.oracles import max_norm_distance
 
@@ -22,11 +22,12 @@ pi = validate_profile(bandit, [[[0.5, 0.5]]])
 gains = gain_table(bandit, pi)
 print("gains at the even split:", gains[0][0])
 
+# One map step gives the next profile and the residual of this one.
 for step in range(12):
-    res = residual(bandit, pi)
+    nxt, res = apply_f(bandit, pi.probs)
     print(f"step {step:2d}  p(good arm) = {pi.probs[0][0, 0]:.6f}  "
-          f"residual = {res:.2e}")
-    pi = apply_f(bandit, pi)
+          f"residual = {float(res):.2e}")
+    pi = StrategyProfile(nxt)
 
 # The map drifts toward the pure optimum.  Convergence is slow near the
 # boundary, which is why the solver in the command-line tool damps and
@@ -37,6 +38,6 @@ mp = load_game(CORPUS / "matching_pennies.game.json")
 uniform = validate_profile(mp, [[[0.5, 0.5]], [[0.5, 0.5]]])
 print("\nmatching pennies, both uniform:")
 print("  residual =", residual(mp, uniform))
-out = apply_f(mp, uniform)
+out = StrategyProfile(apply_f(mp, uniform.probs)[0])
 assert max_norm_distance(out, uniform) == 0.0
 print("  the improvement map leaves the equilibrium fixed")

@@ -26,7 +26,6 @@ import numpy as np
 from .certify import Certificate, certify_groups, certify_profile, choose_d
 from .game import (
     GameValidationError,
-    StrategyProfile,
     load_game,
     load_profile,
     profile_to_dict,
@@ -34,7 +33,7 @@ from .game import (
     uniform_profile,
     validate_profile,
 )
-from .nash_map import DenominatorError, apply_f, lipschitz_constant, per_player
+from .nash_map import DenominatorError, apply_f, lipschitz_constant
 from .simplicial import (
     GridProfile,
     InvalidSimplexError,
@@ -111,29 +110,19 @@ def cmd_info(args) -> int:
 def _solve_damped_f(game, damping, max_iters, tol, seed):
     if seed is not None:
         from .oracles import random_profile  # only when asked: not on start-up
-        pi = random_profile(game, np.random.default_rng(seed))
+        probs = random_profile(game, np.random.default_rng(seed)).probs
     else:
-        pi = uniform_profile(game)
-    # The iterate is one (k, S, A) stack per player group.  Every step is
-    # elementwise or a row sum over the last axis, so the bits are those of
-    # a loop over the players, with a few array calls per group instead.
-    # The distance repeats the residual that apply_f drops: the loop calls
-    # cli.apply_f once per iteration, because the benchmark counts those.
-    def stacks(probs):
-        return [np.array([probs[i] for i in g]) for g in game.player_groups]
-
-    now = stacks(pi.probs)
+        probs = uniform_profile(game).probs
     status = "no-convergence"
     for _ in range(max_iters):
-        step = stacks(apply_f(game, pi).probs)
-        if max(np.abs(b - a).max() for a, b in zip(now, step)) <= tol:
+        step, res = apply_f(game, probs)
+        if res <= tol:
             status = "converged"
             break
-        blended = [(1.0 - damping) * a + damping * b for a, b in zip(now, step)]
+        blended = [(1.0 - damping) * a + damping * b for a, b in zip(probs, step)]
         # renormalize away float drift; the loop revalidates only on exit
-        now = [p / p.sum(axis=-1, keepdims=True) for p in blended]
-        pi = StrategyProfile(per_player(game, now))
-    return validate_profile(game, pi.probs), status
+        probs = [p / p.sum(axis=-1, keepdims=True) for p in blended]
+    return validate_profile(game, probs), status
 
 
 def _solve_grid(game, d):

@@ -37,8 +37,9 @@ a profile that differs from an evaluated one in one player's own arrays,
 as the simplicial walk's next vertex does, copies that player's tables
 from the earlier group stack and contracts only the others.
 :func:`player_mdp` is this evaluation on a group of one player;
-:func:`improve`, :func:`apply_f`, :func:`residual`, :func:`gain_table`
-and :func:`~sgcert.certify.certify_profile` all run through
+:func:`apply_f` (the map step and its residual, one result of one
+evaluation), :func:`residual`, :func:`gain_table` and
+:func:`~sgcert.certify.certify_profile` all run through
 :func:`evaluate_groups`, and :func:`~sgcert.game.value_function` through
 :func:`player_mdp`.
 
@@ -242,7 +243,7 @@ def apply_gains(game: StochasticGame, mdps) -> tuple[tuple[np.ndarray, ...], np.
     return per_player(game, steps), reduce(np.maximum, moved)
 
 
-def improve(game: StochasticGame, probs) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+def apply_f(game: StochasticGame, probs) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """One step of the improvement map on profile arrays ``probs[i]`` shaped
     ``(..., S, A_i)``: the next arrays, of the same shapes, and the residual
     ``||f(pi) - pi||_inf`` of each profile, shaped ``(...)``.  The input is
@@ -250,17 +251,9 @@ def improve(game: StochasticGame, probs) -> tuple[tuple[np.ndarray, ...], np.nda
     return apply_gains(game, evaluate_groups(game, probs))
 
 
-def apply_f(game: StochasticGame, pi: StrategyProfile) -> StrategyProfile:
-    """One application of the improvement map; returns a valid profile."""
-    nxt, _ = improve(game, pi.probs)
-    for p in nxt:
-        p.flags.writeable = False
-    return StrategyProfile(nxt)
-
-
 def residual(game: StochasticGame, pi: StrategyProfile) -> float:
     """Fixed-point residual ||f(pi) - pi||_inf."""
-    return float(improve(game, pi.probs)[1])
+    return float(apply_f(game, pi.probs)[1])
 
 
 def lipschitz_constant(game: StochasticGame, number=float):

@@ -248,7 +248,8 @@ def finite_difference_lipschitz(
         delta = max_norm_distance(p1, p2)
         if delta == 0.0:
             continue
-        num = max_norm_distance(apply_f(game, p1), apply_f(game, p2))
+        num = max_norm_distance(StrategyProfile(apply_f(game, p1.probs)[0]),
+                                StrategyProfile(apply_f(game, p2.probs)[0]))
         worst = max(worst, num / delta)
     return worst
 

@@ -14,7 +14,7 @@ from sgcert.certify import (
     residual_to_mpe_bound,
 )
 from sgcert.cli import main as cli_main
-from sgcert.game import value_function
+from sgcert.game import StrategyProfile, value_function
 from sgcert.nash_map import apply_f, gain_table, lipschitz_constant, player_mdp, residual
 from sgcert.oracles import (
     enumerate_deterministic_policies,
@@ -76,7 +76,8 @@ def test_02_improvement_map_is_lipschitz():
             delta = max_norm_distance(p1, p2)
             if delta == 0.0:
                 continue
-            num = max_norm_distance(apply_f(game, p1), apply_f(game, p2))
+            num = max_norm_distance(StrategyProfile(apply_f(game, p1.probs)[0]),
+                                    StrategyProfile(apply_f(game, p2.probs)[0]))
             assert num <= lam * delta
     report("improvement map within Lipschitz constant",
            time.perf_counter() - start, 60)

@@ -289,16 +289,49 @@ def test_search_evaluates_each_point_once(capsys, monkeypatch, name, d):
     assert len(evaluations) == len(points) * len(load_game(path).player_groups)
 
 
+@pytest.mark.parametrize("name,flags,iterations,status", [
+    ("coordination_pure", (), 647, "converged"),
+    ("dominant_chain", (), 288, "converged"),
+    ("asymmetric_mixed", ("--max-iters", "3000"), 3000, "no-convergence"),
+])
+def test_damped_iteration_evaluates_the_map_once(capsys, monkeypatch, name, flags,
+                                                 iterations, status):
+    """Each iteration of the damped loop makes one apply_f call, which
+    evaluates each player group's MDP once, and evaluates nothing else;
+    the certificate evaluates the returned profile once more."""
+    from sgcert import nash_map
+
+    evaluations, steps = [], []
+    evaluate, step = nash_map._evaluate, cli.apply_f
+
+    def counted_evaluate(game, probs, players, *reuse):
+        evaluations.append(players)
+        return evaluate(game, probs, players, *reuse)
+
+    def counted_step(game, probs):
+        steps.append(1)
+        return step(game, probs)
+
+    monkeypatch.setattr(nash_map, "_evaluate", counted_evaluate)
+    monkeypatch.setattr(cli, "apply_f", counted_step)
+    path = CORPUS / f"{name}.game.json"
+    _, out = run(capsys, "solve", str(path), "--tol", "1e-5", "--seed", "1", *flags)
+    assert json.loads(out)["status"] == status
+    assert len(steps) == iterations
+    assert len(evaluations) == (iterations + 1) * len(load_game(path).player_groups)
+
+
 def damped_f_per_player(game, damping, max_iters, tol, seed):
-    """The damped loop as it ran before it held group stacks: one array
-    call per player for the distance, the blend and the renormalisation."""
+    """The damped loop on profiles that takes its own distance between each
+    iterate and its image under the map, with one array call per player
+    for the distance, the blend and the renormalisation."""
     if seed is not None:
         pi = random_profile(game, np.random.default_rng(seed))
     else:
         pi = uniform_profile(game)
     status = "no-convergence"
     for _ in range(max_iters):
-        nxt = apply_f(game, pi)
+        nxt = StrategyProfile(apply_f(game, pi.probs)[0])
         if max_norm_distance(nxt, pi) <= tol:
             status = "converged"
             break
@@ -312,9 +345,10 @@ def damped_f_per_player(game, damping, max_iters, tol, seed):
 @pytest.mark.parametrize("num_actions", [(2, 3), (2, 3, 2), (2, 2, 3, 2)])
 @pytest.mark.parametrize("gamma", [0.0, 0.9])
 @pytest.mark.parametrize("damping", [0.3, 0.5, 1.0])
-def test_damped_loop_on_group_stacks_keeps_the_bits(num_actions, gamma, damping):
-    """Holding the iterate as one stack per player group changes no bit of
-    the per-player loop, whatever the groups."""
+def test_damped_loop_stopping_on_the_maps_residual_keeps_the_bits(num_actions, gamma, damping):
+    """Stopping on the residual that apply_f returns, with the iterate held
+    as plain per-player arrays, changes no bit of the loop that takes the
+    distance itself, whatever the groups."""
     game = random_game(np.random.default_rng(3), len(num_actions), 2, list(num_actions), gamma)
     want, want_status = damped_f_per_player(game, damping, 500, 1e-2, 5)
     got, status = _solve_damped_f(game, damping, 500, 1e-2, 5)
@@ -322,7 +356,7 @@ def test_damped_loop_on_group_stacks_keeps_the_bits(num_actions, gamma, damping)
     assert all(np.array_equal(a, b) for a, b in zip(got.probs, want.probs, strict=True))
 
 
-def test_capped_damped_loop_on_group_stacks_keeps_the_bits():
+def test_capped_damped_loop_stopping_on_the_maps_residual_keeps_the_bits():
     game = random_game(np.random.default_rng(3), 3, 2, [2, 3, 2], 0.9)
     want, want_status = damped_f_per_player(game, 0.5, 40, 1e-9, None)
     got, status = _solve_damped_f(game, 0.5, 40, 1e-9, None)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from sgcert.game import (
     GameValidationError,
+    StrategyProfile,
     game_from_dict,
     uniform_profile,
     validate_profile,
@@ -23,7 +24,6 @@ from sgcert.nash_map import (
     apply_f,
     evaluate_groups,
     gain_table,
-    improve,
     lipschitz_constant,
     per_player,
     player_mdp,
@@ -85,19 +85,19 @@ class TestGainTable:
 class TestApplyF:
     def test_equilibria_are_fixed_points(self):
         for entry in corpus_entries():
-            out = apply_f(entry.game, entry.equilibrium)
+            out = StrategyProfile(apply_f(entry.game, entry.equilibrium.probs)[0])
             assert max_norm_distance(out, entry.equilibrium) <= 1e-12, entry.name
 
     def test_hand_computed_toy(self, toy):
         pi = validate_profile(toy, [[[0.5, 0.5]]])
-        out = apply_f(toy, pi)
+        out = StrategyProfile(apply_f(toy, pi.probs)[0])
         np.testing.assert_allclose(out.probs[0], [[2 / 3, 1 / 3]], atol=1e-15)
 
     def test_rows_stay_on_the_simplex(self, rng):
         for _ in range(100):
             game = random_game(rng, 2, 2, 2, 0.5)
             pi = random_profile(game, rng)
-            out = apply_f(game, pi)
+            out = StrategyProfile(apply_f(game, pi.probs)[0])
             for p in out.probs:
                 assert np.all(p >= 0)
                 np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
@@ -109,7 +109,7 @@ class TestApplyF:
             pi = validate_profile(
                 game, [[[0.0, 0.4, 0.6]], [[0.5, 0.5, 0.0]]]
             )
-            out = apply_f(game, pi)
+            out = StrategyProfile(apply_f(game, pi.probs)[0])
             table = gain_table(game, pi)
             for i, p in enumerate(out.probs):
                 zero = p == 0.0
@@ -117,7 +117,7 @@ class TestApplyF:
                 assert np.all(table[i][zero] == 0.0)
 
 
-class TestImprove:
+class TestApplyFOnStacks:
     """The batched kernel must agree bit for bit with one profile at a time."""
 
     # the scale shapes, plus one player alone and four players at two states
@@ -129,22 +129,22 @@ class TestImprove:
             pis = [random_profile(game, rng) for _ in range(6)]
             n = game.num_players
             probs = tuple(np.stack([pi.probs[i] for pi in pis]) for i in range(n))
-            nxt, res = improve(game, probs)
+            nxt, res = apply_f(game, probs)
             assert res.shape == (6,)
             for p in nxt:  # a distribution by construction, never revalidated
                 assert p.min() >= 0.0
                 np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
             gains = [player_mdp(game, probs, i).gains() for i in range(n)]
             for k, pi in enumerate(pis):
-                single = apply_f(game, pi)
+                single, _ = apply_f(game, pi.probs)
                 table = gain_table(game, pi)
                 for i in range(n):
-                    assert np.array_equal(nxt[i][k], single.probs[i])
+                    assert np.array_equal(nxt[i][k], single[i])
                     assert np.array_equal(gains[i][k], table[i])
                 assert res[k] == residual(game, pi)
             # several leading batch axes give the same bits as one
             grid = tuple(p.reshape((2, 3) + p.shape[1:]) for p in probs)
-            nxt2, res2 = improve(game, grid)
+            nxt2, res2 = apply_f(game, grid)
             assert np.array_equal(res2.ravel(), res)
             for i in range(n):
                 assert np.array_equal(nxt2[i].reshape(nxt[i].shape), nxt[i])
@@ -238,7 +238,7 @@ class TestKernelMatchesReference:
         gains = [reference_gains(game.gamma, *m) for m in mdps]
         nxt, res = reference_apply_gains(probs, gains)
 
-        got_nxt, got_res = improve(game, probs)
+        got_nxt, got_res = apply_f(game, probs)
         got_gains = per_player(game, [m.gains() for m in evaluate_groups(game, probs)])
         assert got_res.shape == batch
         assert np.array_equal(got_res, res)
@@ -314,7 +314,7 @@ class TestOneShotGames:
         game, probs = off_simplex_input(gamma=0.0)
         gains = reference_gains(game.gamma, *reference_player_mdp(game, probs, 0))
         nxt, res = reference_apply_gains(probs, [gains])
-        got_nxt, got_res = improve(game, probs)
+        got_nxt, got_res = apply_f(game, probs)
         assert np.array_equal(player_mdp(game, probs, 0).gains(), gains)
         assert np.array_equal(got_nxt[0], nxt[0]) and got_res == res
 
@@ -329,14 +329,14 @@ def off_simplex_input(gamma=0.9):
 
 _OFF_SIMPLEX_SCRIPT = """
 import numpy as np
-from sgcert.nash_map import DenominatorError, improve
+from sgcert.nash_map import DenominatorError, apply_f
 from sgcert.oracles import random_game
 
 if __debug__:
     raise SystemExit("assertions are on")
 game = random_game(np.random.default_rng(1), 1, 2, 2, 0.9)
 try:
-    improve(game, (np.array([[4.0, -3.0], [4.0, -3.0]]),))
+    apply_f(game, (np.array([[4.0, -3.0], [4.0, -3.0]]),))
 except DenominatorError:
     raise SystemExit(0)
 raise SystemExit("no DenominatorError")
@@ -349,13 +349,13 @@ class TestDriftCheck:
         game = random_game(np.random.default_rng(1), *shape, 0.5)
         probs = tuple(np.full((game.num_states, a), np.nan) for a in game.num_actions)
         with pytest.raises(GameValidationError, match="drifted"):
-            improve(game, probs)
+            apply_f(game, probs)
 
 
 class TestDenominatorCheck:
     def test_off_simplex_profile_raises(self):
         with pytest.raises(DenominatorError):
-            improve(*off_simplex_input())
+            apply_f(*off_simplex_input())
 
     def test_check_survives_optimized_python(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -429,5 +429,6 @@ class TestLipschitzConstant:
         delta = max_norm_distance(p1, p2)
         if delta == 0.0:
             return
-        num = max_norm_distance(apply_f(game, p1), apply_f(game, p2))
+        num = max_norm_distance(StrategyProfile(apply_f(game, p1.probs)[0]),
+                                StrategyProfile(apply_f(game, p2.probs)[0]))
         assert num <= lam * delta

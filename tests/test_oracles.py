@@ -262,9 +262,9 @@ def test_state_relabeling_invariance():
             atol=1e-9,
         )
         assert residual(pg, ppi) == pytest.approx(residual(game, pi), abs=1e-10)
-        out = apply_f(game, pi)
-        pout = apply_f(pg, ppi)
-        for a, b in zip(pout.probs, out.probs):
+        out, _ = apply_f(game, pi.probs)
+        pout, _ = apply_f(pg, ppi.probs)
+        for a, b in zip(pout, out):
             np.testing.assert_allclose(a, b[perm], atol=1e-10)
 
 

@@ -508,8 +508,8 @@ def test_enumeration_order_is_stable(toy):
 
 def reference_label(game, pt):
     pi = StrategyProfile(tuple(arr / pt.d for arr in pt.numerators))
-    fp = apply_f(game, pi)
-    disp = [f - p for f, p in zip(fp.probs, pi.probs)]
+    fp, _ = apply_f(game, pi.probs)
+    disp = [f - p for f, p in zip(fp, pi.probs)]
     tied = min(float(dm.min()) for dm in disp) + simplicial._LABEL_TIE_TOL
     for i, (p, dm) in enumerate(zip(pi.probs, disp)):
         hits = np.flatnonzero((p > 0) & (dm <= tied))

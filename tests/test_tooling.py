@@ -3,8 +3,8 @@
 The benchmark (bench/) traces library functions by name, from outside.
 A refactor that renames or moves one of them must fail here, not only in
 the benchmark's own self-test.  And one function reads every input file,
-one writes every report, and the library solves its linear systems in two
-places only."""
+one writes every report, the library solves its linear systems in two
+places only, and it takes the fixed-point residual in one."""
 
 import ast
 import importlib
@@ -131,6 +131,16 @@ def test_one_bellman_route():
     found = set().union(*(owners(path, solves_a_linear_system)
                           for path in LIBRARY if path.stem != "oracles"))
     assert found == {"nash_map._evaluate", "certify._policy_iteration"}
+
+
+def test_one_residual_route():
+    """The residual ||f(pi) - pi||_inf is taken in one place: outside the
+    oracles, nash_map.apply_gains, which takes it with the map step, is the
+    only function in the library that calls abs, besides the two input and
+    drift checks (game._table and game.check_row_drift)."""
+    found = set().union(*(owners(path, lambda node: called_name(node) == "abs")
+                          for path in LIBRARY if path.stem != "oracles"))
+    assert found == {"game._table", "game.check_row_drift", "nash_map.apply_gains"}
 
 
 # Definitions that no library code names, kept on purpose.  ROADMAP item 8

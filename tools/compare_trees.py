@@ -15,8 +15,9 @@ Two measurements, each added to the output file under its own keys:
       python3 tools/compare_trees.py pairs --before ../parent --after . \\
           --workload solve-small --seeds 601 602 603 --out BENCH_6.json
 
-* ``kernel``: microseconds per call of ``nash_map.improve`` and
-  ``nash_map.player_mdp`` on one random profile, and of
+* ``kernel``: microseconds per call of ``nash_map.apply_f`` (one map
+  step and its residual) and ``nash_map.player_mdp`` on one random
+  profile's arrays, and of
   ``simplicial.label_point`` at the grid point ``starting_point(game, 8)``,
   for every (n, S, A) of a small sweep at gamma = 0, the one-shot path,
   and at gamma = 0.9, under ``kernel_us`` keys ``"n,S,A,gamma"``; of
@@ -44,7 +45,9 @@ Two measurements, each added to the output file under its own keys:
   ``certify`` job (``certify_profile_ms``), under ``certify_load_ms``.
   Both trees are loaded into one process under two package names, and
   their timings alternate call by call, so that a slow phase of the host
-  falls on both alike; a call's cost is the best of seven repeats.
+  falls on both alike; a call's cost is the best of seven repeats.  Each
+  tree's ``apply_f`` is called as ``apply_f(game, probs)`` on per-player
+  arrays, so both trees must take that signature.
 
       python3 tools/compare_trees.py kernel --before ../parent --after . \\
           --out BENCH_6.json
@@ -210,7 +213,7 @@ def kernel(args) -> dict:
             game = mods["oracles"].random_game(rng, n, s, a, gamma)
             probs = mods["oracles"].random_profile(game, rng).probs
             apex = mods["simplicial"].starting_point(game, 8)
-            calls[f"improve_us_{side}"] = partial(mods["nash_map"].improve, game, probs)
+            calls[f"apply_f_us_{side}"] = partial(mods["nash_map"].apply_f, game, probs)
             calls[f"player_mdp_us_{side}"] = partial(
                 mods["nash_map"].player_mdp, game, probs, 0)
             calls[f"label_point_us_{side}"] = partial(
