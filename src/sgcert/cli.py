@@ -36,7 +36,6 @@ from .game import (
 from .nash_map import DenominatorError, apply_f, lipschitz_constant
 from .simplicial import (
     GridProfile,
-    InvalidSimplexError,
     label_point,
     least_residual_vertex,
     point_from_dict,
@@ -322,7 +321,7 @@ def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
-    except (GameValidationError, InvalidSimplexError) as exc:
+    except GameValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (ValueError, DenominatorError) as exc:

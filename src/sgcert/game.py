@@ -35,8 +35,8 @@ PROB_TOL_DERIVED = 1e-10
 
 
 class GameValidationError(ValueError):
-    """An input file cannot be read, or a game or profile in it violates a
-    structural constraint."""
+    """Bad input: a file cannot be read, or a game, profile, grid size,
+    grid point or simplex violates a structural constraint."""
 
 
 @dataclass(frozen=True)
@@ -363,19 +363,24 @@ def check_player(game: StochasticGame, player: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# File formats (JSON): games and profiles.
+# File formats (JSON): games and profiles, and the field reader that every
+# input document goes through.
+
+def document_fields(data, kind: str, names: tuple[str, ...]) -> list:
+    """The fields ``names`` of a ``kind`` document, in order.  The one check
+    of every input document's shape: one that is not an object, or lacks a
+    field, raises :class:`GameValidationError` naming the first fault."""
+    if not isinstance(data, dict):
+        raise GameValidationError(f"{kind} document must be an object")
+    for name in names:
+        if name not in data:
+            raise GameValidationError(f"{kind} document has no '{name}' field")
+    return [data[name] for name in names]
+
 
 def game_from_dict(data: dict) -> StochasticGame:
-    if not isinstance(data, dict):
-        raise GameValidationError("game document must be an object")
-    try:
-        states = data["states"]
-        players = data["players"]
-        transitions = data["transitions"]
-        rewards = data["rewards"]
-        gamma = data["gamma"]
-    except KeyError as exc:
-        raise GameValidationError(f"missing game field: {exc}") from exc
+    states, players, transitions, rewards, gamma = document_fields(
+        data, "game", ("states", "players", "transitions", "rewards", "gamma"))
     try:
         actions = [p["actions"] for p in players]
     except (KeyError, TypeError) as exc:
@@ -413,12 +418,7 @@ def profile_to_dict(pi: StrategyProfile) -> dict:
 
 
 def profile_from_dict(game: StochasticGame, data: dict) -> StrategyProfile:
-    if not isinstance(data, dict):
-        raise GameValidationError("profile document must be an object")
-    try:
-        probs = data["probs"]
-    except KeyError as exc:
-        raise GameValidationError("profile file must contain a 'probs' field") from exc
+    (probs,) = document_fields(data, "profile", ("probs",))
     return validate_profile(game, _entries(probs, "'probs'"))
 
 

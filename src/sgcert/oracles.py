@@ -31,6 +31,7 @@ import numpy as np
 
 from .certify import _policy_iteration
 from .game import (
+    GameValidationError,
     StochasticGame,
     StrategyProfile,
     check_player,
@@ -41,7 +42,6 @@ from .nash_map import apply_f, evaluate_groups, lipschitz_constant
 from .simplicial import (
     GridProfile,
     GridSimplex,
-    InvalidSimplexError,
     Label,
     SimplexClass,
     _blocks,
@@ -290,7 +290,7 @@ def stopping_residual_check(game: StochasticGame, sigma: GridSimplex) -> Stoppin
     labels, res, _ = _evaluate(game, np.array(_vertex_keys(game, sigma)), sigma.d)
     cls = _classify_labels(game, tuple(labels))
     if cls.kind != "stopping":
-        raise InvalidSimplexError(f"simplex is {cls.kind}, not stopping")
+        raise GameValidationError(f"simplex is {cls.kind}, not stopping")
     bound = game.a_max**2 * (lipschitz_constant(game) + 1.0) / sigma.d
     residuals = tuple(res.tolist())
     return StoppingReport(bound, residuals, all(r <= bound + _BOUND_SLACK for r in residuals))
@@ -376,7 +376,7 @@ def enumerate_simplices(game: StochasticGame, d: int) -> Iterator[GridSimplex]:
     ordering lexicographic.  Only simplices inside the cone region of their
     index set (rooted at the starting point) whose vertices stay on the grid
     are yielded."""
-    for base, order, _ in _simplices(game, d, (p.key for p in grid_points(game, d))):
+    for base, order, _ in _simplices(game, d, _grid_keys(game, d)):
         yield GridSimplex(GridProfile.from_key(game, base, d), order)
 
 

@@ -59,7 +59,13 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .game import StochasticGame, StrategyProfile, validate_profile
+from .game import (
+    GameValidationError,
+    StochasticGame,
+    StrategyProfile,
+    document_fields,
+    validate_profile,
+)
 from .nash_map import apply_gains, evaluate_groups, per_player
 
 GRID_ENUM_GUARD = 10**7
@@ -94,11 +100,6 @@ class Label(NamedTuple):
     player: int
     state: int
     action: int
-
-
-class InvalidSimplexError(ValueError):
-    """A grid size, grid point or simplex description is malformed or leaves
-    the grid."""
 
 
 @dataclass(frozen=True)
@@ -163,9 +164,9 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 def _check_grid_size(d: int) -> None:
     if d < 1:
-        raise InvalidSimplexError("grid size d must be >= 1")
+        raise GameValidationError("grid size d must be >= 1")
     if d > MAX_GRID_SIZE:
-        raise InvalidSimplexError(f"grid size d must be at most 2**53, got {d}")
+        raise GameValidationError(f"grid size d must be at most 2**53, got {d}")
 
 
 def grid_point_count(game: StochasticGame, d: int) -> int:
@@ -322,12 +323,12 @@ def _check_index_set(game: StochasticGame, index_set) -> None:
         i, s, a = coord
         if not (0 <= i < game.num_players and 0 <= s < game.num_states
                 and 0 <= a < game.num_actions[i]):
-            raise InvalidSimplexError(f"coordinate {tuple(coord)} is not in the game")
+            raise GameValidationError(f"coordinate {tuple(coord)} is not in the game")
         per_block[i, s] += 1
     if len(set(map(tuple, index_set))) != len(index_set):
-        raise InvalidSimplexError("index set repeats a coordinate")
+        raise GameValidationError("index set repeats a coordinate")
     if any(count >= game.num_actions[i] for (i, _), count in per_block.items()):
-        raise InvalidSimplexError(
+        raise GameValidationError(
             "index set must omit at least one action per (player, state)"
         )
 
@@ -339,7 +340,7 @@ def _vertex_keys(game: StochasticGame, sigma: GridSimplex) -> list[tuple[int, ..
     for coord in sigma.order:
         nxt = _step(keys[-1], _column(game, coord))
         if nxt is None:
-            raise InvalidSimplexError(
+            raise GameValidationError(
                 f"vertex after column {tuple(coord)} leaves the grid"
             )
         keys.append(nxt)
@@ -424,7 +425,7 @@ def in_cone(
     out, whose coefficient must be zero; so the point lies in the cone
     exactly when, in every block, ``lam0 - min(lam0)`` vanishes at every
     action outside T, and the coefficients ``lam0 - min(lam0)`` are then
-    nonnegative.  Raises :class:`InvalidSimplexError` on an index set that
+    nonnegative.  Raises :class:`GameValidationError` on an index set that
     is not admissible, because the argument needs an omitted action.
     """
     _check_index_set(game, index_set)
@@ -582,32 +583,28 @@ def simplex_to_dict(game: StochasticGame, sigma: GridSimplex) -> dict:
 def simplex_from_dict(game: StochasticGame, data: dict) -> GridSimplex:
     """The simplex of a document; its labels and classification, if any,
     are not read.  A malformed document raises
-    :class:`InvalidSimplexError` naming the first faulty field."""
-    if not isinstance(data, dict):
-        raise InvalidSimplexError("simplex document must be an object")
-    try:
-        d, rows, entries, perm = (data[f] for f in ("d", "base", "index_set", "permutation"))
-    except KeyError as exc:
-        raise InvalidSimplexError(f"simplex document has no {exc} field") from exc
+    :class:`GameValidationError` naming the first faulty field."""
+    d, rows, entries, perm = document_fields(
+        data, "simplex", ("d", "base", "index_set", "permutation"))
     # type(x) is int: a float, a boolean or a string is not an integer
     if type(d) is not int:
-        raise InvalidSimplexError("d must be an integer")
+        raise GameValidationError("d must be an integer")
     _check_grid_size(d)
     try:
         base = grid_profile_from_lists(game, rows, d)
-    except InvalidSimplexError as exc:
-        raise InvalidSimplexError(f"base: {exc}") from exc
+    except GameValidationError as exc:
+        raise GameValidationError(f"base: {exc}") from exc
     if not isinstance(entries, list):
-        raise InvalidSimplexError("index_set must be a list")
+        raise GameValidationError("index_set must be a list")
     for k, entry in enumerate(entries):
         if not (isinstance(entry, list) and len(entry) == 3
                 and all(type(x) is int for x in entry)):
-            raise InvalidSimplexError(f"index_set entry {k} must be [player, state, action]")
+            raise GameValidationError(f"index_set entry {k} must be [player, state, action]")
     if not (isinstance(perm, list) and all(type(k) is int for k in perm)):
-        raise InvalidSimplexError("permutation must be a list of integers")
+        raise GameValidationError("permutation must be a list of integers")
     index_set = tuple(Label(*entry) for entry in entries)
     if sorted(perm) != list(range(len(index_set))):
-        raise InvalidSimplexError("permutation must reorder the index set")
+        raise GameValidationError("permutation must reorder the index set")
     sigma = GridSimplex(base, tuple(index_set[k] for k in perm))
     _vertex_keys(game, sigma)  # validates
     return sigma
@@ -616,37 +613,26 @@ def simplex_from_dict(game: StochasticGame, data: dict) -> GridSimplex:
 def point_from_dict(game: StochasticGame, data: dict, d: int) -> GridProfile:
     """The grid point of size ``d`` of a point document, ``{"numerators":
     [...]}``, one list of per-state rows per player."""
-    if not isinstance(data, dict):
-        raise InvalidSimplexError("point document must be an object")
-    try:
-        rows = data["numerators"]
-    except KeyError as exc:
-        raise InvalidSimplexError("point file must contain a 'numerators' field") from exc
+    (rows,) = document_fields(data, "point", ("numerators",))
     return grid_profile_from_lists(game, rows, d)
 
 
 def grid_profile_from_lists(game: StochasticGame, rows, d: int) -> GridProfile:
     _check_grid_size(d)
     if not isinstance(rows, (list, tuple)) or len(rows) != game.num_players:
-        raise InvalidSimplexError("numerators must list every player")
+        raise GameValidationError("numerators must list every player")
     key = []
     for i, player_rows in enumerate(rows):
-        try:
-            arr = np.asarray(player_rows)
-        except ValueError as exc:  # ragged lists
-            raise InvalidSimplexError(f"player {i} numerators: {exc}") from exc
-        if arr.shape != (game.num_states, game.num_actions[i]):
-            raise InvalidSimplexError(
-                f"player {i} numerators have shape {arr.shape}"
-            )
-        # the entries as given: numpy reads True as 1, 2**63 as a float and
-        # 10**30 as an object, so its dtype does not tell integers apart
+        shape = (game.num_states, game.num_actions[i])
+        if not (isinstance(player_rows, (list, tuple)) and len(player_rows) == shape[0]
+                and all(isinstance(row, (list, tuple)) and len(row) == shape[1]
+                        for row in player_rows)):
+            raise GameValidationError(f"player {i} numerators must have shape {shape}")
+        # type(x) is int: a float, a boolean or a string is not an integer
         values = [x for row in player_rows for x in row]
         if not all(type(x) is int for x in values):
-            raise InvalidSimplexError(f"player {i} numerators must be integers")
+            raise GameValidationError(f"player {i} numerators must be integers")
         if min(values) < 0 or any(sum(row) != d for row in player_rows):
-            raise InvalidSimplexError(
-                f"player {i} numerators are not a grid point of size {d}"
-            )
+            raise GameValidationError(f"player {i} numerators are not a grid point of size {d}")
         key += values
     return GridProfile.from_key(game, key, d)

@@ -622,16 +622,55 @@ MALFORMED_DOCUMENTS = [
 ]
 
 
+def document_argv(kind, game, path) -> tuple:
+    """The command line that reads the ``kind`` document at ``path``, with
+    the game document at ``game``."""
+    return {"game": ("info", path),
+            "profile": ("certify", game, path),
+            "point": ("label", game, "--d", "2", "--point", path),
+            "simplex": ("label", game, "--simplex", path)}[kind]
+
+
 @pytest.mark.parametrize("kind,name,doc,named", MALFORMED_DOCUMENTS,
                          ids=[f"{c[0]}-{c[1]}-doc{k}" for k, c in enumerate(MALFORMED_DOCUMENTS)])
 def test_malformed_document_rejected(capsys, tmp_path, kind, name, doc, named):
     game = str(CORPUS / f"{name}.game.json")
     path = write_doc(tmp_path / f"{kind}.json", doc)
-    argv = {"game": ("info", path),
-            "profile": ("certify", game, path),
-            "point": ("label", game, "--d", "2", "--point", path),
-            "simplex": ("label", game, "--simplex", path)}[kind]
-    assert named in run_input_error(capsys, *argv)
+    assert named in run_input_error(capsys, *document_argv(kind, game, path))
+
+
+# A valid document of each kind for matching_pennies (the simplex is a
+# stopping edge of the grid of size 2), and every field each must hold.
+VALID_DOCUMENTS = {
+    "game": pennies_doc(),
+    "profile": json.loads(Path(PENNIES_EQ).read_text()),
+    "point": {"numerators": [[[1, 1]], [[1, 1]]]},
+    "simplex": {"d": 2, "base": [[[1, 1]], [[1, 1]]], "index_set": [[0, 0, 0], [1, 0, 1]],
+                "permutation": [0, 1]},
+}
+REQUIRED_FIELDS = [("game", field) for field in
+                   ("states", "players", "transitions", "rewards", "gamma")] + [
+    ("profile", "probs"), ("point", "numerators"),
+    *(("simplex", field) for field in ("d", "base", "index_set", "permutation"))]
+
+
+@pytest.mark.parametrize("kind,field", REQUIRED_FIELDS,
+                         ids=[f"{kind}-{field}" for kind, field in REQUIRED_FIELDS])
+def test_document_without_a_field_names_it(capsys, tmp_path, kind, field):
+    """Every document kind reports a missing field in the same words."""
+    doc = {k: v for k, v in VALID_DOCUMENTS[kind].items() if k != field}
+    path = write_doc(tmp_path / f"{kind}.json", doc)
+    assert run_input_error(capsys, *document_argv(kind, PENNIES, path)) == (
+        f"error: {kind} document has no '{field}' field\n")
+
+
+@pytest.mark.parametrize("rows", [[[1, 1], [2]], [[1, 1], 2], [[1, 1], [2, 0, 0]]])
+def test_ragged_numerators_give_the_shape_line(capsys, tmp_path, rows):
+    """A ragged table of numerators gets one fixed line naming the shape
+    the player's table must have."""
+    path = write_doc(tmp_path / "point.json", {"numerators": [rows, [[0, 2], [1, 1]]]})
+    assert run_input_error(capsys, *document_argv("point", CHAIN, path)) == (
+        "error: player 0 numerators must have shape (2, 2)\n")
 
 
 # Files no parser can read: a directory, bytes that are not UTF-8, JSON

@@ -8,12 +8,11 @@ import pytest
 
 from sgcert import nash_map, oracles, simplicial
 from sgcert.certify import certify_groups, certify_profile
-from sgcert.game import StrategyProfile, validate_game
+from sgcert.game import GameValidationError, StrategyProfile, validate_game
 from sgcert.nash_map import apply_f, per_player, residual
 from sgcert.simplicial import (
     GridProfile,
     GridSimplex,
-    InvalidSimplexError,
     Label,
     SimplexClass,
     classify_simplex,
@@ -128,13 +127,13 @@ class TestSimplexVertices:
     def test_leaving_the_grid_fails(self, toy):
         base = point(toy, [[[0, 2]]], 2)
         t = (Label(0, 0, 0),)
-        with pytest.raises(InvalidSimplexError):
+        with pytest.raises(GameValidationError):
             simplex_vertices(toy, GridSimplex(base, t))
 
     def test_rejects_full_action_block(self, toy):
         base = point(toy, [[[1, 1]]], 2)
         t = (Label(0, 0, 0), Label(0, 0, 1))
-        with pytest.raises(InvalidSimplexError):
+        with pytest.raises(GameValidationError):
             simplex_vertices(toy, GridSimplex(base, t))
 
 
@@ -162,7 +161,7 @@ class TestClassification:
                 sigma = GridSimplex(base, t_set)
                 try:
                     cls = classify_simplex(pennies, sigma)
-                except InvalidSimplexError:
+                except GameValidationError:
                     continue
                 if len(set(cls.labels)) < len(cls.labels):
                     assert cls.kind == "incomplete"
@@ -279,6 +278,33 @@ class TestFindStoppingSimplex:
         assert len(labelled) == len(set(labelled)) == count
         assert grid_point_count(game, d) == points
 
+    @pytest.mark.parametrize("index,d,count,reentries", [
+        (15, 8, 14, 1), (10, 16, 89, 5), (14, 32, 135, 1)])
+    def test_a_reentering_vertex_is_labelled_once(self, monkeypatch, index, d, count,
+                                                   reentries):
+        """The walk keeps every label of its path, so a vertex that
+        re-enters the simplex after leaving it, with its evaluation
+        dropped, is not evaluated again: one evaluation per distinct key,
+        though the walk steps onto ``reentries`` keys it labelled before."""
+        game = restart_games(index + 1)[index]
+        labelled, stepped = [], []
+        evaluate, step = simplicial._evaluate, simplicial._step
+
+        def counting(game, nums, d, *reuse):
+            labelled.append(tuple(nums.tolist()))
+            return evaluate(game, nums, d, *reuse)
+
+        def recording(key, column):
+            stepped.append(step(key, column))
+            return stepped[-1]
+
+        monkeypatch.setattr(simplicial, "_evaluate", counting)
+        monkeypatch.setattr(simplicial, "_step", recording)
+        find_stopping_simplex(game, d)
+        assert len(labelled) == len(set(labelled)) == count
+        # every vertex but the apex enters by a step
+        assert len(stepped) - (count - 1) == reentries
+
     @pytest.mark.parametrize("game", RESIDUAL_GAMES)
     def test_walk_residuals_are_the_checks(self, monkeypatch, game):
         """The residuals the walk keeps are, bit for bit, those that
@@ -327,7 +353,7 @@ class TestFindStoppingSimplex:
     def test_check_rejects_non_stopping(self, toy):
         base = point(toy, [[[2, 0]]], 2)
         sigma = GridSimplex(base, ())
-        with pytest.raises(InvalidSimplexError):
+        with pytest.raises(GameValidationError):
             stopping_residual_check(toy, sigma)
 
 
@@ -389,7 +415,7 @@ class TestTriangulation:
                     sigma = GridSimplex(base, order)
                     try:
                         vertices = simplex_vertices(game, sigma)
-                    except InvalidSimplexError:
+                    except GameValidationError:
                         continue
                     simplex_count += 1
                     for v in vertices:
@@ -422,11 +448,11 @@ class TestSerialization:
         sigma = find_stopping_simplex(pennies, 2).sigma
         doc = simplex_to_dict(pennies, sigma)
         doc["permutation"] = [5] * len(doc["permutation"])
-        with pytest.raises(InvalidSimplexError):
+        with pytest.raises(GameValidationError):
             simplex_from_dict(pennies, doc)
 
     def test_rejects_off_grid_point(self, pennies):
-        with pytest.raises(InvalidSimplexError):
+        with pytest.raises(GameValidationError):
             grid_profile_from_lists(pennies, [[[2, 1]], [[1, 1]]], 2)
 
 
@@ -594,6 +620,21 @@ def certificate_bits(cert) -> tuple:
             bits(cert.per_state_regret))
 
 
+# The random set of the restart study: (n, S, A) cycles through these shapes
+# and gamma through 0, 0.5 and 0.9.  Its long walks often re-enter vertices,
+# which corpus walks rarely do.
+RESTART_SHAPES = [(2, 1, 2), (2, 2, 2), (2, 1, 3), (3, 1, 2), (2, 3, 2), (1, 3, 3),
+                  (2, 2, 3), (3, 2, 2), (2, 1, 4), (3, 3, 3), (4, 2, 2), (2, 6, 3)]
+
+
+def restart_games(count: int) -> list:
+    """The first ``count`` games of the restart study's random set, drawn in
+    order from ``random_game(default_rng(11), ...)``."""
+    rng = np.random.default_rng(11)
+    return [oracles.random_game(rng, *RESTART_SHAPES[k % len(RESTART_SHAPES)],
+                                (0.0, 0.5, 0.9)[k % 3]) for k in range(count)]
+
+
 def walk_games():
     """``RESIDUAL_GAMES`` and seeded random games with several states, three
     players, one player and two or three player groups."""
@@ -624,6 +665,23 @@ class TestLeastResidualVertex:
             assert bits(pi.probs) == bits(want.probs), d
             assert certificate_bits(certify_groups(game, mdps, 10, residual=res)) == (
                 certificate_bits(certify_profile(game, want, 10))), d
+
+    def test_an_unkept_least_residual_vertex_is_evaluated_again(self):
+        """Game 8 of the restart study's random set, (2,1,4) at gamma = 0.9,
+        ends its walk at d = 64 with a least-residual vertex, w^6, that
+        re-entered the simplex after its evaluation was dropped: it is
+        evaluated again, and its certificate is bit for bit that of
+        certify_profile on the vertex's grid profile."""
+        game, d = restart_games(9)[8], 64
+        walk = find_stopping_simplex(game, d)
+        best = int(np.argmin(walk.residuals))
+        assert best == 6 and walk.evaluations[best] is None
+        want = GridProfile.from_key(game, walk.keys[best], d).to_profile(game)
+        pi, mdps, res = least_residual_vertex(game, d)
+        assert res == walk.residuals[best]
+        assert bits(pi.probs) == bits(want.probs)
+        assert certificate_bits(certify_groups(game, mdps, 10, residual=res)) == (
+            certificate_bits(certify_profile(game, want, 10)))
 
     @pytest.mark.parametrize("name,d", [("zero_sum_chain", 16), ("asymmetric_mixed", 32),
                                         ("dominant_chain", 16)])
@@ -852,7 +910,7 @@ class TestIntegerSearchMatchesReference:
                 bad_sets = [tuple(block), (block[0], block[0]),
                             (Label(i, s, a_count),)]
                 for bad in bad_sets:
-                    with pytest.raises(InvalidSimplexError):
+                    with pytest.raises(GameValidationError):
                         in_cone(game, apex, apex, bad)
 
 

@@ -108,6 +108,26 @@ def test_only_read_json_reads_input_files():
     assert set().union(*(owners(path, reads_a_file) for path in LIBRARY)) == {"game.read_json"}
 
 
+# The words of the two faults any input document can have as a whole.
+DOCUMENT_FAULTS = ("document must be an object", "document has no")
+
+
+def words_a_document_fault(node) -> bool:
+    """A string constant, alone or part of an f-string, that holds one of
+    ``DOCUMENT_FAULTS``."""
+    return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and any(words in node.value for words in DOCUMENT_FAULTS))
+
+
+def test_only_document_fields_words_document_faults():
+    """Every document kind is checked for its shape one way, so that a
+    document that is not an object or lacks a field gets the same line
+    whatever its kind: game.document_fields is the only function in the
+    library that words either fault."""
+    found = set().union(*(owners(path, words_a_document_fault) for path in LIBRARY))
+    assert found == {"game.document_fields"}
+
+
 def test_only_emit_writes_to_stdout():
     """Every report reaches stdout one way, so that a closed stdout is
     handled in one place: cli._emit is the only function in the library
