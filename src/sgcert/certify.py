@@ -24,6 +24,7 @@ from .nash_map import (
     PlayerMDP,
     apply_gains,
     evaluate_groups,
+    group_stacks,
     lipschitz_constant,
     per_player,
     player_mdp,
@@ -137,8 +138,8 @@ def certify_profile(
     certificate carries a verdict at precision 1/L and the grid size the full
     construction would require for that L.  Each player's
     frozen-opponent MDP is evaluated once (:func:`certify_groups`)."""
-    mdps = evaluate_groups(game, pi.probs)
-    return certify_groups(game, mdps, target_l, residual=float(apply_gains(game, mdps)[1]))
+    mdps = evaluate_groups(game, group_stacks(game, pi.probs))
+    return certify_groups(game, mdps, target_l, residual=float(apply_gains(mdps)[1]))
 
 
 def certify_groups(game: StochasticGame, mdps: tuple, target_l: int | None = None, *,

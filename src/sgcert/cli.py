@@ -33,7 +33,7 @@ from .game import (
     uniform_profile,
     validate_profile,
 )
-from .nash_map import DenominatorError, apply_f, lipschitz_constant
+from .nash_map import DenominatorError, apply_f, group_stacks, lipschitz_constant, per_player
 from .simplicial import (
     GridProfile,
     label_point,
@@ -112,16 +112,19 @@ def _solve_damped_f(game, damping, max_iters, tol, seed):
         probs = random_profile(game, np.random.default_rng(seed)).probs
     else:
         probs = uniform_profile(game).probs
-    status = "no-convergence"
+    # the iterate is held as group stacks, the map step's own input and
+    # output; the blend is elementwise and the row sums run along the last
+    # axis, so both keep the bits of one player at a time
+    stacks, status = group_stacks(game, probs), "no-convergence"
     for _ in range(max_iters):
-        step, res = apply_f(game, probs)
+        step, res = apply_f(game, stacks)
         if res <= tol:
             status = "converged"
             break
-        blended = [(1.0 - damping) * a + damping * b for a, b in zip(probs, step)]
+        blended = [(1.0 - damping) * a + damping * b for a, b in zip(stacks, step)]
         # renormalize away float drift; the loop revalidates only on exit
-        probs = [p / p.sum(axis=-1, keepdims=True) for p in blended]
-    return validate_profile(game, probs), status
+        stacks = [p / p.sum(axis=-1, keepdims=True) for p in blended]
+    return validate_profile(game, per_player(game, stacks)), status
 
 
 def _solve_grid(game, d):

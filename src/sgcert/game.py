@@ -86,6 +86,14 @@ class StochasticGame:
         return tuple(map(tuple, groups.values()))
 
     @cached_property
+    def player_slots(self) -> tuple[tuple[int, int], ...]:
+        """``(g, k)`` for each player, in player order: the player is the
+        ``k``-th of group ``g`` of :attr:`player_groups`."""
+        slots = sorted((i, g, k) for g, players in enumerate(self.player_groups)
+                       for k, i in enumerate(players))
+        return tuple((g, k) for _, g, k in slots)
+
+    @cached_property
     def reward_table(self) -> np.ndarray:
         """``rewards`` with one axis per player's action, shaped
         ``(n, S, A_1, ..., A_n)``; for one player, the frozen-opponent

@@ -13,32 +13,38 @@ A profile is a Markov perfect equilibrium exactly when it is a fixed point
 of this map, so ||f(pi) - pi||_inf serves as the equilibrium residual.
 
 One kernel computes everything.  It evaluates the MDP each player faces
-with the opponents frozen and applies the map, on profile arrays
-``probs[i]`` shaped ``(..., S, A_i)``: any leading batch axes, the same for
-every player, stack many profiles into one evaluation, and every result
-carries them (``(..., S, A_i)`` for the next profile, ``(...)`` for the
-residual).  A batch gives the same bits, profile by profile, as evaluating
-one profile at a time; the tests hold it to that, because the grid
-solver's ties and the reports depend on the last bit.
+with the opponents frozen and applies the map.  The players that share an
+action count form a group (:attr:`~sgcert.game.StochasticGame.player_groups`),
+and the kernel takes and returns a profile as group stacks: one array per
+group, in group order, shaped ``(k, ..., S, A)`` for the group's ``k``
+players, the player axis first, then any leading batch axes, the same for
+every group.  :func:`group_stacks` builds them from per-player arrays
+``probs[i]`` shaped ``(..., S, A_i)`` and :func:`per_player` splits them
+back into views; a caller that holds a profile converts where it calls in.
+A batch stacks many profiles into one evaluation, and every result carries
+its axes (``(k, ..., S, A)`` for the next stacks, ``(...)`` for the
+residual).  A batch gives the same bits, profile by profile, as
+evaluating one profile at a time; the tests hold it to that, because the
+grid solver's ties and the reports depend on the last bit.
 
-The players that share an action count form a group
-(:attr:`~sgcert.game.StochasticGame.player_groups`), and a group is
-evaluated as one batch along a leading player axis: the on-profile reward
-and transitions, the row-drift check, the Bellman solve and inverse, the
-lookahead, the rank-one gains, the clamp, the map step and the residual
-are one call each per group, not per player.  Only the opponent marginals
-stay per player (:func:`~sgcert.game.opponent_marginals`): each player
-contracts a different set of axes, and one ``einsum`` over transposed,
-stacked tables sums in another order, which changes the last bits for
-three or more actions or players.  Batched LAPACK factors each matrix
-alone, so every other step keeps the bits of one player at a time.  A
-player's tables depend only on the opponents' arrays, so an evaluation at
-a profile that differs from an evaluated one in one player's own arrays,
-as the simplicial walk's next vertex does, copies that player's tables
-from the earlier group stack and contracts only the others.
-:func:`player_mdp` is this evaluation on a group of one player;
-:func:`apply_f` (the map step and its residual, one result of one
-evaluation), :func:`residual`, :func:`gain_table` and
+A group is evaluated as one batch along its player axis: the on-profile
+reward and transitions, the row-drift check, the Bellman solve and
+inverse, the lookahead, the rank-one gains, the clamp, the map step and
+the residual are one call each per group, not per player.  The group's
+stack is the evaluation's own strategy, with no copy, so no caller may
+write into a stack after it has been evaluated.  Only the opponent
+marginals stay per player (:func:`~sgcert.game.opponent_marginals`),
+on views of the opponents' stacks: each player contracts a different set
+of axes, and one ``einsum`` over transposed, stacked tables sums in
+another order, which changes the last bits for three or more actions or
+players.  Batched LAPACK factors each matrix alone, so every other step
+keeps the bits of one player at a time.  A player's tables depend only on
+the opponents' arrays, so an evaluation at a profile that differs from an
+evaluated one in one player's own arrays, as the simplicial walk's next
+vertex does, copies that player's tables from the earlier group stack and
+contracts only the others.  :func:`player_mdp` is this evaluation on a
+group of one player; :func:`apply_f` (the map step and its residual, one
+result of one evaluation), :func:`residual`, :func:`gain_table` and
 :func:`~sgcert.certify.certify_profile` all run through
 :func:`evaluate_groups`, and :func:`~sgcert.game.value_function` through
 :func:`player_mdp`.
@@ -46,7 +52,7 @@ evaluation), :func:`residual`, :func:`gain_table` and
 Every evaluation keeps two checks: the on-profile transition rows must stay
 on the simplex (:func:`~sgcert.game.check_row_drift`), and every rank-one
 denominator must be positive (:class:`DenominatorError` otherwise).  The
-input arrays are trusted to be valid profiles; the map's output is a
+input stacks are trusted to be valid profiles; the map's output is a
 distribution by construction, so it is not validated again.
 
 A game with gamma = 0 is a one-shot game at each state: M = I, so the
@@ -97,13 +103,14 @@ class PlayerMDP:
 
     Every array carries the leading axes of the evaluation: the player axis
     of a group (none for one player's MDP), then the batch axes ``...`` of
-    the profile arrays (none for a single profile).  With one player in the
+    the group stacks (none for a single profile).  With one player in the
     game, ``r_ia`` and ``p_ia`` are the game's own tables and broadcast
     over the batch axes instead of carrying them.
 
     Attributes:
         gamma: discount factor.
-        pi: ``pi[..., s, a]``, the player's own strategy.
+        pi: ``pi[..., s, a]``, the player's own strategy; for a group, the
+            group stack it was evaluated at, not a copy.
         r_ia: ``r_ia[..., s, a]``, expected reward of action a at state s.
         p_ia: ``p_ia[..., s, a]``, next-state distribution of action a at s.
         w: ``(I - gamma * P_pi)^-1`` for the on-profile transitions P_pi.
@@ -148,16 +155,17 @@ class PlayerMDP:
         return g
 
 
-def _evaluate(game: StochasticGame, probs, players: tuple[int, ...],
+def _evaluate(game: StochasticGame, own, probs, players: tuple[int, ...],
               kept: PlayerMDP | None = None, moved: int | None = None) -> PlayerMDP:
-    """The MDPs of ``players``, who share one action count, at profile arrays
-    ``probs``, stacked along a leading player axis: frozen-opponent tables,
-    the Bellman inverse, the value and the one-step lookahead.  ``kept`` is
-    this group's stack at a profile that differs from ``probs`` only in
-    player ``moved``'s own arrays: that player's tables, which depend only
-    on the opponents, are copied from it, not contracted again."""
-    # np.array stacks equal shapes like np.stack, at a fraction of its cost
-    own = np.array([probs[i] for i in players])
+    """The MDPs of ``players``, who share one action count, at their stack
+    ``own``, shaped ``(k, ..., S, A)``, and every player's arrays
+    ``probs[j]``, shaped ``(..., S, A_j)``, read for the opponents: the
+    frozen-opponent tables, the Bellman inverse, the value and the one-step
+    lookahead, stacked along the leading player axis.  ``own`` is the
+    evaluation's own strategy, not a copy.  ``kept`` is this group's stack
+    at a profile that differs from this one only in player ``moved``'s own
+    arrays: that player's tables, which depend only on the opponents, are
+    copied from it, not contracted again."""
     if game.num_players == 1:
         r_ia, p_ia = game.reward_table, game.transition_table[None]
     else:
@@ -182,31 +190,41 @@ def _evaluate(game: StochasticGame, probs, players: tuple[int, ...],
     return PlayerMDP(game.gamma, own, r_ia, p_ia, w, v, q)
 
 
-def player_mdp(game: StochasticGame, probs, player: int) -> PlayerMDP:
-    """One player's MDP at profile arrays ``probs[j]``, shaped ``(..., S, A_j)``
-    with the same leading batch axes for every player."""
-    check_player(game, player)
-    return _evaluate(game, probs, (player,))[0]
-
-
-def evaluate_groups(game: StochasticGame, probs, kept: tuple | None = None,
-                    moved: int | None = None) -> tuple[PlayerMDP, ...]:
-    """The MDP of every group of :attr:`~sgcert.game.StochasticGame.player_groups`
-    at profile arrays ``probs``, in group order.  ``kept`` is this tuple at
-    a profile that differs from ``probs`` only in player ``moved``'s own
-    arrays, whose tables :func:`_evaluate` then copies from it."""
-    return tuple(_evaluate(game, probs, players, kept and kept[g], moved)
-                 for g, players in enumerate(game.player_groups))
+def group_stacks(game: StochasticGame, probs) -> tuple[np.ndarray, ...]:
+    """The group stacks of per-player arrays ``probs[i]``, shaped
+    ``(..., S, A_i)`` with the same leading batch axes for every player:
+    one fresh array per group of
+    :attr:`~sgcert.game.StochasticGame.player_groups`, in group order,
+    shaped ``(k, ..., S, A)`` with the group's players in order along the
+    first axis."""
+    # np.array stacks equal shapes like np.stack, at a fraction of its cost
+    return tuple(np.array([probs[i] for i in players]) for players in game.player_groups)
 
 
 def per_player(game: StochasticGame, stacks) -> tuple:
     """Per-player entries, in player order, of one stack per group, each
-    indexed by the group's leading player axis."""
-    out = [None] * game.num_players
-    for players, stack in zip(game.player_groups, stacks):
-        for k, i in enumerate(players):
-            out[i] = stack[k]
-    return tuple(out)
+    indexed by the group's leading player axis: views, not copies."""
+    return tuple(stacks[g][k] for g, k in game.player_slots)
+
+
+def player_mdp(game: StochasticGame, probs, player: int) -> PlayerMDP:
+    """One player's MDP at profile arrays ``probs[j]``, shaped ``(..., S, A_j)``
+    with the same leading batch axes for every player."""
+    check_player(game, player)
+    return _evaluate(game, np.array([probs[player]]), probs, (player,))[0]
+
+
+def evaluate_groups(game: StochasticGame, stacks, kept: tuple | None = None,
+                    moved: int | None = None) -> tuple[PlayerMDP, ...]:
+    """The MDP of every group of :attr:`~sgcert.game.StochasticGame.player_groups`
+    at the group stacks ``stacks`` (:func:`group_stacks`), in group order,
+    each with the leading axes of its stack.  ``kept`` is this tuple at a
+    profile that differs from ``stacks`` only in player ``moved``'s own
+    arrays, whose tables :func:`_evaluate` then copies from it."""
+    # every player's arrays as views of the stacks, for the opponent marginals
+    probs = [stacks[g][k] for g, k in game.player_slots]
+    return tuple(_evaluate(game, stacks[g], probs, players, kept and kept[g], moved)
+                 for g, players in enumerate(game.player_groups))
 
 
 def gain_table(game: StochasticGame, pi: StrategyProfile) -> tuple[np.ndarray, ...]:
@@ -225,35 +243,37 @@ def gain_table(game: StochasticGame, pi: StrategyProfile) -> tuple[np.ndarray, .
     (1 - gamma) W[s, s] >= 1 - gamma).  The table costs O(S^3 + S^2 A) per
     player.
     """
-    mdps = evaluate_groups(game, pi.probs)
+    mdps = evaluate_groups(game, group_stacks(game, pi.probs))
     return per_player(game, [m.gains() for m in mdps])
 
 
-def apply_gains(game: StochasticGame, mdps) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """The improvement map at the profile arrays that the group MDPs ``mdps``
-    of :func:`evaluate_groups` were evaluated at: the next arrays, shaped
-    ``(..., S, A_i)`` per player, and the residual of each profile, shaped
-    ``(...)``."""
+def apply_gains(mdps) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The improvement map at the group stacks that the group MDPs ``mdps``
+    of :func:`evaluate_groups` were evaluated at: the next group stacks,
+    new arrays shaped like the input stacks, and the residual of each
+    profile, shaped ``(...)``."""
     steps, moved = [], []
     for m in mdps:
         g = m.gains()
         nxt = (m.pi + g) / (1.0 + g.sum(axis=-1))[..., None]
         steps.append(nxt)
         moved.append(np.abs(nxt - m.pi).max(axis=(0, -2, -1)))
-    return per_player(game, steps), reduce(np.maximum, moved)
+    return tuple(steps), reduce(np.maximum, moved)
 
 
-def apply_f(game: StochasticGame, probs) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """One step of the improvement map on profile arrays ``probs[i]`` shaped
-    ``(..., S, A_i)``: the next arrays, of the same shapes, and the residual
-    ``||f(pi) - pi||_inf`` of each profile, shaped ``(...)``.  The input is
-    trusted to be valid; the output is a distribution by construction."""
-    return apply_gains(game, evaluate_groups(game, probs))
+def apply_f(game: StochasticGame, stacks) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """One step of the improvement map on the group stacks ``stacks``
+    (:func:`group_stacks`), each shaped ``(k, ..., S, A)``: the next group
+    stacks, in group order and of the same shapes, sharing no memory with
+    the input, and the residual ``||f(pi) - pi||_inf`` of each profile,
+    shaped ``(...)``.  The input is trusted to be valid; the output is a
+    distribution by construction."""
+    return apply_gains(evaluate_groups(game, stacks))
 
 
 def residual(game: StochasticGame, pi: StrategyProfile) -> float:
     """Fixed-point residual ||f(pi) - pi||_inf."""
-    return float(apply_f(game, pi.probs)[1])
+    return float(apply_f(game, group_stacks(game, pi.probs))[1])
 
 
 def lipschitz_constant(game: StochasticGame, number=float):

@@ -38,7 +38,7 @@ from .game import (
     validate_game,
     validate_profile,
 )
-from .nash_map import apply_f, evaluate_groups, lipschitz_constant
+from .nash_map import apply_f, evaluate_groups, group_stacks, lipschitz_constant, per_player
 from .simplicial import (
     GridProfile,
     GridSimplex,
@@ -248,8 +248,9 @@ def finite_difference_lipschitz(
         delta = max_norm_distance(p1, p2)
         if delta == 0.0:
             continue
-        num = max_norm_distance(StrategyProfile(apply_f(game, p1.probs)[0]),
-                                StrategyProfile(apply_f(game, p2.probs)[0]))
+        f1, f2 = (per_player(game, apply_f(game, group_stacks(game, p.probs))[0])
+                  for p in (p1, p2))
+        num = max_norm_distance(StrategyProfile(f1), StrategyProfile(f2))
         worst = max(worst, num / delta)
     return worst
 
@@ -307,7 +308,7 @@ class GainRegretReport:
 def gain_to_regret_check(game: StochasticGame, pi: StrategyProfile) -> GainRegretReport:
     """Report-only check that regrets obey the one-shot gain bound:
     every best-response regret <= (max gain) / (1 - gamma) + _REGRET_SLACK."""
-    mdps = evaluate_groups(game, pi.probs)
+    mdps = evaluate_groups(game, group_stacks(game, pi.probs))
     g = max(float(m.gains().max()) for m in mdps)
     max_regret = max(float((_policy_iteration(m) - m.v).max()) for m in mdps)
     bound = g / (1.0 - game.gamma)

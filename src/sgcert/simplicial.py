@@ -66,7 +66,7 @@ from .game import (
     document_fields,
     validate_profile,
 )
-from .nash_map import apply_gains, evaluate_groups, per_player
+from .nash_map import apply_gains, evaluate_groups, group_stacks, per_player
 
 GRID_ENUM_GUARD = 10**7
 # Numerators and grid sizes up to 2**53 are exact as float64 and int64, so
@@ -268,10 +268,11 @@ def _evaluate(game: StochasticGame, nums, d: int, kept: tuple | None = None,
     pass a neighbour's group MDPs and the player it differs in to
     :func:`~sgcert.nash_map.evaluate_groups`."""
     flat = nums / d
-    mdps = evaluate_groups(game, _unflatten((game.num_states, game.num_actions), flat),
-                           kept, moved)
-    nxt, res = apply_gains(game, mdps)
-    disp = np.concatenate([f.reshape(f.shape[:-2] + (-1,)) for f in nxt], axis=-1) - flat
+    probs = _unflatten((game.num_states, game.num_actions), flat)
+    mdps = evaluate_groups(game, group_stacks(game, probs), kept, moved)
+    nxt, res = apply_gains(mdps)
+    disp = np.concatenate([f.reshape(f.shape[:-2] + (-1,)) for f in per_player(game, nxt)],
+                          axis=-1) - flat
     return _label_rule(game, *np.atleast_2d(nums, disp)), res, mdps
 
 

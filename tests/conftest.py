@@ -9,6 +9,7 @@ import pytest
 
 from sgcert import oracles
 from sgcert.game import StochasticGame, StrategyProfile, load_game, load_profile, validate_profile
+from sgcert.nash_map import apply_f, group_stacks, per_player
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS_DIR = ROOT / "corpus"
@@ -24,6 +25,14 @@ class CorpusEntry:
     game: StochasticGame
     equilibrium: StrategyProfile
     note: str
+
+
+def map_step(game, probs):
+    """``nash_map.apply_f`` on per-player arrays ``probs[i]``: stacked by
+    group on the way in, split by player on the way out, so the next arrays
+    come back per player, with the residual."""
+    nxt, res = apply_f(game, group_stacks(game, probs))
+    return per_player(game, nxt), res
 
 
 def corpus_game(name):

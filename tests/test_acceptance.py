@@ -15,7 +15,7 @@ from sgcert.certify import (
 )
 from sgcert.cli import main as cli_main
 from sgcert.game import StrategyProfile, value_function
-from sgcert.nash_map import apply_f, gain_table, lipschitz_constant, player_mdp, residual
+from sgcert.nash_map import gain_table, lipschitz_constant, player_mdp, residual
 from sgcert.oracles import (
     enumerate_deterministic_policies,
     enumerate_joint_expectation,
@@ -31,7 +31,7 @@ from sgcert.oracles import (
 )
 from sgcert.simplicial import classify_simplex, find_stopping_simplex
 
-from conftest import CORPUS_DIR, corpus_entries, corpus_entry, corpus_game
+from conftest import CORPUS_DIR, corpus_entries, corpus_entry, corpus_game, map_step
 
 
 def report(name, elapsed, budget):
@@ -76,8 +76,8 @@ def test_02_improvement_map_is_lipschitz():
             delta = max_norm_distance(p1, p2)
             if delta == 0.0:
                 continue
-            num = max_norm_distance(StrategyProfile(apply_f(game, p1.probs)[0]),
-                                    StrategyProfile(apply_f(game, p2.probs)[0]))
+            num = max_norm_distance(StrategyProfile(map_step(game, p1.probs)[0]),
+                                    StrategyProfile(map_step(game, p2.probs)[0]))
             assert num <= lam * delta
     report("improvement map within Lipschitz constant",
            time.perf_counter() - start, 60)

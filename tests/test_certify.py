@@ -19,7 +19,7 @@ from sgcert.certify import (
 )
 from sgcert.cli import _emit
 from sgcert.game import opponent_marginals, uniform_profile, validate_profile, value_function
-from sgcert.nash_map import PlayerMDP, evaluate_groups, residual
+from sgcert.nash_map import PlayerMDP, evaluate_groups, group_stacks, residual
 from sgcert.oracles import (
     enumerate_deterministic_policies,
     gain_to_regret_check,
@@ -115,7 +115,7 @@ def test_group_policy_iteration_keeps_the_bits(game, pi):
     """One policy iteration per player group gives every player's values,
     bit for bit, of iterating that player alone, and the certificate's
     regrets are those values less the on-profile ones."""
-    mdps = evaluate_groups(game, pi.probs)
+    mdps = evaluate_groups(game, group_stacks(game, pi.probs))
     cert = certify_profile(game, pi)
     for players, mdp in zip(game.player_groups, mdps):
         got = _policy_iteration(mdp)
@@ -229,7 +229,7 @@ class TestCertifyProfile:
 def test_certify_groups_takes_the_residual_by_keyword(pennies):
     """The residual has no default and no position: a third positional
     argument is the target L, so a call without the residual fails."""
-    mdps = evaluate_groups(pennies, uniform_profile(pennies).probs)
+    mdps = evaluate_groups(pennies, group_stacks(pennies, uniform_profile(pennies).probs))
     with pytest.raises(TypeError):
         certify_groups(pennies, mdps, 10)
     assert certify_groups(pennies, mdps, 10, residual=0.25).residual == 0.25

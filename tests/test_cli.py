@@ -13,10 +13,9 @@ from sgcert import cli
 from sgcert.certify import choose_d
 from sgcert.cli import _solve_damped_f, main
 from sgcert.game import StrategyProfile, load_game, uniform_profile, validate_profile
-from sgcert.nash_map import apply_f
 from sgcert.oracles import max_norm_distance, random_game, random_profile
 
-from conftest import bench_jobs
+from conftest import bench_jobs, map_step
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "corpus"
@@ -272,9 +271,9 @@ def test_search_evaluates_each_point_once(capsys, monkeypatch, name, d):
     evaluations, points = [], []
     evaluate, label_rule = nash_map._evaluate, simplicial._label_rule
 
-    def counted_evaluate(game, probs, players, *reuse):
+    def counted_evaluate(game, own, probs, players, *reuse):
         evaluations.append(players)
-        return evaluate(game, probs, players, *reuse)
+        return evaluate(game, own, probs, players, *reuse)
 
     def counted_label_rule(game, nums, disp):
         points.extend(map(tuple, nums.tolist()))
@@ -304,9 +303,9 @@ def test_damped_iteration_evaluates_the_map_once(capsys, monkeypatch, name, flag
     evaluations, steps = [], []
     evaluate, step = nash_map._evaluate, cli.apply_f
 
-    def counted_evaluate(game, probs, players, *reuse):
+    def counted_evaluate(game, own, probs, players, *reuse):
         evaluations.append(players)
-        return evaluate(game, probs, players, *reuse)
+        return evaluate(game, own, probs, players, *reuse)
 
     def counted_step(game, probs):
         steps.append(1)
@@ -321,6 +320,37 @@ def test_damped_iteration_evaluates_the_map_once(capsys, monkeypatch, name, flag
     assert len(evaluations) == (iterations + 1) * len(load_game(path).player_groups)
 
 
+@pytest.mark.parametrize("flags,iterations", [((), 647), (("--max-iters", "10"), 10)])
+def test_damped_loop_converts_profiles_only_at_its_ends(capsys, monkeypatch, flags, iterations):
+    """The damped loop holds its iterate as group stacks: a ``solve`` run
+    stacks the start profile and its certificate's profile once each, and
+    splits the stacks once on exit and once for the certificate's regrets,
+    however many iterations it makes."""
+    from sgcert import certify, nash_map
+
+    calls, steps, step = [], [], cli.apply_f
+    for name in ("group_stacks", "per_player"):
+        function = getattr(nash_map, name)
+
+        def counted(*args, name=name, function=function):
+            calls.append(name)
+            return function(*args)
+
+        for module in (nash_map, cli, certify):
+            if getattr(module, name, None) is function:
+                monkeypatch.setattr(module, name, counted)
+
+    def counted_step(game, stacks):
+        steps.append(1)
+        return step(game, stacks)
+
+    monkeypatch.setattr(cli, "apply_f", counted_step)
+    path = str(CORPUS / "coordination_pure.game.json")
+    run(capsys, "solve", path, "--tol", "1e-5", "--seed", "1", *flags)
+    assert len(steps) == iterations
+    assert sorted(calls) == ["group_stacks", "group_stacks", "per_player", "per_player"]
+
+
 def damped_f_per_player(game, damping, max_iters, tol, seed):
     """The damped loop on profiles that takes its own distance between each
     iterate and its image under the map, with one array call per player
@@ -331,7 +361,7 @@ def damped_f_per_player(game, damping, max_iters, tol, seed):
         pi = uniform_profile(game)
     status = "no-convergence"
     for _ in range(max_iters):
-        nxt = StrategyProfile(apply_f(game, pi.probs)[0])
+        nxt = StrategyProfile(map_step(game, pi.probs)[0])
         if max_norm_distance(nxt, pi) <= tol:
             status = "converged"
             break

@@ -24,6 +24,7 @@ from sgcert.nash_map import (
     apply_f,
     evaluate_groups,
     gain_table,
+    group_stacks,
     lipschitz_constant,
     per_player,
     player_mdp,
@@ -37,6 +38,7 @@ from conftest import (
     SCALE_SHAPES,
     corpus_entries,
     corpus_game,
+    map_step,
     random_instances,
     scale_instances,
 )
@@ -85,19 +87,19 @@ class TestGainTable:
 class TestApplyF:
     def test_equilibria_are_fixed_points(self):
         for entry in corpus_entries():
-            out = StrategyProfile(apply_f(entry.game, entry.equilibrium.probs)[0])
+            out = StrategyProfile(map_step(entry.game, entry.equilibrium.probs)[0])
             assert max_norm_distance(out, entry.equilibrium) <= 1e-12, entry.name
 
     def test_hand_computed_toy(self, toy):
         pi = validate_profile(toy, [[[0.5, 0.5]]])
-        out = StrategyProfile(apply_f(toy, pi.probs)[0])
+        out = StrategyProfile(map_step(toy, pi.probs)[0])
         np.testing.assert_allclose(out.probs[0], [[2 / 3, 1 / 3]], atol=1e-15)
 
     def test_rows_stay_on_the_simplex(self, rng):
         for _ in range(100):
             game = random_game(rng, 2, 2, 2, 0.5)
             pi = random_profile(game, rng)
-            out = StrategyProfile(apply_f(game, pi.probs)[0])
+            out = StrategyProfile(map_step(game, pi.probs)[0])
             for p in out.probs:
                 assert np.all(p >= 0)
                 np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
@@ -109,7 +111,7 @@ class TestApplyF:
             pi = validate_profile(
                 game, [[[0.0, 0.4, 0.6]], [[0.5, 0.5, 0.0]]]
             )
-            out = StrategyProfile(apply_f(game, pi.probs)[0])
+            out = StrategyProfile(map_step(game, pi.probs)[0])
             table = gain_table(game, pi)
             for i, p in enumerate(out.probs):
                 zero = p == 0.0
@@ -129,14 +131,14 @@ class TestApplyFOnStacks:
             pis = [random_profile(game, rng) for _ in range(6)]
             n = game.num_players
             probs = tuple(np.stack([pi.probs[i] for pi in pis]) for i in range(n))
-            nxt, res = apply_f(game, probs)
+            nxt, res = map_step(game, probs)
             assert res.shape == (6,)
             for p in nxt:  # a distribution by construction, never revalidated
                 assert p.min() >= 0.0
                 np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
             gains = [player_mdp(game, probs, i).gains() for i in range(n)]
             for k, pi in enumerate(pis):
-                single, _ = apply_f(game, pi.probs)
+                single, _ = map_step(game, pi.probs)
                 table = gain_table(game, pi)
                 for i in range(n):
                     assert np.array_equal(nxt[i][k], single[i])
@@ -144,7 +146,7 @@ class TestApplyFOnStacks:
                 assert res[k] == residual(game, pi)
             # several leading batch axes give the same bits as one
             grid = tuple(p.reshape((2, 3) + p.shape[1:]) for p in probs)
-            nxt2, res2 = apply_f(game, grid)
+            nxt2, res2 = map_step(game, grid)
             assert np.array_equal(res2.ravel(), res)
             for i in range(n):
                 assert np.array_equal(nxt2[i].reshape(nxt[i].shape), nxt[i])
@@ -238,8 +240,9 @@ class TestKernelMatchesReference:
         gains = [reference_gains(game.gamma, *m) for m in mdps]
         nxt, res = reference_apply_gains(probs, gains)
 
-        got_nxt, got_res = apply_f(game, probs)
-        got_gains = per_player(game, [m.gains() for m in evaluate_groups(game, probs)])
+        got_nxt, got_res = map_step(game, probs)
+        mdps_got = evaluate_groups(game, group_stacks(game, probs))
+        got_gains = per_player(game, [m.gains() for m in mdps_got])
         assert got_res.shape == batch
         assert np.array_equal(got_res, res)
         for i in range(n):
@@ -253,6 +256,37 @@ class TestKernelMatchesReference:
             for i in range(n):
                 assert np.array_equal(table[i], gains[i])
             assert residual(game, validate_profile(game, probs)) == res
+
+    MIXED = [(name, game) for name, game in REFERENCE_GAMES if name.startswith("mixed")]
+
+    @pytest.mark.parametrize("batch", [(), (4,), (2, 3)], ids=["axes0", "axes1", "axes2"])
+    @pytest.mark.parametrize("name,game", MIXED, ids=[n for n, _ in MIXED])
+    def test_map_takes_and_returns_group_stacks(self, name, game, batch):
+        """``evaluate_groups`` evaluates each group at its stack, in group
+        order; ``apply_f`` returns new stacks, shaped ``(k, ..., S, A)`` in
+        group order, whose per-player views are the reference's bits, and
+        which share no memory with the stacks it was given."""
+        rng = np.random.default_rng(89)
+        pis = [random_profile(game, rng) for _ in range(int(np.prod(batch)))]
+        probs = tuple(np.stack([pi.probs[i] for pi in pis]).reshape(batch + pis[0].probs[i].shape)
+                      for i in range(game.num_players))
+        gains = [reference_gains(game.gamma, *reference_player_mdp(game, probs, i))
+                 for i in range(game.num_players)]
+        want, want_res = reference_apply_gains(probs, gains)
+        stacks = group_stacks(game, probs)
+        shapes = [(len(players),) + batch + (game.num_states, game.num_actions[players[0]])
+                  for players in game.player_groups]
+        assert [s.shape for s in stacks] == shapes
+        for m, stack in zip(evaluate_groups(game, stacks), stacks, strict=True):
+            assert m.pi.shape == stack.shape and np.shares_memory(m.pi, stack)
+            assert m.v.shape == stack.shape[:-1] and m.q.shape == stack.shape
+        nxt, res = apply_f(game, stacks)
+        assert isinstance(nxt, tuple) and [s.shape for s in nxt] == shapes
+        assert res.shape == batch and np.array_equal(res, want_res)
+        for got, ref in zip(per_player(game, nxt), want, strict=True):
+            assert np.array_equal(got, ref)
+        for new in nxt:
+            assert not any(np.shares_memory(new, old) for old in (*stacks, *probs))
 
     def test_groups_of_equal_action_counts(self):
         games = dict(REFERENCE_GAMES)
@@ -276,7 +310,7 @@ class TestOneShotGames:
                 calls[name] += 1
                 return linalg(*args)
             monkeypatch.setattr(np.linalg, name, counted)
-        evaluate_groups(game, probs)
+        evaluate_groups(game, group_stacks(game, probs))
         groups = len(game.player_groups) if gamma else 0
         assert calls == {"solve": groups, "inv": groups}
 
@@ -299,7 +333,7 @@ class TestOneShotGames:
             return broadcast_to(*args, **kwargs)
 
         monkeypatch.setattr(np, "broadcast_to", counted)
-        mdps = evaluate_groups(game, probs)
+        mdps = evaluate_groups(game, group_stacks(game, probs))
         assert calls == []
         for m in mdps:
             p_pi = np.einsum("...sa,...sat->...st", m.pi, m.p_ia)
@@ -314,7 +348,7 @@ class TestOneShotGames:
         game, probs = off_simplex_input(gamma=0.0)
         gains = reference_gains(game.gamma, *reference_player_mdp(game, probs, 0))
         nxt, res = reference_apply_gains(probs, [gains])
-        got_nxt, got_res = apply_f(game, probs)
+        got_nxt, got_res = map_step(game, probs)
         assert np.array_equal(player_mdp(game, probs, 0).gains(), gains)
         assert np.array_equal(got_nxt[0], nxt[0]) and got_res == res
 
@@ -329,14 +363,14 @@ def off_simplex_input(gamma=0.9):
 
 _OFF_SIMPLEX_SCRIPT = """
 import numpy as np
-from sgcert.nash_map import DenominatorError, apply_f
+from sgcert.nash_map import DenominatorError, apply_f, group_stacks
 from sgcert.oracles import random_game
 
 if __debug__:
     raise SystemExit("assertions are on")
 game = random_game(np.random.default_rng(1), 1, 2, 2, 0.9)
 try:
-    apply_f(game, (np.array([[4.0, -3.0], [4.0, -3.0]]),))
+    apply_f(game, group_stacks(game, (np.array([[4.0, -3.0], [4.0, -3.0]]),)))
 except DenominatorError:
     raise SystemExit(0)
 raise SystemExit("no DenominatorError")
@@ -349,13 +383,13 @@ class TestDriftCheck:
         game = random_game(np.random.default_rng(1), *shape, 0.5)
         probs = tuple(np.full((game.num_states, a), np.nan) for a in game.num_actions)
         with pytest.raises(GameValidationError, match="drifted"):
-            apply_f(game, probs)
+            map_step(game, probs)
 
 
 class TestDenominatorCheck:
     def test_off_simplex_profile_raises(self):
         with pytest.raises(DenominatorError):
-            apply_f(*off_simplex_input())
+            map_step(*off_simplex_input())
 
     def test_check_survives_optimized_python(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -429,6 +463,6 @@ class TestLipschitzConstant:
         delta = max_norm_distance(p1, p2)
         if delta == 0.0:
             return
-        num = max_norm_distance(StrategyProfile(apply_f(game, p1.probs)[0]),
-                                StrategyProfile(apply_f(game, p2.probs)[0]))
+        num = max_norm_distance(StrategyProfile(map_step(game, p1.probs)[0]),
+                                StrategyProfile(map_step(game, p2.probs)[0]))
         assert num <= lam * delta

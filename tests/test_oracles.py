@@ -9,7 +9,7 @@ from sgcert.game import (
     validate_profile,
     value_function,
 )
-from sgcert.nash_map import apply_f, lipschitz_constant, residual
+from sgcert.nash_map import lipschitz_constant, residual
 from sgcert.oracles import (
     enumerate_deterministic_policies,
     enumerate_joint_expectation,
@@ -24,7 +24,7 @@ from sgcert.oracles import (
     truncated_value,
 )
 
-from conftest import CORPUS_GAMES, corpus_entry, corpus_game, random_instances
+from conftest import CORPUS_GAMES, corpus_entry, corpus_game, map_step, random_instances
 
 
 class TestTruncatedValue:
@@ -262,8 +262,8 @@ def test_state_relabeling_invariance():
             atol=1e-9,
         )
         assert residual(pg, ppi) == pytest.approx(residual(game, pi), abs=1e-10)
-        out, _ = apply_f(game, pi.probs)
-        pout, _ = apply_f(pg, ppi.probs)
+        out, _ = map_step(game, pi.probs)
+        pout, _ = map_step(pg, ppi.probs)
         for a, b in zip(pout, out):
             np.testing.assert_allclose(a, b[perm], atol=1e-10)
 

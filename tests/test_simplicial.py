@@ -9,7 +9,7 @@ import pytest
 from sgcert import nash_map, oracles, simplicial
 from sgcert.certify import certify_groups, certify_profile
 from sgcert.game import GameValidationError, StrategyProfile, validate_game
-from sgcert.nash_map import apply_f, per_player, residual
+from sgcert.nash_map import per_player, residual
 from sgcert.simplicial import (
     GridProfile,
     GridSimplex,
@@ -31,7 +31,7 @@ from sgcert.simplicial import (
 )
 from sgcert.oracles import grid_points, stopping_residual_check
 
-from conftest import CORPUS_GAMES, corpus_game, single_state_entries
+from conftest import CORPUS_GAMES, corpus_game, map_step, single_state_entries
 
 
 def point(game, rows, d):
@@ -529,12 +529,13 @@ def test_enumeration_order_is_stable(toy):
 
 # ---------------------------------------------------------------------------
 # Reference labels: the labelling rule applied to one grid point at a time,
-# per player, through ``apply_f``.  The library labels chunks of points with
-# one vectorised rule and must agree with it label for label.
+# per player, through ``apply_f`` (``conftest.map_step``).  The library
+# labels chunks of points with one vectorised rule and must agree with it
+# label for label.
 
 def reference_label(game, pt):
     pi = StrategyProfile(tuple(arr / pt.d for arr in pt.numerators))
-    fp, _ = apply_f(game, pi.probs)
+    fp, _ = map_step(game, pi.probs)
     disp = [f - p for f, p in zip(fp, pi.probs)]
     tied = min(float(dm.min()) for dm in disp) + simplicial._LABEL_TIE_TOL
     for i, (p, dm) in enumerate(zip(pi.probs, disp)):
@@ -587,8 +588,8 @@ class TestScanMatchesReference:
         sizes = []
         evaluate = nash_map._evaluate
 
-        def recording(game, probs, players, *reuse):
-            mdp = evaluate(game, probs, players, *reuse)
+        def recording(game, own, probs, players, *reuse):
+            mdp = evaluate(game, own, probs, players, *reuse)
             sizes.append(mdp.p_ia.nbytes)
             return mdp
 

@@ -312,3 +312,49 @@ def test_compare_pairs_appends_to_earlier_runs(tmp_path):
     kept = json.loads(out.read_text())["pairs"]["search"]
     assert [(pair["seed"], pair["first"]) for pair in kept] == [
         (1, "before"), (2, "after"), (3, "before"), (4, "after")]
+
+
+def test_compare_summary_applies_the_claim_rule(tmp_path):
+    """``summary`` gives each workload and ``end_to_end`` metric the before
+    and after medians, the before runs' quartiles and the pairs won, and
+    holds a claim to nine pairs in ten won and a median better by more than
+    the before runs' interquartile range, in the metric's direction."""
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "wall_s", "better": "lower"}, {"name": "ratio", "better": "higher"}]}))
+    before = [1.0 + k / 10 for k in range(10)]
+    workloads = {
+        # 9 of 10 won, but the median falls by 0.40, inside the IQR of 0.45
+        "narrow": (before, [1.1] + [b - 0.5 for b in before[1:]], [1.0] * 10, [2.0] * 10),
+        # the median falls by 1.0, but only 8 of 10 are won
+        "few": (before, [b + 0.1 for b in before[:2]] + [b - 1.0 for b in before[2:]],
+                [2.0] * 10, [1.0] * 10),
+    }
+    doc = {"pairs": {name: [
+        {side: {"metrics": {"wall_s": {"value": w}, "ratio": {"value": r}}}
+         for side, w, r in (("before", wb, rb), ("after", wa, ra))}
+        for wb, wa, rb, ra in zip(*runs)] for name, runs in workloads.items()}}
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps(doc))
+    spec = importlib.util.spec_from_file_location("compare_trees",
+                                                  ROOT / "tools" / "compare_trees.py")
+    compare = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare)
+    end_to_end = json.loads((tmp_path / "BENCHMARK.json").read_text())["end_to_end"]
+    rows = compare.summary(doc, end_to_end)
+    got = [(r["workload"], r["metric"], r["won"], r["pairs"], r["claim"]) for r in rows]
+    assert got == [("few", "wall_s", 8, 10, False), ("few", "ratio", 0, 10, False),
+                   ("narrow", "wall_s", 9, 10, False), ("narrow", "ratio", 10, 10, True)]
+    narrow = rows[2]
+    assert (narrow["before"], narrow["after"]) == pytest.approx((1.45, 1.05))
+    assert (narrow["q1"], narrow["q3"]) == pytest.approx((1.225, 1.675))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "compare_trees.py"), "summary",
+         "--after", str(tmp_path), "--out", str(out)],
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0 and done.stderr == ""
+    lines = done.stdout.splitlines()
+    assert lines[2] == ("narrow wall_s (lower is better): median 1.45 -> 1.05 (-27.6%), "
+                        "before quartiles 1.225 .. 1.675, won 9 of 10 pairs, claim fails")
+    assert [line.rsplit(", ", 1)[1] for line in lines] == [
+        "claim fails", "claim fails", "claim fails", "claim holds"]
+    assert json.loads(out.read_text()) == doc

@@ -1,6 +1,7 @@
 """Compare two sgcert source trees and record the numbers in one JSON file.
 
-Two measurements, each added to the output file under its own keys:
+Two measurements, each added to the output file under its own keys, and
+one summary of the pairs already in it:
 
 * ``pairs``: ``bench/run.py`` on one workload, run in each tree in turn for
   every seed given, alternating which tree runs first, for the
@@ -15,9 +16,9 @@ Two measurements, each added to the output file under its own keys:
       python3 tools/compare_trees.py pairs --before ../parent --after . \\
           --workload solve-small --seeds 601 602 603 --out BENCH_6.json
 
-* ``kernel``: microseconds per call of ``nash_map.apply_f`` (one map
-  step and its residual) and ``nash_map.player_mdp`` on one random
-  profile's arrays, and of
+* ``kernel``: microseconds per call of ``nash_map.residual`` (one map
+  step and its residual, on one random profile) and ``nash_map.player_mdp``
+  (on that profile's arrays), and of
   ``simplicial.label_point`` at the grid point ``starting_point(game, 8)``,
   for every (n, S, A) of a small sweep at gamma = 0, the one-shot path,
   and at gamma = 0.9, under ``kernel_us`` keys ``"n,S,A,gamma"``; of
@@ -46,15 +47,27 @@ Two measurements, each added to the output file under its own keys:
   Both trees are loaded into one process under two package names, and
   their timings alternate call by call, so that a slow phase of the host
   falls on both alike; a call's cost is the best of seven repeats.  Each
-  tree's ``apply_f`` is called as ``apply_f(game, probs)`` on per-player
-  arrays, so both trees must take that signature.
+  tree's ``residual``, ``player_mdp`` and ``label_point`` are called as
+  ``residual(game, profile)``, ``player_mdp(game, probs, 0)`` and
+  ``label_point(game, point)``, so both trees must take those signatures.
 
       python3 tools/compare_trees.py kernel --before ../parent --after . \\
           --out BENCH_6.json
 
+* ``summary``: for each workload of the output file's ``pairs`` and each
+  ``end_to_end`` metric of the ``--after`` tree's ``BENCHMARK.json``, one
+  line: the before and after medians, the before runs' quartiles
+  (``statistics.quantiles``, inclusive method), the pairs whose after run
+  is better in the metric's ``better`` direction, and whether a gain may
+  be claimed: at least nine pairs in ten won, and the median better by
+  more than the before runs' interquartile range.  Nothing is written.
+
+      python3 tools/compare_trees.py summary --after . --out BENCH_6.json
+
 Both trees must be source checkouts (``src/sgcert``, ``bench/``).  BLAS is
 pinned to one thread, as in the benchmark.  Only the standard library and
-numpy are used.  ``pairs`` without ``--workload`` or ``--seeds`` exits 2.
+numpy are used.  ``pairs`` without ``--workload`` or ``--seeds``, and
+``pairs`` or ``kernel`` without ``--before``, exit 2.
 """
 
 from __future__ import annotations
@@ -66,6 +79,7 @@ import importlib.util
 import io
 import json
 import os
+import statistics
 import subprocess
 import sys
 import timeit
@@ -211,11 +225,11 @@ def kernel(args) -> dict:
             # and the same tables at either discount
             rng = np.random.default_rng(1000 * n + 10 * s + a)
             game = mods["oracles"].random_game(rng, n, s, a, gamma)
-            probs = mods["oracles"].random_profile(game, rng).probs
+            pi = mods["oracles"].random_profile(game, rng)
             apex = mods["simplicial"].starting_point(game, 8)
-            calls[f"apply_f_us_{side}"] = partial(mods["nash_map"].apply_f, game, probs)
+            calls[f"residual_us_{side}"] = partial(mods["nash_map"].residual, game, pi)
             calls[f"player_mdp_us_{side}"] = partial(
-                mods["nash_map"].player_mdp, game, probs, 0)
+                mods["nash_map"].player_mdp, game, pi.probs, 0)
             calls[f"label_point_us_{side}"] = partial(
                 mods["simplicial"].label_point, game, apex)
         key = f"{n},{s},{a},{gamma}"
@@ -283,20 +297,54 @@ def kernel(args) -> dict:
             "certify_load_ms": load}
 
 
+def summary(doc: dict, end_to_end: list) -> list[dict]:
+    """One row per workload of ``doc["pairs"]`` and metric of ``end_to_end``
+    (``BENCHMARK.json``'s list)."""
+    rows = []
+    for workload, runs in sorted(doc.get("pairs", {}).items()):
+        for metric in end_to_end:
+            name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+            before, after = ([run[side]["metrics"][name]["value"] for run in runs]
+                             for side in ("before", "after"))
+            q1, _, q3 = statistics.quantiles(before, n=4, method="inclusive")
+            medians = statistics.median(before), statistics.median(after)
+            won = sum(sign * (a - b) < 0 for b, a in zip(before, after))
+            rows.append({"workload": workload, "metric": name, "better": metric["better"],
+                         "before": medians[0], "after": medians[1], "q1": q1, "q3": q3,
+                         "won": won, "pairs": len(runs),
+                         "claim": 10 * won >= 9 * len(runs)
+                         and sign * (medians[0] - medians[1]) > q3 - q1})
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("mode", choices=("pairs", "kernel"))
-    parser.add_argument("--before", required=True, help="source tree of the parent")
+    parser.add_argument("mode", choices=("pairs", "kernel", "summary"))
+    parser.add_argument("--before", help="source tree of the parent (pairs and kernel)")
     parser.add_argument("--after", required=True, help="source tree of the change")
-    parser.add_argument("--out", required=True, help="JSON file to add the results to")
+    parser.add_argument("--out", required=True,
+                        help="JSON file to add the results to, or for summary to read")
     parser.add_argument("--workload")
     parser.add_argument("--seeds", type=int, nargs="*", default=())
     args = parser.parse_args(argv)
     if args.mode == "pairs" and not (args.workload and args.seeds):
         print("error: pairs needs --workload and at least one seed in --seeds", file=sys.stderr)
         return 2
+    if args.mode != "summary" and not args.before:
+        print(f"error: {args.mode} needs --before", file=sys.stderr)
+        return 2
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
+    if args.mode == "summary":
+        bench = json.loads(Path(args.after, "BENCHMARK.json").read_text())
+        for row in summary(doc, bench["end_to_end"]):
+            change = f"{row['after'] / row['before'] - 1:+.1%}" if row["before"] else "n/a"
+            print(f"{row['workload']} {row['metric']} ({row['better']} is better): "
+                  f"median {row['before']:.4g} -> {row['after']:.4g} ({change}), "
+                  f"before quartiles {row['q1']:.4g} .. {row['q3']:.4g}, "
+                  f"won {row['won']} of {row['pairs']} pairs, "
+                  f"claim {'holds' if row['claim'] else 'fails'}")
+        return 0
 
     def save():
         out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
