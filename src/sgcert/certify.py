@@ -38,7 +38,7 @@ from .nash_map import (
 _PI_TIE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Certificate:
     """Certified regret report for a profile.
 

@@ -39,7 +39,7 @@ class GameValidationError(ValueError):
     grid point or simplex violates a structural constraint."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StochasticGame:
     """Validated stochastic game.  Construct via :func:`validate_game`.
 
@@ -51,6 +51,8 @@ class StochasticGame:
         rewards: array of shape (n, S, J), nonnegative.
         gamma: discount factor in [0, 1).
         r_max: uniform upper bound on all rewards.
+
+    A game compares and hashes by identity, because its fields are arrays.
     """
 
     states: tuple[str, ...]
@@ -116,7 +118,7 @@ class StochasticGame:
         return eye
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StrategyProfile:
     """Behavioral strategy profile: ``probs[i][s]`` is player i's distribution
     over actions at state s.  Construct via :func:`validate_profile` or the

@@ -96,7 +96,7 @@ class DenominatorError(ArithmeticError):
     non-finite numbers in the profile or the game can cause."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlayerMDP:
     """The single-agent MDP a player faces when the opponents are frozen at
     a profile, evaluated at the player's own strategy in that profile.

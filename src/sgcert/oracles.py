@@ -186,6 +186,18 @@ def enumerate_deterministic_policies(
     return best
 
 
+# A pure profile is an equilibrium when neither player's other action pays
+# more by over this slack.  Rewards that are equal in exact arithmetic but
+# were computed (by a generator or a test) can differ by a few ulps; the
+# slack counts them as a tie, so a weak equilibrium is not lost to rounding.
+_PURE_TIE_TOL = 1e-12
+# Below this, an indifference denominator (a difference of payoff
+# differences) is taken as zero: the fully mixed candidate p = num / den
+# would be a rounding artefact, so the game is reported degenerate and only
+# its pure equilibria are returned.
+_DEGENERATE_DEN_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class SupportEnumerationResult:
     equilibria: list[StrategyProfile]
@@ -211,7 +223,8 @@ def support_enumeration_2x2(game: StochasticGame) -> SupportEnumerationResult:
     found: list[StrategyProfile] = []
 
     for a, b in product(range(2), range(2)):
-        if r1[1 - a, b] <= r1[a, b] + 1e-12 and r2[a, 1 - b] <= r2[a, b] + 1e-12:
+        if (r1[1 - a, b] <= r1[a, b] + _PURE_TIE_TOL
+                and r2[a, 1 - b] <= r2[a, b] + _PURE_TIE_TOL):
             found.append(
                 validate_profile(
                     game,
@@ -222,7 +235,7 @@ def support_enumeration_2x2(game: StochasticGame) -> SupportEnumerationResult:
     # Fully mixed: player 1 mixes to make player 2 indifferent and vice versa.
     den_p = (r2[0, 0] - r2[0, 1]) - (r2[1, 0] - r2[1, 1])
     den_q = (r1[0, 0] - r1[1, 0]) - (r1[0, 1] - r1[1, 1])
-    degenerate = abs(den_p) < 1e-9 or abs(den_q) < 1e-9
+    degenerate = abs(den_p) < _DEGENERATE_DEN_TOL or abs(den_q) < _DEGENERATE_DEN_TOL
     if not degenerate:
         p = (r2[1, 1] - r2[1, 0]) / den_p
         q = (r1[1, 1] - r1[0, 1]) / den_q

@@ -316,19 +316,25 @@ def label_point(game: StochasticGame, point: GridProfile) -> Label:
     return _evaluate(game, np.array([point.key]), point.d)[0][0]
 
 
+def _full_blocks(game: StochasticGame, coords) -> list[tuple[int, int]]:
+    """The (player, state) blocks whose every action is among the distinct
+    coordinates ``coords``.  An admissible index set fills none; the
+    distinct labels of a stopping simplex fill at least one."""
+    per_block = Counter((i, s) for i, s, _ in coords)
+    return [b for b, count in per_block.items() if count == game.num_actions[b[0]]]
+
+
 def _check_index_set(game: StochasticGame, index_set) -> None:
     """Reject an index set with a coordinate outside the game, a repeated
     coordinate, or a (player, state) block that leaves no action out."""
-    per_block: Counter = Counter()
     for coord in index_set:
         i, s, a = coord
         if not (0 <= i < game.num_players and 0 <= s < game.num_states
                 and 0 <= a < game.num_actions[i]):
             raise GameValidationError(f"coordinate {tuple(coord)} is not in the game")
-        per_block[i, s] += 1
     if len(set(map(tuple, index_set))) != len(index_set):
         raise GameValidationError("index set repeats a coordinate")
-    if any(count >= game.num_actions[i] for (i, _), count in per_block.items()):
+    if _full_blocks(game, index_set):
         raise GameValidationError(
             "index set must omit at least one action per (player, state)"
         )
@@ -358,9 +364,7 @@ def _classify_labels(game: StochasticGame, labels: tuple[Label, ...]) -> Simplex
     action of some (player, state) mean stopping, at the least such block."""
     if len(set(labels)) != len(labels):
         return SimplexClass("incomplete", labels)
-    # distinct labels in one block are distinct actions of it
-    per_block = Counter((lab.player, lab.state) for lab in labels)
-    full = [b for b, count in per_block.items() if count == game.num_actions[b[0]]]
+    full = _full_blocks(game, labels)
     if full:
         return SimplexClass("stopping", labels, *min(full))
     return SimplexClass("completely-labelled", labels)
@@ -516,8 +520,7 @@ def find_stopping_simplex(game: StochasticGame, d: int) -> Walk:
             del evaluations[key]
         k = labels[keys[fresh]]
         if k not in order:
-            # T + {k} holds every action of k's block
-            if sum(c[:2] == k[:2] for c in order) + 1 == game.num_actions[k.player]:
+            if _full_blocks(game, (*order, k)):
                 sigma = GridSimplex(GridProfile.from_key(game, keys[0], d), tuple(order))
                 return Walk(sigma, tuple(residuals[key] for key in keys), tuple(keys),
                             tuple(map(evaluations.get, keys)))

@@ -1,3 +1,4 @@
+import functools
 import json
 import re
 from itertools import chain
@@ -17,7 +18,7 @@ from sgcert.game import (
     validate_profile,
     value_function,
 )
-from sgcert.certify import best_response_values
+from sgcert.certify import best_response_values, certify_profile
 from sgcert.nash_map import player_mdp
 from sgcert.oracles import (
     deviation_value,
@@ -512,3 +513,27 @@ def test_random_tables_skip_the_type_scan(monkeypatch, tmp_path):
     assert calls == []
     load_game(CORPUS_DIR / "dominant_chain.game.json")
     assert len(calls) >= 1
+
+
+def test_records_that_hold_arrays_compare_by_identity():
+    """A game, a profile, a player's MDP and a certificate hold numpy arrays,
+    so they hash and compare by identity: two loads of one file are two
+    games, unequal without raising, and a cache keyed on a game returns
+    what it kept for that same object."""
+    path = CORPUS_DIR / "matching_pennies.game.json"
+    game, again = load_game(path), load_game(path)
+    pi = uniform_profile(game)
+    records = [game, pi, player_mdp(game, pi.probs, 0), certify_profile(game, pi)]
+    for record in records:
+        assert hash(record) == hash(record)
+        assert record == record
+    assert game != again and uniform_profile(game) != pi
+    calls = []
+
+    @functools.cache
+    def shape(g):
+        calls.append(g)
+        return g.num_states, g.num_actions
+
+    assert shape(game) == shape(game) == shape(again)
+    assert calls == [game, again]

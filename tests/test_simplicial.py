@@ -1,6 +1,6 @@
 import weakref
 from dataclasses import replace
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from math import comb
 
 import numpy as np
@@ -519,6 +519,36 @@ def test_apex_matches_nearest_composition(a_count):
 def test_index_sets_match_nested_loops(shape):
     game = oracles.random_game(np.random.default_rng(5), *shape, 0.5)
     assert oracles.index_sets(game) == reference_index_sets(game)
+
+
+@pytest.mark.parametrize("shape", [(1, 2, [3]), (2, 1, [2, 3]), (3, 1, [2, 3, 2])])
+def test_full_blocks_match_their_definition(shape):
+    """A (player, state) block is full when the coordinates hold every one
+    of its actions.  No admissible index set has a full block; adding the
+    one action that a block omits fills that block and no other; and of
+    every set of coordinates, the index-set check rejects with "must omit"
+    exactly those with a full block, and the others are admissible."""
+    game = oracles.random_game(np.random.default_rng(5), *shape, 0.5)
+    blocks = {(i, s): [Label(i, s, a) for a in range(game.num_actions[i])]
+              for i in range(game.num_players) for s in range(game.num_states)}
+    admissible = reference_index_sets(game)
+    for index_set in admissible:
+        assert simplicial._full_blocks(game, index_set) == []
+        for block, actions in blocks.items():
+            left_out = [c for c in actions if c not in index_set]
+            if len(left_out) == 1:
+                assert simplicial._full_blocks(game, (*index_set, *left_out)) == [block]
+    coords = sorted(chain.from_iterable(blocks.values()))
+    subsets = chain.from_iterable(combinations(coords, k) for k in range(len(coords) + 1))
+    passed = []
+    for subset in subsets:
+        if any(set(actions) <= set(subset) for actions in blocks.values()):
+            with pytest.raises(GameValidationError, match="must omit"):
+                simplicial._check_index_set(game, subset)
+        else:
+            simplicial._check_index_set(game, subset)
+            passed.append(subset)
+    assert sorted(passed, key=lambda t: (len(t), t)) == admissible
 
 
 def test_enumeration_order_is_stable(toy):

@@ -4,7 +4,8 @@ The benchmark (bench/) traces library functions by name, from outside.
 A refactor that renames or moves one of them must fail here, not only in
 the benchmark's own self-test.  And one function reads every input file,
 one writes every report, the library solves its linear systems in two
-places only, and it takes the fixed-point residual in one."""
+places only, it takes the fixed-point residual in one and decides whether
+coordinates fill a block in one, and only the oracles import scipy."""
 
 import ast
 import importlib
@@ -163,6 +164,33 @@ def test_one_residual_route():
     assert found == {"game._table", "game.check_row_drift", "nash_map.apply_gains"}
 
 
+def test_one_full_block_rule():
+    """Whether coordinates fill a (player, state) block is worked out in one
+    place: outside the oracles, whose End-of-the-Line graph counts on its
+    own as the walk's check, simplicial._full_blocks is the only function in
+    the library that calls Counter.  The walk's stop, the simplex classifier
+    and the index-set check call it."""
+    found = set().union(*(owners(path, lambda node: called_name(node) == "Counter")
+                          for path in LIBRARY if path.stem != "oracles"))
+    assert found == {"simplicial._full_blocks"}
+
+
+def imports_scipy(node) -> bool:
+    """An ``import scipy...`` or ``from scipy... import`` statement."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+    return (isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.split(".")[0] == "scipy")
+
+
+def test_only_the_oracles_import_scipy():
+    """scipy is a test dependency: oracles.matrix_game_value, the linear
+    program of the zero-sum references, is the only place in the library
+    that imports it."""
+    found = set().union(*(owners(path, imports_scipy) for path in LIBRARY))
+    assert found == {"oracles.matrix_game_value"}
+
+
 # Definitions that no library code names, kept on purpose.  ROADMAP item 8
 # moves the trace-pinned ones out of the library once bench/layers.py
 # traces the functions that call them instead.
@@ -318,16 +346,23 @@ def test_compare_summary_applies_the_claim_rule(tmp_path):
     """``summary`` gives each workload and ``end_to_end`` metric the before
     and after medians, the before runs' quartiles and the pairs won, and
     holds a claim to nine pairs in ten won and a median better by more than
-    the before runs' interquartile range, in the metric's direction."""
+    the before runs' interquartile range, in the metric's direction.  A
+    metric regressed when its after median is worse than the before median
+    by more than ``bound`` times the before median."""
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
-        {"name": "wall_s", "better": "lower"}, {"name": "ratio", "better": "higher"}]}))
+        {"name": "wall_s", "better": "lower", "bound": 0.25},
+        {"name": "ratio", "better": "higher", "bound": 0.1}]}))
     before = [1.0 + k / 10 for k in range(10)]
     workloads = {
         # 9 of 10 won, but the median falls by 0.40, inside the IQR of 0.45
         "narrow": (before, [1.1] + [b - 0.5 for b in before[1:]], [1.0] * 10, [2.0] * 10),
-        # the median falls by 1.0, but only 8 of 10 are won
+        # the median falls by 1.0, but only 8 of 10 are won; the ratio
+        # halves, past its bound of 10%
         "few": (before, [b + 0.1 for b in before[:2]] + [b - 1.0 for b in before[2:]],
                 [2.0] * 10, [1.0] * 10),
+        # wall time rises 30%, past its bound of 25%; the ratio falls 5%,
+        # within its bound of 10%
+        "worse": (before, [b * 1.3 for b in before], [2.0] * 10, [1.9] * 10),
     }
     doc = {"pairs": {name: [
         {side: {"metrics": {"wall_s": {"value": w}, "ratio": {"value": r}}}
@@ -341,9 +376,13 @@ def test_compare_summary_applies_the_claim_rule(tmp_path):
     spec.loader.exec_module(compare)
     end_to_end = json.loads((tmp_path / "BENCHMARK.json").read_text())["end_to_end"]
     rows = compare.summary(doc, end_to_end)
-    got = [(r["workload"], r["metric"], r["won"], r["pairs"], r["claim"]) for r in rows]
-    assert got == [("few", "wall_s", 8, 10, False), ("few", "ratio", 0, 10, False),
-                   ("narrow", "wall_s", 9, 10, False), ("narrow", "ratio", 10, 10, True)]
+    got = [(r["workload"], r["metric"], r["won"], r["pairs"], r["claim"], r["regressed"])
+           for r in rows]
+    assert got == [("few", "wall_s", 8, 10, False, False), ("few", "ratio", 0, 10, False, True),
+                   ("narrow", "wall_s", 9, 10, False, False),
+                   ("narrow", "ratio", 10, 10, True, False),
+                   ("worse", "wall_s", 0, 10, False, True),
+                   ("worse", "ratio", 0, 10, False, False)]
     narrow = rows[2]
     assert (narrow["before"], narrow["after"]) == pytest.approx((1.45, 1.05))
     assert (narrow["q1"], narrow["q3"]) == pytest.approx((1.225, 1.675))
@@ -354,7 +393,13 @@ def test_compare_summary_applies_the_claim_rule(tmp_path):
     assert done.returncode == 0 and done.stderr == ""
     lines = done.stdout.splitlines()
     assert lines[2] == ("narrow wall_s (lower is better): median 1.45 -> 1.05 (-27.6%), "
-                        "before quartiles 1.225 .. 1.675, won 9 of 10 pairs, claim fails")
-    assert [line.rsplit(", ", 1)[1] for line in lines] == [
-        "claim fails", "claim fails", "claim fails", "claim holds"]
+                        "before quartiles 1.225 .. 1.675, won 9 of 10 pairs, claim fails, "
+                        "no regression beyond bound 0.25")
+    assert [line.split(", ")[-2:] for line in lines] == [
+        ["claim fails", "no regression beyond bound 0.25"],
+        ["claim fails", "regressed beyond bound 0.1"],
+        ["claim fails", "no regression beyond bound 0.25"],
+        ["claim holds", "no regression beyond bound 0.1"],
+        ["claim fails", "regressed beyond bound 0.25"],
+        ["claim fails", "no regression beyond bound 0.1"]]
     assert json.loads(out.read_text()) == doc

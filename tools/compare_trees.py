@@ -58,9 +58,11 @@ one summary of the pairs already in it:
   ``end_to_end`` metric of the ``--after`` tree's ``BENCHMARK.json``, one
   line: the before and after medians, the before runs' quartiles
   (``statistics.quantiles``, inclusive method), the pairs whose after run
-  is better in the metric's ``better`` direction, and whether a gain may
-  be claimed: at least nine pairs in ten won, and the median better by
-  more than the before runs' interquartile range.  Nothing is written.
+  is better in the metric's ``better`` direction, whether a gain may be
+  claimed: at least nine pairs in ten won, and the median better by more
+  than the before runs' interquartile range, and whether the metric
+  regressed: the after median worse than the before median by more than
+  the metric's ``bound`` times the before median.  Nothing is written.
 
       python3 tools/compare_trees.py summary --after . --out BENCH_6.json
 
@@ -299,7 +301,8 @@ def kernel(args) -> dict:
 
 def summary(doc: dict, end_to_end: list) -> list[dict]:
     """One row per workload of ``doc["pairs"]`` and metric of ``end_to_end``
-    (``BENCHMARK.json``'s list)."""
+    (``BENCHMARK.json``'s list), with the claim rule and the no-regression
+    rule applied."""
     rows = []
     for workload, runs in sorted(doc.get("pairs", {}).items()):
         for metric in end_to_end:
@@ -313,7 +316,10 @@ def summary(doc: dict, end_to_end: list) -> list[dict]:
                          "before": medians[0], "after": medians[1], "q1": q1, "q3": q3,
                          "won": won, "pairs": len(runs),
                          "claim": 10 * won >= 9 * len(runs)
-                         and sign * (medians[0] - medians[1]) > q3 - q1})
+                         and sign * (medians[0] - medians[1]) > q3 - q1,
+                         "bound": metric["bound"],
+                         "regressed": sign * (medians[1] - medians[0])
+                         > metric["bound"] * medians[0]})
     return rows
 
 
@@ -343,7 +349,9 @@ def main(argv=None) -> int:
                   f"median {row['before']:.4g} -> {row['after']:.4g} ({change}), "
                   f"before quartiles {row['q1']:.4g} .. {row['q3']:.4g}, "
                   f"won {row['won']} of {row['pairs']} pairs, "
-                  f"claim {'holds' if row['claim'] else 'fails'}")
+                  f"claim {'holds' if row['claim'] else 'fails'}, "
+                  f"{'regressed' if row['regressed'] else 'no regression'} "
+                  f"beyond bound {row['bound']:g}")
         return 0
 
     def save():
