@@ -172,9 +172,11 @@ def choose_d(game: StochasticGame, l_target: int) -> int:
     simplex: ceil(32 * A_max^5 * R_max^3 * (lambda + 1) * L^2 / (1-gamma)^5),
     with lambda the formula of :func:`lipschitz_constant`.  Both are
     computed exactly, in rationals over the game's gamma and R_max, so that
-    no rounding puts d below the bound.  Raises ValueError when L is
-    below 1 or past the float range, or when the grid size is past the
-    float range; 1/L is a float for every L accepted."""
+    no rounding puts d below the bound.  d is at least 1, the least grid
+    size: a game without rewards (R_max = 0) has a bound of 0, and there
+    every profile is an equilibrium, so any grid size will do.  Raises
+    ValueError when L is below 1 or past the float range, or when the grid
+    size is past the float range; 1/L is a float for every L accepted."""
     if not 1 <= l_target <= sys.float_info.max:
         raise ValueError("L must be a positive integer no larger than the largest float")
     from fractions import Fraction  # imported here, off the cold start
@@ -184,4 +186,4 @@ def choose_d(game: StochasticGame, l_target: int) -> int:
     value = 32 * a**5 * r_max**3 * (lam + 1) * l_target**2 / (1 - gamma) ** 5
     if value > sys.float_info.max:
         raise ValueError("L is too large: its grid size is not a finite float")
-    return math.ceil(value)
+    return max(1, math.ceil(value))

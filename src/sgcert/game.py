@@ -15,6 +15,7 @@ exact Bellman solve gives every value, :func:`value_function` included.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -308,6 +309,9 @@ def uniform_profile(game: StochasticGame) -> StrategyProfile:
 
 # One einsum letter per player's action axis ("s" and "t" name states).
 _ACTION_AXES = "abcdefghijklmnopqruvwxyz"
+# np.einsum without its __array_function__ dispatch (about 1 us a call, and
+# plain ndarrays never need it): the very function it calls, so the same bits.
+_einsum = inspect.unwrap(np.einsum)
 
 
 def check_row_drift(p: np.ndarray) -> None:
@@ -348,8 +352,8 @@ def _opponent_marginals(game: StochasticGame, probs, player: int):
     take ``player`` from the game itself."""
     r_spec, p_spec, others = _marginal_plan(game.num_players, player)
     operands = [probs[j] for j in others]
-    return (np.einsum(r_spec, game.reward_table[player], *operands),
-            np.einsum(p_spec, game.transition_table, *operands))
+    return (_einsum(r_spec, game.reward_table[player], *operands),
+            _einsum(p_spec, game.transition_table, *operands))
 
 
 @cache

@@ -49,6 +49,10 @@ result of one evaluation), :func:`residual`, :func:`gain_table` and
 :func:`evaluate_groups`, and :func:`~sgcert.game.value_function` through
 :func:`player_mdp`.
 
+Every contraction calls ``game._einsum``, numpy's einsum without the
+``__array_function__`` dispatch that costs about 1 microsecond a call and
+that plain ndarrays never need; the function is the same, so are the bits.
+
 Every evaluation keeps two checks: the on-profile transition rows must stay
 on the simplex (:func:`~sgcert.game.check_row_drift`), and every rank-one
 denominator must be positive (:class:`DenominatorError` otherwise).  The
@@ -79,6 +83,7 @@ import numpy as np
 from .game import (
     StochasticGame,
     StrategyProfile,
+    _einsum,
     _opponent_marginals,
     check_player,
     check_row_drift,
@@ -145,7 +150,7 @@ class PlayerMDP:
             g = self.q - self.v[..., None]
         else:
             w_ss = self.w.diagonal(0, -2, -1)[..., None]
-            denom = w_ss - self.gamma * np.einsum("...sat,...ts->...sa", self.p_ia, self.w)
+            denom = w_ss - self.gamma * _einsum("...sat,...ts->...sa", self.p_ia, self.w)
             # one reduction: the minimum is NaN if any entry is, failing the test
             if not denom.min() > 0:
                 raise DenominatorError("rank-one update denominator is not positive")
@@ -173,8 +178,8 @@ def _evaluate(game: StochasticGame, own, probs, players: tuple[int, ...],
                   else _opponent_marginals(game, probs, i) for k, i in enumerate(players)]
         r_ia = np.array([r for r, _ in tables])
         p_ia = np.array([p for _, p in tables])
-    r_pi = np.einsum("...sa,...sa->...s", own, r_ia)
-    p_pi = np.einsum("...sa,...sat->...st", own, p_ia)
+    r_pi = _einsum("...sa,...sa->...s", own, r_ia)
+    p_pi = _einsum("...sa,...sat->...st", own, p_ia)
     check_row_drift(p_pi)
     if game.gamma == 0.0:
         # M = I: solving and inverting I, and adding 0 * lookahead, are exact

@@ -18,7 +18,13 @@ from sgcert.certify import (
     residual_to_mpe_bound,
 )
 from sgcert.cli import _emit
-from sgcert.game import opponent_marginals, uniform_profile, validate_profile, value_function
+from sgcert.game import (
+    opponent_marginals,
+    uniform_profile,
+    validate_game,
+    validate_profile,
+    value_function,
+)
 from sgcert.nash_map import PlayerMDP, evaluate_groups, group_stacks, residual
 from sgcert.oracles import (
     enumerate_deterministic_policies,
@@ -324,6 +330,16 @@ class TestChooseD:
                 exact = 32 * a**5 * r_max**3 * (lam + 1) * l_target**2 / (1 - gamma) ** 5
                 d = choose_d(game, l_target)
                 assert d - 1 < exact <= d, (name, l_target)
+
+    @pytest.mark.parametrize("r_max", [None, 0.0])
+    def test_a_game_without_rewards_gets_the_least_grid_size(self, r_max):
+        """With every reward 0, given as r_max or not, the bound is 0; d is
+        still 1, the least grid size, where every profile is an equilibrium."""
+        g = random_game(np.random.default_rng(5), 2, 2, 2, 0.5)
+        game = validate_game(g.states, g.actions, g.transition,
+                             np.zeros_like(g.rewards), g.gamma, r_max)
+        assert game.r_max == 0.0
+        assert [choose_d(game, l_target) for l_target in (1, 10)] == [1, 1]
 
     @pytest.mark.parametrize("target", [10**160, 10**400])
     def test_rejects_l_whose_grid_size_is_not_a_float(self, toy, target):

@@ -161,6 +161,22 @@ def test_target_l_grid_size_agrees(capsys, target):
     assert json.loads(out)["certificate"]["d"] == want
 
 
+@pytest.mark.parametrize("target", ["1", "10"])
+def test_a_game_without_rewards_reports_a_grid_size_search_takes(capsys, tmp_path, target):
+    """A game whose rewards are all 0 reports d = 1, the least grid size,
+    not 0, and a search at that d is an equilibrium."""
+    doc = pennies_doc()
+    doc["rewards"] = [[[0.0] * 4], [[0.0] * 4]]
+    del doc["r_max"]
+    path = write_doc(tmp_path / "zero.game.json", doc)
+    _, out = run(capsys, "info", path, "--target-L", target)
+    assert json.loads(out)["d"] == 1
+    _, out = run(capsys, "certify", path, PENNIES_EQ, "--target-L", target)
+    assert json.loads(out)["d"] == 1
+    code, out = run(capsys, "search", path, "--d", "1", "--target-L", target)
+    assert code == 0 and json.loads(out)["certificate"]["verdict"] is True
+
+
 @pytest.mark.parametrize("argv,epsilon", [
     (["certify", DOMINANT, PENNIES_EQ], 1.0),
     (["solve", PENNIES, "--method", "grid", "--d", "3"], 2 / 9),
