@@ -7,15 +7,14 @@ that steps off the grid or passes its step bound), 141 a report or help
 written to a stdout that its reader has closed (128 + SIGPIPE, as ``cat``
 exits).
 Reports are JSON with floats at 12 significant digits; identical inputs
-and seeds produce byte-identical output.  A report that would hold an
-infinity or a NaN is not written: the run is an input error.
+and seeds produce byte-identical output.  Every float is finite, because
+loading a game refuses one whose numbers overflow a float.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import shutil
 import sys
@@ -33,7 +32,7 @@ from .game import (
     uniform_profile,
     validate_profile,
 )
-from .nash_map import DenominatorError, apply_f, group_stacks, lipschitz_constant, per_player
+from .nash_map import apply_f, group_stacks, lipschitz_constant, per_player
 from .simplicial import (
     GridProfile,
     label_point,
@@ -52,14 +51,10 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
 def _round_floats(obj):
-    """12-significant-digit float formatting for reproducible reports.  JSON
-    has no infinity or NaN, so a report holding one, from a game whose
-    numbers overflow a float, is an input error."""
+    """12-significant-digit float formatting for reproducible reports.  Every
+    float is finite (:func:`~sgcert.game.validate_game` refuses a game whose
+    numbers overflow one), so the report is strict JSON."""
     if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise GameValidationError(
-                f"the report would hold {obj}, not a JSON number: the game's "
-                "rewards and discount overflow a float")
         return float(f"{obj:.12g}")
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
@@ -327,7 +322,7 @@ def main(argv=None) -> int:
     except GameValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (ValueError, DenominatorError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_METHOD_FAILURE
     except BrokenPipeError:

@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain
-from math import prod
+from math import isfinite, prod
 
 import numpy as np
 
@@ -36,8 +36,10 @@ PROB_TOL_DERIVED = 1e-10
 
 
 class GameValidationError(ValueError):
-    """Bad input: a file cannot be read, or a game, profile, grid size,
-    grid point or simplex violates a structural constraint."""
+    """Bad input: a file cannot be read, a game, profile, grid size, grid
+    point or simplex violates a structural constraint, or a game's numbers
+    overflow a float.  The map's own checks raise it too, for a direct
+    library call that hands it a strategy off the simplex."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,6 +142,14 @@ def validate_game(
 
     Raises :class:`GameValidationError` naming the first violated constraint.
     If ``r_max`` is omitted it is set to the maximum observed reward.
+
+    The game's numbers must also fit a float: its Lipschitz constant
+    (:func:`~sgcert.nash_map.lipschitz_constant`) and its regret bound at
+    residual 2, twice the largest residual the map can have
+    (:func:`~sgcert.certify.residual_to_mpe_bound`), must be finite.  Every
+    number the map computes is at most the first, and every float a report
+    holds is at most one of the two, so no evaluation of a game accepted
+    here overflows.
     """
     states = _names(states, "states")
     actions = tuple(
@@ -178,7 +188,17 @@ def validate_game(
             raise GameValidationError(
                 f"reward {observed_max} exceeds declared r_max {r_max}"
             )
-    return StochasticGame(states, actions, transition, rewards, gamma, r_max)
+    game = StochasticGame(states, actions, transition, rewards, gamma, r_max)
+    from .certify import lipschitz_constant, residual_to_mpe_bound  # certify imports game
+
+    # The float-range rule.  The regret bound is taken at the residual
+    # ceiling 2: a residual ||f(pi) - pi||_inf is the max-norm distance of two
+    # distributions, so at most 1, and twice that covers one that rounding
+    # takes past 1.  The bound grows with the residual, so every bound a
+    # report holds is at most this one.
+    if not (isfinite(lipschitz_constant(game)) and isfinite(residual_to_mpe_bound(game, 2.0))):
+        raise GameValidationError("the game's rewards and discount overflow a float")
+    return game
 
 
 def validate_profile(game: StochasticGame, probs) -> StrategyProfile:

@@ -55,9 +55,12 @@ that plain ndarrays never need; the function is the same, so are the bits.
 
 Every evaluation keeps two checks: the on-profile transition rows must stay
 on the simplex (:func:`~sgcert.game.check_row_drift`), and every rank-one
-denominator must be positive (:class:`DenominatorError` otherwise).  The
-input stacks are trusted to be valid profiles; the map's output is a
-distribution by construction, so it is not validated again.
+denominator must be positive; either raises
+:class:`~sgcert.game.GameValidationError`.  They guard direct library calls
+only: a game that :func:`~sgcert.game.validate_game` accepts has no number
+past the float range, so a valid profile passes both.  The input stacks are
+trusted to be valid profiles; the map's output is a distribution by
+construction, so it is not validated again.
 
 A game with gamma = 0 is a one-shot game at each state: M = I, so the
 evaluation skips the solve, the inverse and the lookahead, and the gains
@@ -81,6 +84,7 @@ from functools import reduce
 import numpy as np
 
 from .game import (
+    GameValidationError,
     StochasticGame,
     StrategyProfile,
     _einsum,
@@ -94,11 +98,6 @@ from .game import (
 # cancellation leaves a few ulps of that size (about 1e-15 for values near 1).
 # Clamping keeps that noise out of the map: an equilibrium maps to itself.
 GAIN_CLAMP = 1e-12
-
-
-class DenominatorError(ArithmeticError):
-    """A rank-one denominator of the gain formula is not positive, which only
-    non-finite numbers in the profile or the game can cause."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +152,7 @@ class PlayerMDP:
             denom = w_ss - self.gamma * _einsum("...sat,...ts->...sa", self.p_ia, self.w)
             # one reduction: the minimum is NaN if any entry is, failing the test
             if not denom.min() > 0:
-                raise DenominatorError("rank-one update denominator is not positive")
+                raise GameValidationError("rank-one update denominator is not positive")
             g = w_ss * (self.q - self.v[..., None]) / denom
         g[g < GAIN_CLAMP] = 0.0
         g.flags.writeable = False

@@ -285,7 +285,6 @@ def _label_rule(game: StochasticGame, nums, disp) -> list[Label]:
     coordinates have nonnegative displacement and each (player, state) block
     of displacements sums to zero."""
     eligible = (nums > 0) & (disp <= disp.min(axis=1, keepdims=True) + _LABEL_TIE_TOL)
-    assert eligible.any(axis=1).all(), "labelling rule found no eligible coordinate"
     coords = _layout((game.num_states, game.num_actions)).coords
     return [coords[k] for k in eligible.argmax(axis=1).tolist()]
 

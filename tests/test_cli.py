@@ -12,7 +12,14 @@ import pytest
 from sgcert import cli
 from sgcert.certify import choose_d
 from sgcert.cli import _solve_damped_f, main
-from sgcert.game import StrategyProfile, load_game, uniform_profile, validate_profile
+from sgcert.game import (
+    GameValidationError,
+    StrategyProfile,
+    game_from_dict,
+    load_game,
+    uniform_profile,
+    validate_profile,
+)
 from sgcert.oracles import max_norm_distance, random_game, random_profile
 
 from conftest import bench_jobs, map_step
@@ -501,20 +508,18 @@ def test_huge_target_l_is_input_error(capsys, command, target):
     assert capsys.readouterr().err.startswith("error: --target-L")
 
 
-def test_nonpositive_denominator_is_method_failure(capsys, monkeypatch):
-    """The kernel's denominator error exits 3 with one line."""
+def test_nonpositive_denominator_is_input_error(capsys, monkeypatch):
+    """The kernel's denominator check, which only a direct library call with
+    a strategy off the simplex reaches, exits 2 with one line."""
     import sgcert.cli as cli
-    from sgcert.nash_map import DenominatorError
 
     def fail(*args):
-        raise DenominatorError("rank-one update denominator is not positive")
+        game = random_game(np.random.default_rng(1), 1, 2, 2, 0.9)
+        map_step(game, (np.array([[4.0, -3.0], [4.0, -3.0]]),))
 
     monkeypatch.setattr(cli, "certify_profile", fail)
-    code = main(["certify", PENNIES, PENNIES_EQ])
-    captured = capsys.readouterr()
-    assert code == 3
-    assert captured.out == ""
-    assert captured.err == "error: rank-one update denominator is not positive\n"
+    err = run_input_error(capsys, "certify", PENNIES, PENNIES_EQ)
+    assert err == "error: rank-one update denominator is not positive\n"
 
 
 class TestLabel:
@@ -774,22 +779,85 @@ def test_integer_past_float_range_is_input_error(capsys, tmp_path, where, value)
                     write_doc(tmp_path / "p.json", profile))
 
 
-@pytest.mark.parametrize("argv", [["info"], ["certify", "PROFILE"], ["search", "--d", "2"]],
-                         ids=["info", "certify", "search"])
-def test_report_past_float_range_is_input_error(capsys, tmp_path, argv):
-    """Rewards near the float limit at gamma = 0.99 overflow the Lipschitz
-    constant to infinity, and the search's epsilon bound to 0 * inf = NaN.
-    JSON has neither, so the run exits 2 in one line and writes no report."""
+def scaled_pennies(scale: float, gamma: float) -> dict:
+    """matching_pennies with every reward times ``scale``, discount
+    ``gamma`` and no r_max."""
     doc = pennies_doc()
-    doc["rewards"] = [[[1e306 * x for x in row] for row in player] for player in doc["rewards"]]
+    doc["rewards"] = [[[scale * x for x in row] for row in player] for player in doc["rewards"]]
     del doc["r_max"]
-    doc["gamma"] = 0.99
-    game = write_doc(tmp_path / "g.json", doc)
-    profile = write_doc(tmp_path / "p.json", {"probs": [[[0.5, 0.5]], [[0.5, 0.5]]]})
-    command, *rest = argv
-    err = run_input_error(capsys, command, game,
-                          *(profile if arg == "PROFILE" else arg for arg in rest))
-    assert "not a JSON number" in err
+    doc["gamma"] = gamma
+    return doc
+
+
+# Every command that reads a game, with the arguments after the game file.
+# PROFILE stands for a pure profile off equilibrium: on a game with huge
+# rewards its residual is nearly 1, so its regret bound is near the largest
+# that loading lets a report hold.
+GAME_COMMANDS = {"info": ("info",), "certify": ("certify", "PROFILE"),
+                 "search": ("search", "--d", "4"), "damped-f": ("solve",),
+                 "grid": ("solve", "--method", "grid", "--d", "2"), "label": ("label", "--d", "2")}
+OVERFLOW = "error: the game's rewards and discount overflow a float\n"
+
+
+def game_command(tmp_path, command, doc) -> list:
+    """``command`` of :data:`GAME_COMMANDS` on the game ``doc``, as an argv."""
+    profile = write_doc(tmp_path / "p.json", {"probs": [[[1.0, 0.0]], [[1.0, 0.0]]]})
+    name, *rest = command
+    return [name, write_doc(tmp_path / "g.json", doc),
+            *(profile if arg == "PROFILE" else arg for arg in rest)]
+
+
+@pytest.mark.parametrize("scale,gamma", [(1e308, 0.9), (1e306, 0.99)], ids=["1e308", "1e306"])
+@pytest.mark.parametrize("command", GAME_COMMANDS.values(), ids=GAME_COMMANDS)
+def test_game_past_float_range_is_input_error(capsys, tmp_path, command, scale, gamma):
+    """Rewards near the float limit overflow the game's Lipschitz constant,
+    or its regret bound, to infinity.  The game is refused where it is read,
+    so every command exits 2 in the same one line and writes no report."""
+    argv = game_command(tmp_path, command, scaled_pennies(scale, gamma))
+    assert run_input_error(capsys, *argv) == OVERFLOW
+
+
+def test_game_past_float_range_is_input_error_under_optimized_python(tmp_path):
+    """The refusal is a check, not an ``assert``: under ``python -O``,
+    labelling the grid of a game past the float range exits 2 the same
+    way."""
+    game = write_doc(tmp_path / "g.json", scaled_pennies(1e308, 0.9))
+    done = subprocess.run([sys.executable, "-O", "-m", "sgcert.cli", "label", game, "--d", "2"],
+                          cwd=ROOT, env=module_env(), capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", OVERFLOW)
+
+
+def largest_accepted_scale(gamma: float) -> tuple[float, float]:
+    """The reward scale of :func:`scaled_pennies` at ``gamma`` at the edge of
+    the float range, bisected in the logarithm to float precision: the
+    largest scale that loading accepts and the next one it refuses."""
+    lo, hi = 1.0, 1e308
+    while lo < (mid := math.sqrt(lo) * math.sqrt(hi)) < hi:
+        try:
+            game_from_dict(scaled_pennies(mid, gamma))
+            lo = mid
+        except GameValidationError:
+            hi = mid
+    return lo, hi
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gamma", [0.0, 0.99])
+@pytest.mark.parametrize("command", GAME_COMMANDS.values(), ids=GAME_COMMANDS)
+def test_game_inside_float_range_gets_a_strict_json_report(capsys, tmp_path, command, gamma):
+    """The float-range rule is complete: a game just inside the edge gets a
+    report that is strict JSON, without an infinity or a NaN, and no
+    numeric warning, from every command."""
+    lo, hi = largest_accepted_scale(gamma)
+    assert 1e203 < lo < hi < 1e206
+    code = main(game_command(tmp_path, command, scaled_pennies(lo, gamma)))
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    json.loads(captured.out, parse_constant=reject_constant)
 
 
 @pytest.mark.parametrize("flag,value", [("--d", "7"), ("--point", "/nonexistent/point.json")])

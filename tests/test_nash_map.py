@@ -20,7 +20,6 @@ from sgcert.game import (
 )
 from sgcert.nash_map import (
     GAIN_CLAMP,
-    DenominatorError,
     apply_f,
     evaluate_groups,
     gain_table,
@@ -363,7 +362,8 @@ def off_simplex_input(gamma=0.9):
 
 _OFF_SIMPLEX_SCRIPT = """
 import numpy as np
-from sgcert.nash_map import DenominatorError, apply_f, group_stacks
+from sgcert.game import GameValidationError
+from sgcert.nash_map import apply_f, group_stacks
 from sgcert.oracles import random_game
 
 if __debug__:
@@ -371,9 +371,9 @@ if __debug__:
 game = random_game(np.random.default_rng(1), 1, 2, 2, 0.9)
 try:
     apply_f(game, group_stacks(game, (np.array([[4.0, -3.0], [4.0, -3.0]]),)))
-except DenominatorError:
-    raise SystemExit(0)
-raise SystemExit("no DenominatorError")
+except GameValidationError as exc:
+    raise SystemExit(0 if "denominator" in str(exc) else str(exc))
+raise SystemExit("no denominator error")
 """
 
 
@@ -388,7 +388,7 @@ class TestDriftCheck:
 
 class TestDenominatorCheck:
     def test_off_simplex_profile_raises(self):
-        with pytest.raises(DenominatorError):
+        with pytest.raises(GameValidationError, match="denominator is not positive"):
             map_step(*off_simplex_input())
 
     def test_check_survives_optimized_python(self):

@@ -6,7 +6,8 @@ the benchmark's own self-test.  And one function reads every input file,
 one writes every report, the library solves its linear systems in two
 places only, it takes the fixed-point residual in one and decides whether
 coordinates fill a block in one, its contractions skip numpy's
-``__array_function__`` dispatch, and only the oracles import scipy."""
+``__array_function__`` dispatch, only the oracles import scipy, and no
+check is an ``assert``."""
 
 import ast
 import importlib
@@ -209,6 +210,13 @@ def test_only_the_oracles_import_scipy():
     that imports it."""
     found = set().union(*(owners(path, imports_scipy) for path in LIBRARY))
     assert found == {"oracles.matrix_game_value"}
+
+
+def test_no_assert_statements():
+    """Every runtime check in the library survives ``python -O``, which
+    strips assert statements: no library function holds one."""
+    assert set().union(*(owners(path, lambda node: isinstance(node, ast.Assert))
+                         for path in LIBRARY)) == set()
 
 
 # Definitions that no library code names, kept on purpose.  ROADMAP item 8
