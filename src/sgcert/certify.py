@@ -175,15 +175,21 @@ def choose_d(game: StochasticGame, l_target: int) -> int:
     no rounding puts d below the bound.  d is at least 1, the least grid
     size: a game without rewards (R_max = 0) has a bound of 0, and there
     every profile is an equilibrium, so any grid size will do.  Raises
-    ValueError when L is below 1 or past the float range, or when the grid
-    size is past the float range; 1/L is a float for every L accepted."""
+    ValueError when L is below 1 or past the float range, when the bound at
+    L = 1 is already past the float range (then no L has a grid size), or
+    when the grid size is past the float range; 1/L is a float for every L
+    accepted."""
     if not 1 <= l_target <= sys.float_info.max:
         raise ValueError("L must be a positive integer no larger than the largest float")
     from fractions import Fraction  # imported here, off the cold start
 
     gamma, r_max, a = Fraction(game.gamma), Fraction(game.r_max), game.a_max
     lam = lipschitz_constant(game, Fraction)
-    value = 32 * a**5 * r_max**3 * (lam + 1) * l_target**2 / (1 - gamma) ** 5
+    value = 32 * a**5 * r_max**3 * (lam + 1) / (1 - gamma) ** 5
+    if value > sys.float_info.max:
+        raise ValueError("the game's rewards and discount give no grid size within "
+                         "the float range for any L")
+    value *= l_target**2
     if value > sys.float_info.max:
         raise ValueError("L is too large: its grid size is not a finite float")
     return max(1, math.ceil(value))

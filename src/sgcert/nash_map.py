@@ -68,12 +68,9 @@ skip the denominator, which is exactly 1 there.  Solving and inverting I
 on IEEE arithmetic multiply by 0 and 1 and add zeros, so every result has
 the bits of the full path, up to the sign of a zero that the clamp and
 ``argmax`` do not tell apart.  W and q are fresh arrays with the
-evaluation's axes, each filled by one assignment of I and of the reward
-table.  ``np.broadcast_to(...).copy()`` would give the same bits, but
-``broadcast_to`` builds an ``nditer`` in Python, about 4 microseconds a
-call at these sizes, several times the fill.  The drift check still runs;
-the denominator check could not fail there, since a NaN in the profile
-fails the drift check first.
+evaluation's axes, filled with I and the reward table.  The drift check
+still runs; the denominator check could not fail there, since a NaN in the
+profile fails the drift check first.
 """
 
 from __future__ import annotations
@@ -123,10 +120,8 @@ class PlayerMDP:
 
     At gamma = 0, M = I: ``w`` is the identity, ``v`` is ``r_pi``, ``q`` is
     ``r_ia`` (with the batch axes) and every gain denominator is exactly 1.
-    ``w`` and ``q`` are then fresh arrays, each filled by one assignment,
-    not copies of ``np.broadcast_to`` views: ``broadcast_to`` builds an
-    ``nditer`` in Python, about 4 microseconds a call at these sizes.
-    Neither shares memory with the game's tables or with ``r_ia``.
+    ``w`` and ``q`` are then fresh arrays: neither shares memory with the
+    game's tables or with ``r_ia``.
     """
 
     gamma: float
@@ -182,7 +177,9 @@ def _evaluate(game: StochasticGame, own, probs, players: tuple[int, ...],
     check_row_drift(p_pi)
     if game.gamma == 0.0:
         # M = I: solving and inverting I, and adding 0 * lookahead, are exact
-        # no-ops, up to the sign of a zero; one fill each, not broadcast_to
+        # no-ops, up to the sign of a zero.  One fill each, not a copy of an
+        # np.broadcast_to view, which gives the same bits but builds an nditer
+        # in Python, about 4 microseconds a call here, several times the fill.
         w, q = np.empty(p_pi.shape), np.empty(own.shape)
         w[...], q[...] = game.eye, r_ia
         return PlayerMDP(game.gamma, own, r_ia, p_ia, w, r_pi, q)

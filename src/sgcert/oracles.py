@@ -2,18 +2,22 @@
 
 Most of what is here recomputes a quantity by a route deliberately
 different from the library's primary path: explicit joint-action
-enumeration instead of tensor contraction (the reward and transition of
-:func:`truncated_value`, :func:`deviation_value` and
-:func:`enumerate_deterministic_policies` too, so that none of them shares
-the library's frozen-opponent tables), truncated power series instead
-of a linear solve, deterministic-policy enumeration instead of policy
-iteration, support enumeration instead of the improvement map, enumeration
-of every simplex of the triangulation instead of the door-in/door-out walk,
-the walk's End-of-the-Line graph from that enumeration and the labels
-instead of its pivot rule, and minimax value iteration for zero-sum
-cross-checks.  The definitional references go by the definition itself: a
-one-shot deviation value by re-solving the modified profile, every grid
-point in order, the max-norm distance of two profiles.
+enumeration instead of tensor contraction, where one loop over the joint
+actions gives every frozen-opponent reference table (the reward and
+transition of :func:`enumerate_joint_expectation` and
+:func:`enumerate_marginal_transition`, and through them those of
+:func:`truncated_value`, :func:`deviation_value`,
+:func:`enumerate_deterministic_policies` and the benchmark's output
+checker, so that none of them shares the library's tables), truncated
+power series instead of a linear solve, deterministic-policy enumeration
+instead of policy iteration, support enumeration instead of the
+improvement map, enumeration of every simplex of the triangulation instead
+of the door-in/door-out walk, the walk's End-of-the-Line graph from that
+enumeration and the labels instead of its pivot rule, and minimax value
+iteration for zero-sum cross-checks.  The definitional references go by
+the definition itself: a one-shot deviation value by re-solving the
+modified profile, every grid point in order, the max-norm distance of two
+profiles.
 
 The paper's bound checks (:func:`stopping_residual_check`,
 :func:`gain_to_regret_check`) are not independent: they run on the
@@ -69,44 +73,35 @@ _REGRET_SLACK = 1e-8
 
 def _joint_actions(game: StochasticGame) -> Iterator[tuple[int, ...]]:
     """Every joint action as a tuple of per-player action indices, in
-    joint-index order."""
+    joint-index order: ``itertools.product`` runs row-major."""
     return product(*(range(a) for a in game.num_actions))
 
 
-def _joint_index(game: StochasticGame, joint: tuple[int, ...]) -> int:
-    """Row-major index of a joint action given per-player action indices."""
-    idx = 0
-    for a, count in zip(joint, game.num_actions):
-        idx = idx * count + a
-    return idx
+def _enumerate(game: StochasticGame, pi: StrategyProfile, table: np.ndarray) -> np.ndarray:
+    """Expectation of ``table[s, j, ...]`` over the joint action ``j`` at
+    every state ``s``, by explicit sum over all joint actions."""
+    out = np.zeros(table.shape[:1] + table.shape[2:])
+    for s in range(game.num_states):
+        for j, joint in enumerate(_joint_actions(game)):
+            w = 1.0
+            for i, a in enumerate(joint):
+                w *= pi.probs[i][s, a]
+            out[s] += w * table[s, j]
+    return out
 
 
 def enumerate_joint_expectation(
     game: StochasticGame, pi: StrategyProfile, player: int
 ) -> np.ndarray:
     """Expected per-state reward by explicit sum over all joint actions."""
-    out = np.zeros(game.num_states)
-    for s in range(game.num_states):
-        for joint in _joint_actions(game):
-            w = 1.0
-            for i, a in enumerate(joint):
-                w *= pi.probs[i][s, a]
-            out[s] += w * game.rewards[player, s, _joint_index(game, joint)]
-    return out
+    return _enumerate(game, pi, game.rewards[player])
 
 
 def enumerate_marginal_transition(
     game: StochasticGame, pi: StrategyProfile
 ) -> np.ndarray:
     """State transition matrix by explicit sum over all joint actions."""
-    out = np.zeros((game.num_states, game.num_states))
-    for s in range(game.num_states):
-        for joint in _joint_actions(game):
-            w = 1.0
-            for i, a in enumerate(joint):
-                w *= pi.probs[i][s, a]
-            out[s] += w * game.transition[s, _joint_index(game, joint)]
-    return out
+    return _enumerate(game, pi, game.transition)
 
 
 def deviation_value(
@@ -548,30 +543,37 @@ def matrix_game_value(payoff: np.ndarray) -> tuple[float, np.ndarray]:
     return float(res.x[-1]), res.x[:-1]
 
 
-def shapley_values(
-    game: StochasticGame, maximizer: int = 0, tol: float = 1e-10, max_iters: int = 100_000
-) -> np.ndarray:
+# Minimax value iteration stops once a sweep moves no value by more than
+# this.  The operator is a gamma-contraction, so the value then lies within
+# gamma / (1 - gamma) times this of the fixed point: 1e-10 on the zero-sum
+# chain (gamma = 0.5), well inside the 1e-8 at which the tests compare it.
+_SHAPLEY_TOL = 1e-10
+# A guard, not a budget: each sweep moves the values by at most gamma times
+# the last one, so at gamma = 0.99 and rewards up to 1 the move falls below
+# _SHAPLEY_TOL within about 2,300 sweeps.
+_SHAPLEY_MAX_ITERS = 100_000
+
+
+def shapley_values(game: StochasticGame) -> np.ndarray:
     """Minimax value iteration for a 2-player zero-sum view of the game.
 
     Iterates V(s) <- val[ r(s, a, b) + gamma * sum_s' P(s'|s, a, b) V(s') ]
-    on the maximizer's reward, where val is the matrix-game minimax value.
-    Converges geometrically since the operator is a gamma-contraction.
+    on player 0's reward, where val is the matrix-game minimax value with
+    player 0 maximizing.  Converges geometrically since the operator is a
+    gamma-contraction.
     """
     if game.num_players != 2:
         raise ValueError("minimax value iteration requires 2 players")
     a1, a2 = game.num_actions
-    r = game.rewards[maximizer].reshape(game.num_states, a1, a2)
+    r = game.rewards[0].reshape(game.num_states, a1, a2)
     p = game.transition.reshape(game.num_states, a1, a2, game.num_states)
-    if maximizer == 1:
-        r = np.swapaxes(r, 1, 2)
-        p = np.swapaxes(p, 1, 2)
     v = np.zeros(game.num_states)
-    for _ in range(max_iters):
+    for _ in range(_SHAPLEY_MAX_ITERS):
         stage = r + game.gamma * (p @ v)
         new = np.array(
             [matrix_game_value(stage[s])[0] for s in range(game.num_states)]
         )
-        if np.max(np.abs(new - v)) < tol:
+        if np.max(np.abs(new - v)) < _SHAPLEY_TOL:
             return new
         v = new
     raise RuntimeError("minimax value iteration did not converge")  # pragma: no cover

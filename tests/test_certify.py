@@ -341,6 +341,17 @@ class TestChooseD:
         assert game.r_max == 0.0
         assert [choose_d(game, l_target) for l_target in (1, 10)] == [1, 1]
 
+    @pytest.mark.parametrize("l_target", [1, 10])
+    def test_a_game_with_no_grid_size_for_any_l_is_named(self, l_target):
+        """When the bound at L = 1 is already past the float range, the
+        ValueError names the game's rewards and discount, not L, which no
+        value could mend."""
+        g = corpus_game("matching_pennies")
+        game = validate_game(g.states, g.actions, g.transition, g.rewards * 1e100, g.gamma)
+        with pytest.raises(ValueError, match="^the game's rewards and discount give no grid "
+                                             "size within the float range for any L$"):
+            choose_d(game, l_target)
+
     @pytest.mark.parametrize("target", [10**160, 10**400])
     def test_rejects_l_whose_grid_size_is_not_a_float(self, toy, target):
         """ValueError naming L, not OverflowError, from choose_d and from

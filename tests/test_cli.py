@@ -508,6 +508,17 @@ def test_huge_target_l_is_input_error(capsys, command, target):
     assert capsys.readouterr().err.startswith("error: --target-L")
 
 
+def test_game_without_any_grid_size_is_named_for_target_l(capsys, tmp_path):
+    """A game whose bound at L = 1 is past the float range exits 2 on any
+    --target-L, with a line that names the game's rewards and discount."""
+    doc = pennies_doc()
+    doc["rewards"] = [[[r * 1e100 for r in row] for row in player] for player in doc["rewards"]]
+    doc["r_max"] = 1e100
+    err = run_input_error(capsys, "info", write_doc(tmp_path / "big.json", doc), "--target-L", "1")
+    assert err == ("error: --target-L: the game's rewards and discount give no grid size "
+                   "within the float range for any L\n")
+
+
 def test_nonpositive_denominator_is_input_error(capsys, monkeypatch):
     """The kernel's denominator check, which only a direct library call with
     a strategy off the simplex reaches, exits 2 with one line."""

@@ -7,7 +7,8 @@ one writes every report, the library solves its linear systems in two
 places only, it takes the fixed-point residual in one and decides whether
 coordinates fill a block in one, its contractions skip numpy's
 ``__array_function__`` dispatch, only the oracles import scipy, and no
-check is an ``assert``."""
+check is an ``assert``.  The benchmark's self-test, the tree comparison
+tool and the line counter run here too."""
 
 import ast
 import importlib
@@ -431,3 +432,67 @@ def test_compare_summary_applies_the_claim_rule(tmp_path):
         ["claim fails", "regressed beyond bound 0.25"],
         ["claim fails", "no regression beyond bound 0.1"]]
     assert json.loads(out.read_text()) == doc
+
+
+def test_bench_selftest_passes():
+    """The benchmark's self-test passes, so that a change which breaks the
+    output checker (it imports four oracles) or a traced layer fails here,
+    not only in a benchmark run."""
+    done = subprocess.run([sys.executable, str(ROOT / "bench" / "selftest.py")],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
+def load_loc():
+    spec = importlib.util.spec_from_file_location("loc", ROOT / "tools" / "loc.py")
+    loc = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(loc)
+    return loc
+
+
+LOC_SAMPLE = '''"""Module docstring,
+over two lines."""
+
+# a comment line
+import os
+
+
+class Thing:
+    """Class docstring."""
+
+    def method(self):
+        """Method docstring,
+        over two lines."""
+        # a comment
+
+        return os.path.join(  # a trailing comment
+            "a",
+            "b",
+        )
+
+
+TEXT = """an assigned
+multi-line string"""
+'''
+
+
+def test_loc_counts_code_lines_only(tmp_path):
+    """code_lines skips docstrings, comment lines and blank lines, and
+    counts every line of a multi-line call and of an assigned string:
+    the import, the class and def lines, four lines of the call and two of
+    the string."""
+    path = tmp_path / "sample.py"
+    path.write_text(LOC_SAMPLE)
+    assert load_loc().code_lines(path) == 9
+
+
+def test_loc_main_prints_the_total_without_oracles(capsys):
+    """On this tree, main prints one count per module, their total, and
+    the total less ``oracles``."""
+    assert load_loc().main([]) == 0
+    rows = (line.rsplit(None, 1) for line in capsys.readouterr().out.splitlines())
+    counts = {name: int(count.replace(",", "")) for name, count in rows}
+    modules = {path.stem for path in LIBRARY}
+    assert set(counts) == modules | {"total", "no oracles"}
+    assert counts["total"] == sum(counts[name] for name in modules)
+    assert counts["no oracles"] == counts["total"] - counts["oracles"]
